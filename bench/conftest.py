@@ -1,0 +1,10 @@
+"""Let the benchmark's smoke tests import the package from the checkout's
+src directory and the benchmark modules from this directory."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
