@@ -8,7 +8,10 @@ letter; these are exactly the variables with a single-index alias.
 
 Substituting the position variables into a product of negative factors, one
 per letter, yields a matrix over Laurent polynomials whose initial minors
-this module extracts (``delta_L``).  Numerically the same matrix can be
+this module extracts (``delta_L``).  A minor never builds that matrix: it
+starts from the d identity rows it needs and applies the word's factors as
+column operations (``apply_word``), then takes the determinant of the first
+d columns.  Numerically the same matrix can be
 scaled by a diagonal with determinant one; ``delta_G`` takes its minors,
 and ``phi_map`` rewrites such coordinates as a diagonal times a product of
 lower elementary factors so both descriptions can be compared entrywise.
@@ -305,14 +308,48 @@ def mat_mul(a, b):
     return out
 
 
+def apply_word(rows, steps):
+    """Right-multiply a block of rows by negative factors, one step at a time.
+
+    Step ``(i, t)`` stands for ``gen_xneg(r, i, t)``, which changes only
+    columns i and i+1: ``col_i <- col_i / t + col_{i+1}`` and
+    ``col_{i+1} <- col_{i+1} * t``.  So a word of n letters costs O(n) ring
+    operations per row instead of n dense (r+1)^3 products, and zero entries
+    cost nothing.  Works over any ring ``gen_xneg`` accepts (Laurent
+    polynomials or rationals); the input rows are left unchanged.
+
+    >>> from fractions import Fraction
+    >>> rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
+    >>> [str(e) for e in apply_word(rows[1:2], [(1, 2), (2, 3)])[0]]
+    ['1', '2/3', '0']
+    >>> apply_word(rows, [(1, 2), (2, 3)]) == mat_mul(gen_xneg(2, 1, 2), gen_xneg(2, 2, 3))
+    True
+    """
+    out = [list(row) for row in rows]
+    for i, t in steps:
+        t = _coerce(t)
+        t_inv = _inv(t)
+        for row in out:
+            a, b = row[i - 1], row[i]
+            if b:
+                row[i - 1] = a * t_inv + b if a else b
+                row[i] = b * t
+            elif a:
+                row[i - 1] = a * t_inv
+    return out
+
+
+def _symbolic_rows(w: WordSpec, rows: Sequence[int]):
+    """Rows (1-based) of the symbolic cell matrix, by column operations."""
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    identity_rows = [[one if c == a else zero for c in range(1, w.r + 2)] for a in rows]
+    return apply_word(identity_rows, zip(w.letters(), w.variables()))
+
+
 def xL_matrix(w: WordSpec):
     """Symbolic cell matrix: the product of one negative factor per letter,
     position k carrying the variable Y[s,j] of that position."""
-    letters = w.letters()
-    acc = gen_xneg(w.r, letters[0], w.position_var(1))
-    for k in range(2, w.n + 1):
-        acc = mat_mul(acc, gen_xneg(w.r, letters[k - 1], w.position_var(k)))
-    return acc
+    return _symbolic_rows(w, range(1, w.r + 2))
 
 
 def det(matrix):
@@ -363,10 +400,11 @@ def submatrix(matrix, rows: Sequence[int], cols: Sequence[int]):
     return [[matrix[a - 1][b - 1] for b in cols] for a in rows]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _delta_L_cached(word: WordSpec, k: int) -> LaurentPoly:
+    # only the minor's d rows are built; its columns are the first d
     spec = MinorSpec(word, k)
-    return det(submatrix(xL_matrix(word), spec.rows, spec.cols))
+    return det([row[: spec.d] for row in _symbolic_rows(word, spec.rows)])
 
 
 def delta_L(spec: MinorSpec) -> LaurentPoly:

@@ -43,6 +43,14 @@ from .paths import (
 from .verify import CHECKS, phi_word_check
 
 
+def _check_positive(args) -> None:
+    """Sweep bounds, sample counts and node caps must be at least one."""
+    for dest in ("max_r", "max_dim", "samples", "cap"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{dest.replace('_', '-')} must be positive, got {value}")
+
+
 def _letters(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -326,6 +334,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        _check_positive(args)
         return args.func(args)
     except (CrystalMinorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Each check function runs one family of exact identities over a bounded
 sweep and reports a CheckResult: a one line summary plus one line per
-swept spec, already sorted.  Random cases are drawn from a local
-generator with an explicit seed, so repeated runs are byte-identical.
+swept spec, already sorted.  A sweep that checks nothing fails.  Random
+cases are drawn from a local generator with an explicit seed, so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ class _Report:
         self._rows.append((key, f"FAIL {self.name} {text}"))
         return CheckResult(self.name, False, detail, self._sorted())
 
-    def done(self, detail: str) -> CheckResult:
+    def done(self, detail: str, checked: int) -> CheckResult:
+        if not checked:
+            return CheckResult(self.name, False, f"empty sweep ({detail})", self._sorted())
         return CheckResult(self.name, True, detail, self._sorted())
 
     def _sorted(self) -> tuple[str, ...]:
@@ -122,7 +125,9 @@ def check_minor_chain(max_r: int = 5) -> CheckResult:
             positions += 1
         rep.ok(key, f"r={w.r} word={_word_text(w)} positions={len(ks)}")
         words += 1
-    return rep.done(f"{words} words, {positions} positions, 4-way equal, r <= {max_r}")
+    return rep.done(
+        f"{words} words, {positions} positions, 4-way equal, r <= {max_r}", positions
+    )
 
 
 def check_minor_paths(max_r: int = 5) -> CheckResult:
@@ -141,7 +146,7 @@ def check_minor_paths(max_r: int = 5) -> CheckResult:
             positions += 1
         rep.ok(key, f"r={w.r} word={_word_text(w)} positions={len(ks)}")
         words += 1
-    return rep.done(f"{words} words, {positions} positions, r <= {max_r}")
+    return rep.done(f"{words} words, {positions} positions, r <= {max_r}", positions)
 
 
 def check_closed_form(max_dim: int = 5) -> CheckResult:
@@ -162,7 +167,7 @@ def check_closed_form(max_dim: int = 5) -> CheckResult:
                     )
                 rep.ok((d, m, mp), f"d={d} m={m} mprime={mp} terms={len(total)}")
                 count += 1
-    return rep.done(f"{count} shapes, d,m <= {max_dim}")
+    return rep.done(f"{count} shapes, d,m <= {max_dim}", count)
 
 
 def check_d1(max_r: int = 5) -> CheckResult:
@@ -186,7 +191,7 @@ def check_d1(max_r: int = 5) -> CheckResult:
                 return rep.fail(key, f"{tag} term count", f"term count at {tag}")
             rep.ok(key, f"{tag} terms={len(poly)}")
             count += 1
-    return rep.done(f"{count} width-one positions, r <= {max_r}")
+    return rep.done(f"{count} width-one positions, r <= {max_r}", count)
 
 
 def _random_nonzero(rng: random.Random) -> Fraction:
@@ -230,7 +235,7 @@ def check_torus_factor(max_r: int = 4, samples: int = 50, seed: int = DEFAULT_SE
                     )
                 count += 1
             rep.ok(key, f"{tag} samples={samples}")
-    return rep.done(f"{count} samples, r <= {max_r}")
+    return rep.done(f"{count} samples, r <= {max_r}", count)
 
 
 def check_phi_factorization(max_r: int = 4, samples: int = 20, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -249,11 +254,12 @@ def check_phi_factorization(max_r: int = 4, samples: int = 20, seed: int = DEFAU
                 return rep.fail(key, f"{tag} mismatch", f"mismatch at {tag} a={a} t={t}")
             count += 1
         rep.ok(key, f"{tag} samples={samples}")
-    return rep.done(f"{count} samples, r <= {max_r}")
+    return rep.done(f"{count} samples, r <= {max_r}", count)
 
 
 def phi_word_check(w: WordSpec, samples: int = 20, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Factorization identity on random samples for a single word."""
+    """Factorization identity on random samples for a single word; no
+    samples is a failure."""
     rng = random.Random(seed)
     for s in range(samples):
         a = _random_torus(rng, w.r)
@@ -261,7 +267,7 @@ def phi_word_check(w: WordSpec, samples: int = 20, seed: int = DEFAULT_SEED) -> 
         moved, tau = phi_map(w, a, t)
         if cell_matrix_value(w, a, t) != lower_product_value(w, moved, tau):
             return CheckResult("phi", False, f"r={w.r} word={_word_text(w)} sample={s + 1}")
-    return CheckResult("phi", True, f"r={w.r} word={_word_text(w)} samples={samples}")
+    return CheckResult("phi", samples > 0, f"r={w.r} word={_word_text(w)} samples={samples}")
 
 
 def check_truncation(max_r: int = 4) -> CheckResult:
@@ -284,7 +290,7 @@ def check_truncation(max_r: int = 4) -> CheckResult:
             checked += 1
         rep.ok(key, f"{tag} positions={checked}")
         count += checked
-    return rep.done(f"{count} extensions, r <= {max_r}")
+    return rep.done(f"{count} extensions, r <= {max_r}", count)
 
 
 def _cartan(i: int, j: int) -> int:
@@ -382,7 +388,7 @@ def check_axioms(max_r: int = 5) -> CheckResult:
             rep.ok(key, f"{tag} nodes={g.node_count()} edges={g.edge_count()}")
             nodes += g.node_count()
             graphs += 1
-    return rep.done(f"{graphs} components, {nodes} nodes, r <= {max_r}")
+    return rep.done(f"{graphs} components, {nodes} nodes, r <= {max_r}", graphs)
 
 
 CHECKS = {
@@ -392,5 +398,6 @@ CHECKS = {
     "thm5-6": check_d1,
     "prop5-1": check_torus_factor,
     "prop2-4": check_phi_factorization,
+    "lemma5-4": check_truncation,
     "axioms": check_axioms,
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from crystalminor.bruhat import (
     MinorSpec,
     Permutation,
     WordSpec,
+    _delta_L_cached,
+    apply_word,
     cell_matrix_value,
     delta_G,
     delta_L,
@@ -278,6 +281,47 @@ def test_delta_L_small_words():
     # a position at the very end of its color's story gives the unit minor
     assert delta_L(MinorSpec(WordSpec(2, 1, 2), 2)) == LaurentPoly.one()
     assert delta_L(MinorSpec(WordSpec(1, 1, 1), 1)) == LaurentPoly.one()
+
+
+def _dense_cell_matrix(w: WordSpec, values):
+    """Reference: the word's factors multiplied out as dense matrices."""
+    factors = [gen_xneg(w.r, i, t) for i, t in zip(w.letters(), values)]
+    return functools.reduce(mat_mul, factors)
+
+
+def test_delta_L_matches_dense_reference_minors():
+    for r in range(1, 7):
+        for m in range(1, r + 1):
+            for last in range(1, r - m + 2):
+                w = WordSpec(r, m, last)
+                dense = _dense_cell_matrix(w, w.variables())
+                for k in range(1, w.n + 1):
+                    spec = MinorSpec(w, k)
+                    want = det(submatrix(dense, spec.rows, spec.cols))
+                    assert delta_L(spec) == want, (w, k)
+
+
+def test_apply_word_on_rationals_matches_dense_product():
+    rng = random.Random(8622)
+    for r in range(1, 6):
+        for m in range(1, r + 1):
+            for last in range(1, r - m + 2):
+                w = WordSpec(r, m, last)
+                values = [
+                    Fraction(rng.choice([x for x in range(-7, 8) if x]), rng.randint(1, 7))
+                    for _ in range(w.n)
+                ]
+                dense = _dense_cell_matrix(w, values)
+                rows = sorted(rng.sample(range(r + 1), rng.randint(1, r + 1)))
+                start = [[Fraction(int(a == b)) for b in range(r + 1)] for a in rows]
+                untouched = [list(row) for row in start]
+                assert apply_word(start, zip(w.letters(), values)) == [dense[a] for a in rows]
+                assert start == untouched
+
+
+def test_delta_L_memo_is_bounded():
+    # above the 1,506 positions of all words at r <= 8, so sweeps never evict
+    assert _delta_L_cached.cache_info().maxsize == 4096
 
 
 def test_truncation_check_holds_when_letters_differ():

@@ -258,6 +258,41 @@ def test_verify_every_check_runs_small(capsys):
         assert out.splitlines()[-1].startswith(f"PASS {name}:")
 
 
+def test_verify_lemma5_4_reaches_the_truncation_check(capsys):
+    code, out, _ = run(capsys, ["verify", "lemma5-4", "--max-r", "3"])
+    assert code == 0
+    lines = out.splitlines()
+    assert all(x.startswith("PASS lemma5-4") for x in lines)
+    assert lines[-1] == "PASS lemma5-4: 13 extensions, r <= 3"
+
+
+def test_verify_empty_sweep_fails(capsys):
+    for argv in (["verify", "thm5-5", "--max-r", "1"], ["verify", "lemma5-4", "--max-r", "1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1, argv
+        assert out.splitlines()[-1].startswith(f"FAIL {argv[1]}: empty sweep"), argv
+        assert err == ""
+
+
+def test_nonpositive_bounds_are_usage_errors(capsys):
+    for argv in (
+        ["verify", "thm5-5", "--max-r", "0"],
+        ["verify", "axioms", "--max-r", "-3"],
+        ["verify", "prop6-10", "--max-dim", "0"],
+        ["verify", "prop5-1", "--samples", "-1"],
+        ["verify", "prop2-4", "--samples", "0"],
+        ["phi", "check", "--r", "2", "--word", "1,2", "--samples", "0"],
+        ["crystal", "component", "--r", "2", "--seed", "Y[-1,1]", "--cap", "-1"],
+        ["crystal", "demazure", "--r", "2", "--word", "1", "--seed", "Y[-1,1]", "--cap", "0"],
+        ["crystal", "polynomial", "--r", "2", "--word", "1", "--seed", "Y[-1,1]", "--cap", "0"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: --") and "must be positive" in err, argv
+        assert err.count("\n") == 1, argv
+
+
 def test_verify_failure_exit(capsys, monkeypatch):
     def fake(max_r=5):
         return CheckResult("thm5-6", False, "forced", ("FAIL thm5-6 forced",))

@@ -7,6 +7,7 @@ from crystalminor.verify import (
     CHECKS,
     all_word_specs,
     check_axioms,
+    check_minor_chain,
     check_truncation,
     crystal_axiom_failures,
     demazure_data,
@@ -72,6 +73,17 @@ def test_truncation_check():
     res = check_truncation(3)
     assert res.passed
     assert "extensions" in res.detail
+
+
+def test_truncation_check_is_registered():
+    assert CHECKS["lemma5-4"] is check_truncation
+
+
+def test_empty_sweep_fails():
+    for res in (check_minor_chain(1), check_truncation(1)):
+        assert not res.passed
+        assert res.summary().startswith(f"FAIL {res.name}: empty sweep")
+    assert not phi_word_check(WordSpec(2, 1, 2), samples=0).passed
 
 
 def test_phi_word_check():
