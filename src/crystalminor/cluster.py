@@ -19,6 +19,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .bruhat import WordSpec
+from .crystal import cartan
 from .errors import IndexOutOfRange
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -26,14 +27,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def _sgn(x: int) -> int:
     return (x > 0) - (x < 0)
-
-
-def _cartan(i: int, j: int) -> int:
-    if i == j:
-        return 2
-    if abs(i - j) == 1:
-        return -1
-    return 0
 
 
 def e_set(w: WordSpec) -> tuple[int, ...]:
@@ -78,7 +71,7 @@ def _entry(w: WordSpec, k: int, l: int) -> int:
     if p < q and k != l and kp != lp:
         cond = _sgn(_signed_letter(w, p) * _signed_letter(w, q)) * (k - l) * (kp - lp)
         if cond > 0:
-            a = _cartan(_abs_letter(w, k), _abs_letter(w, l))
+            a = cartan(_abs_letter(w, k), _abs_letter(w, l))
             return -_sgn((k - l) * _signed_letter(w, p) * a)
     return 0
 

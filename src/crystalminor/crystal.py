@@ -40,6 +40,19 @@ def ell(r: int, s: int) -> int:
     return s * r - s * (s - 1) // 2
 
 
+def cartan(i: int, j: int) -> int:
+    """Entry (i, j) of the type-A Cartan matrix.
+
+    >>> [cartan(2, j) for j in range(1, 5)]
+    [-1, 2, -1, 0]
+    """
+    if i == j:
+        return 2
+    if abs(i - j) == 1:
+        return -1
+    return 0
+
+
 @dataclass(frozen=True)
 class CrystalConfig:
     """Rank of the crystal; the color convention is fixed (see module doc)."""

@@ -9,6 +9,12 @@ coefficients stay in Z and evaluation produces ``fractions.Fraction``.
 There is no general division.  Monomials are units, so they carry an
 ``inverse()``, and that is the only reciprocal the module offers.
 
+A polynomial is held as a dict from monomial to nonzero coefficient, so
+``+``, ``-`` and ``*`` only accumulate and never sort.  The canonical term
+order (see ``Monomial._sort_key``) is computed at the boundary: the first
+use of ``.terms``, ``str``, ``hash`` or the JSON form sorts the terms once
+and caches the tuple.  Equality compares the dicts and needs no order.
+
 >>> a = Monomial.of((VarId(0, 1), 1), (VarId(0, 2), -1))
 >>> str(a)
 'Y[0,1]Y[0,2]^-1'
@@ -18,7 +24,6 @@ There is no general division.  Monomials are units, so they carry an
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -57,11 +62,13 @@ class Monomial:
     0
     """
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_factors", "_hash", "_key")
 
     def __init__(self, factors: tuple[tuple[VarId, int], ...]):
         # internal: factors must already be sorted, deduplicated, zero-free
         self._factors = factors
+        self._hash = hash(factors)
+        self._key = None
 
     @staticmethod
     def one() -> "Monomial":
@@ -100,7 +107,19 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial.of(*self._factors, *other._factors)
+        if not other._factors:
+            return self
+        if not self._factors:
+            return other
+        # both factor tuples are already valid: add exponents, drop zeros
+        acc = dict(self._factors)
+        for v, e in other._factors:
+            e += acc.get(v, 0)
+            if e:
+                acc[v] = e
+            else:
+                del acc[v]
+        return Monomial(tuple(sorted(acc.items())))
 
     def inverse(self) -> "Monomial":
         return Monomial(tuple((v, -e) for v, e in self._factors))
@@ -121,17 +140,41 @@ class Monomial:
             out *= val**e
         return out
 
+    def _sort_key(self) -> tuple[int, ...]:
+        """Key of the canonical term order, computed once and cached.
+
+        Monomials compare at the highest variable where their exponents
+        differ (absent variables count as exponent zero), and the larger
+        exponent sorts first.  The key walks the factors from the highest
+        variable down and concatenates one block per factor, ``(0, -s, -i,
+        -e)`` for a positive exponent and ``(2, s, i, -e)`` for a negative
+        one, then a ``(1,)`` terminator.  Plain tuple comparison of two keys
+        then decides at the first differing factor: the block tags order a
+        positive exponent before an absent variable before a negative one.
+
+        >>> Monomial.of((VarId(0, 2), 1), (VarId(1, 1), -3))._sort_key()
+        (2, 1, 1, 3, 0, 0, -2, -1, 1)
+        """
+        key = self._key
+        if key is None:
+            out: list[int] = []
+            for (s, i), e in reversed(self._factors):
+                out += (0, -s, -i, -e) if e > 0 else (2, s, i, -e)
+            out.append(1)
+            key = self._key = tuple(out)
+        return key
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._factors == other._factors
 
     def __hash__(self) -> int:
-        return hash(self._factors)
+        return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
-        return _mono_cmp(self, other) < 0
+        return self._sort_key() < other._sort_key()
 
     def __le__(self, other: "Monomial") -> bool:
-        return _mono_cmp(self, other) <= 0
+        return self._sort_key() <= other._sort_key()
 
     def __str__(self) -> str:
         if not self._factors:
@@ -148,36 +191,12 @@ class Monomial:
 _ONE = Monomial(())
 
 
-def _mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Canonical term order.
-
-    Compare at the highest variable where the exponents differ; the larger
-    exponent sorts first.  This walks both factor lists from the top, so
-    absent variables count as exponent zero.
-    """
-    fa, fb = a._factors, b._factors
-    ia, ib = len(fa) - 1, len(fb) - 1
-    while ia >= 0 or ib >= 0:
-        va = fa[ia][0] if ia >= 0 else None
-        vb = fb[ib][0] if ib >= 0 else None
-        if va == vb:
-            ea, eb = fa[ia][1], fb[ib][1]
-            if ea != eb:
-                return -1 if ea > eb else 1
-            ia -= 1
-            ib -= 1
-        elif vb is None or (va is not None and va > vb):
-            return -1 if fa[ia][1] > 0 else 1
-        else:
-            return 1 if fb[ib][1] > 0 else -1
-    return 0
-
-
-_mono_key = functools.cmp_to_key(_mono_cmp)
-
-
 class LaurentPoly:
-    """A finite Z-linear combination of monomials, kept in canonical order.
+    """A finite Z-linear combination of monomials.
+
+    The terms live in a dict from monomial to nonzero coefficient; the
+    canonical order is sorted on first use of ``terms``, ``str``, ``hash``
+    or the JSON form and cached, since the polynomial is immutable.
 
     >>> p = LaurentPoly.from_monomial(Monomial.of((VarId(0, 1), 1)))
     >>> q = p + LaurentPoly.one()
@@ -187,11 +206,12 @@ class LaurentPoly:
     '0'
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_coeffs", "_terms")
 
-    def __init__(self, terms: tuple[tuple[Monomial, int], ...]):
-        # internal: terms must already be sorted with nonzero coefficients
-        self._terms = terms
+    def __init__(self, coeffs: dict[Monomial, int]):
+        # internal: coefficients must be nonzero; the dict is never mutated
+        self._coeffs = coeffs
+        self._terms = None
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -205,87 +225,114 @@ class LaurentPoly:
     def from_monomial(m: Monomial, coeff: int = 1) -> "LaurentPoly":
         if coeff == 0:
             return _ZERO
-        return LaurentPoly(((m, int(coeff)),))
+        return LaurentPoly({m: int(coeff)})
 
     @staticmethod
     def from_terms(terms: Iterable[tuple[Monomial, int]]) -> "LaurentPoly":
         acc: dict[Monomial, int] = {}
         for m, c in terms:
             acc[m] = acc.get(m, 0) + int(c)
-        kept = [(m, c) for m, c in acc.items() if c != 0]
-        kept.sort(key=lambda t: _mono_key(t[0]))
-        return LaurentPoly(tuple(kept))
+        return LaurentPoly({m: c for m, c in acc.items() if c})
 
     @property
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
-        return self._terms
+        """(monomial, coefficient) pairs in canonical order."""
+        terms = self._terms
+        if terms is None:
+            items = sorted(self._coeffs.items(), key=lambda t: t[0]._sort_key())
+            terms = self._terms = tuple(items)
+        return terms
 
     def coefficient(self, m: Monomial) -> int:
-        for mm, c in self._terms:
-            if mm == m:
-                return c
-        return 0
+        return self._coeffs.get(m, 0)
 
     def monomials(self) -> Iterator[Monomial]:
-        for m, _ in self._terms:
+        for m, _ in self.terms:
             yield m
 
     def variables(self) -> set[VarId]:
         out: set[VarId] = set()
-        for m, _ in self._terms:
+        for m in self._coeffs:
             out.update(m.variables())
         return out
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly.from_terms(self._terms + other._terms)
+        a, b = self._coeffs, other._coeffs
+        if not a:
+            return other
+        if not b:
+            return self
+        if len(a) < len(b):
+            a, b = b, a  # copy the larger side, fold in the smaller
+        acc = dict(a)
+        for m, c in b.items():
+            c += acc.get(m, 0)
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+        return LaurentPoly(acc)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((m, -c) for m, c in self._terms))
+        return LaurentPoly({m: -c for m, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly.from_terms((m, c * other) for m, c in self._terms)
+            if not other:
+                return _ZERO
+            return LaurentPoly({m: c * other for m, c in self._coeffs.items()})
         if isinstance(other, Monomial):
-            return LaurentPoly.from_terms((m * other, c) for m, c in self._terms)
+            # multiplying by a unit is injective: no terms merge
+            return LaurentPoly({m * other: c for m, c in self._coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly.from_terms(
-            (ma * mb, ca * cb) for ma, ca in self._terms for mb, cb in other._terms
-        )
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        right = other._coeffs.items()
+        for ma, ca in self._coeffs.items():
+            for mb, cb in right:
+                m = ma * mb
+                acc[m] = get(m, 0) + ca * cb
+        return LaurentPoly({m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
     def evaluate(self, assignment: Mapping[VarId, Fraction]) -> Fraction:
+        """Exact value at nonzero rationals, in canonical term order.
+
+        Raises MissingAssignment if a variable has no value and
+        ZeroAssignment if any used value is zero.
+        """
         out = Fraction(0)
-        for m, c in self._terms:
+        for m, c in self.terms:
             out += c * m.evaluate(assignment)
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
+        return isinstance(other, LaurentPoly) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(self.terms)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for m, c in self._terms:
+        for m, c in self.terms:
             if m.is_one():
                 parts.append(str(c))
             elif c == 1:
@@ -300,32 +347,8 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
-_ZERO = LaurentPoly(())
-_POLY_ONE = LaurentPoly(((_ONE, 1),))
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two monomials (exponents add, zeros vanish)."""
-    return a * b
-
-
-def poly_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Sum of two polynomials in canonical form."""
-    return a + b
-
-
-def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Product of two polynomials in canonical form."""
-    return a * b
-
-
-def poly_eval(p: LaurentPoly, assignment: Mapping[VarId, Fraction]) -> Fraction:
-    """Evaluate p at nonzero rational values, exactly.
-
-    Raises MissingAssignment if a variable of p has no value and
-    ZeroAssignment if any used value is zero.
-    """
-    return p.evaluate(assignment)
+_ZERO = LaurentPoly({})
+_POLY_ONE = LaurentPoly({_ONE: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +424,12 @@ def _parse_product(text: str) -> Monomial:
         if close < 0 or text[pos + 1] != "[":
             raise ValueError(f"malformed factor at offset {pos} in {text!r}")
         inner = text[pos + 2 : close]
-        s_str, _, i_str = inner.partition(",")
-        v = _check_var(VarId(int(s_str), int(i_str)))
+        s_str, comma, i_str = inner.partition(",")
+        if not comma:
+            raise ValueError(f"malformed index at offset {pos} in {text!r}")
+        s = _parse_int(s_str, "shift", pos + 2, text)
+        i = _parse_int(i_str, "color", pos + 3 + len(s_str), text)
+        v = _check_var(VarId(s, i))
         pos = close + 1
         exp = 1
         if pos < n and text[pos] == "^":
@@ -412,6 +439,13 @@ def _parse_product(text: str) -> Monomial:
                 pos += 1
             while pos < n and text[pos].isdigit():
                 pos += 1
-            exp = int(text[start:pos])
+            exp = _parse_int(text[start:pos], "exponent", start, text)
         pairs.append((v, exp))
     return Monomial.of(*pairs)
+
+
+def _parse_int(token: str, what: str, offset: int, text: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"malformed {what} at offset {offset} in {text!r}") from None

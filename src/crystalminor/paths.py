@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Iterator
 
 from .crystal import CrystalConfig, tau_render
@@ -147,27 +147,36 @@ def _slot(r: int, c: int, j: int) -> VarId | None:
     raise RankTooSmall(f"slot {j} of cycle {c} does not exist at rank {r}")
 
 
+def _ratio_pairs(r: int, c: int, up: int, down: int) -> Iterator[tuple[VarId, int]]:
+    """(variable, +1) for slot ``up`` and (variable, -1) for slot ``down``
+    of cycle c, skipping unit slots; every label is built from these."""
+    v = _slot(r, c, up)
+    if v is not None:
+        yield v, 1
+    v = _slot(r, c, down)
+    if v is not None:
+        yield v, -1
+
+
+def _edge_pairs(
+    r: int, m: int, s: int, src: Iterable[int], dst: Iterable[int]
+) -> Iterator[tuple[VarId, int]]:
+    c = m - s - 1
+    for a_new, a_old in zip(dst, src):
+        yield from _ratio_pairs(r, c, a_new - 1, a_old)
+
+
 def edge_label(r: int, m: int, s: int, src: Iterable[int], dst: Iterable[int]) -> Monomial:
     """Label of the step from level s to level s+1."""
-    c = m - s - 1
-    pairs: list[tuple[VarId, int]] = []
-    for a_new, a_old in zip(dst, src):
-        v = _slot(r, c, a_new - 1)
-        if v is not None:
-            pairs.append((v, 1))
-        v = _slot(r, c, a_old)
-        if v is not None:
-            pairs.append((v, -1))
-    return Monomial.of(*pairs)
+    return Monomial.of(*_edge_pairs(r, m, s, src, dst))
 
 
 def label(spec: PathSpec, p: Path, r: int) -> Monomial:
-    """Product of the edge labels along p."""
+    """Product of the edge labels along p, built as one monomial."""
     _check_path(spec, p)
-    acc = Monomial.one()
-    for s in range(spec.m):
-        acc = acc * edge_label(r, spec.m, s, p.rows[s], p.rows[s + 1])
-    return acc
+    rows = p.rows
+    steps = (_edge_pairs(r, spec.m, s, rows[s], rows[s + 1]) for s in range(spec.m))
+    return Monomial.of(*chain.from_iterable(steps))
 
 
 def path_sum(spec: PathSpec, r: int) -> LaurentPoly:
@@ -227,12 +236,7 @@ def rebuild(spec: PathSpec, kk: Iterable[Iterable[int]]) -> Path:
 
 def cbar(r: int, c: int, j: int) -> Monomial:
     """Ratio of the slot-(j-1) and slot-j variables of cycle c."""
-    pairs: list[tuple[VarId, int]] = []
-    for jj, e in ((j - 1, 1), (j, -1)):
-        v = _slot(r, c, jj)
-        if v is not None:
-            pairs.append((v, e))
-    return Monomial.of(*pairs)
+    return Monomial.of(*_ratio_pairs(r, c, j - 1, j))
 
 
 def k_arrays(spec: PathSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -260,16 +264,21 @@ def k_arrays(spec: PathSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     return grow([])
 
 
+def _array_pairs(
+    r: int, m: int, arr: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[VarId, int]]:
+    for j0, row in enumerate(arr):
+        for i0, k in enumerate(row):
+            yield from _ratio_pairs(r, m - k - j0 + i0, k - 1, k)
+
+
 def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
-    """Path sum written directly over stationary-value arrays."""
-    terms = []
-    for arr in k_arrays(spec):
-        mono = Monomial.one()
-        for j0, row in enumerate(arr):
-            for i0, k in enumerate(row):
-                mono = mono * cbar(r, spec.m - k - j0 + i0, k)
-        terms.append((mono, 1))
-    return LaurentPoly.from_terms(terms)
+    """Path sum written directly over stationary-value arrays: each array
+    contributes the product of cbar(r, m - k - j0 + i0, k) over its entries
+    k, built as one monomial."""
+    return LaurentPoly.from_terms(
+        (Monomial.of(*_array_pairs(r, spec.m, arr)), 1) for arr in k_arrays(spec)
+    )
 
 
 def d1_closed_form(m: int, mprime: int, r: int) -> LaurentPoly:
@@ -287,10 +296,7 @@ def d1_closed_form(m: int, mprime: int, r: int) -> LaurentPoly:
         pairs: list[tuple[VarId, int]] = []
         for nu in range(mprime + 1):
             for i in range(bounds[nu] + 1, bounds[nu + 1]):
-                for jj, e in ((nu, 1), (nu + 1, -1)):
-                    v = _slot(r, m - 1 - i, jj)
-                    if v is not None:
-                        pairs.append((v, e))
+                pairs.extend(_ratio_pairs(r, m - 1 - i, nu, nu + 1))
         terms.append((Monomial.of(*pairs), 1))
     return LaurentPoly.from_terms(terms)
 

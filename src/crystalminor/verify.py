@@ -30,10 +30,11 @@ from .crystal import (
     DemazureSpec,
     apply_e,
     apply_f,
+    cartan,
     component,
     demazure_polynomial,
 )
-from .laurent import Monomial, VarId
+from .laurent import LaurentPoly, Monomial, VarId
 from .paths import PathSpec, closed_form_sum, d1_closed_form, path_sum
 
 DEFAULT_SEED = 20260817
@@ -72,6 +73,19 @@ class _Report:
 
     def _sorted(self) -> tuple[str, ...]:
         return tuple(line for _, line in sorted(self._rows))
+
+
+def _difference(left: str, p: LaurentPoly, right: str, q: LaurentPoly, shown: int = 3) -> str:
+    """Terms found on one side only, up to ``shown`` per side, each side
+    printed like a polynomial; a coefficient change shows on both sides."""
+
+    def only(a: LaurentPoly, b: LaurentPoly) -> str:
+        other = set(b.terms)
+        diff = [t for t in a.terms if t not in other]
+        text = str(LaurentPoly.from_terms(diff[:shown]))
+        return text + (f" (+{len(diff) - shown} more)" if len(diff) > shown else "")
+
+    return f"only in {left}: {only(p, q)}; only in {right}: {only(q, p)}"
 
 
 def all_word_specs(max_r: int, min_r: int = 1) -> Iterator[WordSpec]:
@@ -116,12 +130,17 @@ def check_minor_chain(max_r: int = 5) -> CheckResult:
             spec = PathSpec(ms.d, w.m, ms.mprime)
             minor = delta_L(ms)
             tag = f"r={w.r} word={_word_text(w)} k={k}"
-            if demazure_polynomial(cfg, demazure_data(w, k)) != minor:
-                return rep.fail(key, f"{tag} demazure mismatch", f"demazure mismatch at {tag}")
-            if path_sum(spec, w.r) != minor:
-                return rep.fail(key, f"{tag} path sum mismatch", f"path sum mismatch at {tag}")
-            if closed_form_sum(spec, w.r) != minor:
-                return rep.fail(key, f"{tag} closed form mismatch", f"closed form mismatch at {tag}")
+            routes = (
+                ("demazure", demazure_polynomial(cfg, demazure_data(w, k))),
+                ("path sum", path_sum(spec, w.r)),
+                ("closed form", closed_form_sum(spec, w.r)),
+            )
+            for route, value in routes:
+                if value != minor:
+                    diff = _difference(route, value, "minor", minor)
+                    return rep.fail(
+                        key, f"{tag} {route} mismatch", f"{route} mismatch at {tag}; {diff}"
+                    )
             positions += 1
         rep.ok(key, f"r={w.r} word={_word_text(w)} positions={len(ks)}")
         words += 1
@@ -140,9 +159,11 @@ def check_minor_paths(max_r: int = 5) -> CheckResult:
         ks = matched_positions(w)
         for k in ks:
             ms = MinorSpec(w, k)
-            if path_sum(PathSpec(ms.d, w.m, ms.mprime), w.r) != delta_L(ms):
+            total, minor = path_sum(PathSpec(ms.d, w.m, ms.mprime), w.r), delta_L(ms)
+            if total != minor:
                 tag = f"r={w.r} word={_word_text(w)} k={k}"
-                return rep.fail(key, f"{tag} mismatch", f"mismatch at {tag}")
+                diff = _difference("path sum", total, "minor", minor)
+                return rep.fail(key, f"{tag} mismatch", f"mismatch at {tag}; {diff}")
             positions += 1
         rep.ok(key, f"r={w.r} word={_word_text(w)} positions={len(ks)}")
         words += 1
@@ -159,11 +180,13 @@ def check_closed_form(max_dim: int = 5) -> CheckResult:
                 spec = PathSpec(d, m, mp)
                 r = d + m - 1
                 total = path_sum(spec, r)
-                if closed_form_sum(spec, r) != total:
+                closed = closed_form_sum(spec, r)
+                if closed != total:
+                    diff = _difference("closed form", closed, "path sum", total)
                     return rep.fail(
                         (d, m, mp),
                         f"d={d} m={m} mprime={mp} mismatch",
-                        f"mismatch at d={d} m={m} mprime={mp}",
+                        f"mismatch at d={d} m={m} mprime={mp}; {diff}",
                     )
                 rep.ok((d, m, mp), f"d={d} m={m} mprime={mp} terms={len(total)}")
                 count += 1
@@ -181,9 +204,10 @@ def check_d1(max_r: int = 5) -> CheckResult:
             ms = MinorSpec(w, k)
             key = (w.r, w.m, w.last, k)
             tag = f"r={w.r} word={_word_text(w)} k={k}"
-            poly = d1_closed_form(w.m, ms.mprime, w.r)
-            if poly != delta_L(ms):
-                return rep.fail(key, f"{tag} mismatch", f"mismatch at {tag}")
+            poly, minor = d1_closed_form(w.m, ms.mprime, w.r), delta_L(ms)
+            if poly != minor:
+                diff = _difference("closed form", poly, "minor", minor)
+                return rep.fail(key, f"{tag} mismatch", f"mismatch at {tag}; {diff}")
             expect = 1
             for i in range(ms.mprime):
                 expect = expect * (w.m - i) // (i + 1)
@@ -293,14 +317,6 @@ def check_truncation(max_r: int = 4) -> CheckResult:
     return rep.done(f"{count} extensions, r <= {max_r}", count)
 
 
-def _cartan(i: int, j: int) -> int:
-    if i == j:
-        return 2
-    if abs(i - j) == 1:
-        return -1
-    return 0
-
-
 def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]:
     """Axiom violations on a generated component, empty when clean.
 
@@ -326,7 +342,7 @@ def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]
                     continue
                 stats = graph.nodes[graph.index_of(up)]
                 for j in cfg.colors():
-                    if stats.weight[j - 1] != node.weight[j - 1] + _cartan(j, i):
+                    if stats.weight[j - 1] != node.weight[j - 1] + cartan(j, i):
                         bad.append(f"weight step at {node.monomial} colors {i},{j}")
                 if stats.epsilon[i - 1] != eps - 1 or stats.phi[i - 1] != phi + 1:
                     bad.append(f"string step at {node.monomial} color {i}")

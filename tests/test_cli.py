@@ -111,6 +111,15 @@ def test_component_bad_seed(capsys):
     assert "error:" in err
 
 
+def test_component_malformed_seed_numbers(capsys):
+    for seed in ("Y[0,1]^", "Y[0,]", "Y[,1]", "Y[x,1]"):
+        code, out, err = run(capsys, ["crystal", "component", "--r", "2", "--seed", seed])
+        assert code == 2, seed
+        assert out == ""
+        assert err.startswith("error: malformed ") and err.count("\n") == 1, err
+        assert "int()" not in err
+
+
 DEMAZURE_ARGS = [
     "--r", "4", "--word", "1,2,3,4,1,2", "--sign", "minus", "--seed", "1/Y[2,2]",
 ]

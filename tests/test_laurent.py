@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalminor.errors import MissingAssignment, ZeroAssignment
 from crystalminor.laurent import (
@@ -13,13 +15,9 @@ from crystalminor.laurent import (
     Monomial,
     VarId,
     mono_from_json,
-    mono_mul,
     mono_to_json,
     parse_monomial,
-    poly_add,
-    poly_eval,
     poly_from_json,
-    poly_mul,
     poly_to_json,
 )
 
@@ -31,14 +29,14 @@ def _m(*pairs):
 def test_mono_mul_cancels_inverse_pair():
     a = _m((0, 1, 1), (0, 2, -1))
     b = _m((0, 2, 1), (0, 1, -1))
-    assert mono_mul(a, b) == Monomial.one()
-    assert str(mono_mul(a, b)) == "1"
+    assert a * b == Monomial.one()
+    assert str(a * b) == "1"
 
 
 def test_mono_mul_merges_exponents():
     a = _m((1, 1, 2), (0, 3, -1))
     b = _m((1, 1, -1), (2, 2, 4))
-    assert mono_mul(a, b) == _m((0, 3, -1), (1, 1, 1), (2, 2, 4))
+    assert a * b == _m((0, 3, -1), (1, 1, 1), (2, 2, 4))
 
 
 def test_mono_text_form():
@@ -59,30 +57,30 @@ def test_color_index_must_be_positive():
 def test_poly_add_cancellation():
     p = LaurentPoly.from_monomial(_m((0, 1, 1)), 2)
     q = LaurentPoly.from_monomial(_m((0, 1, 1)), -2)
-    assert poly_add(p, q).is_zero()
-    assert str(poly_add(p, q)) == "0"
+    assert (p + q).is_zero()
+    assert str(p + q) == "0"
 
 
 def test_poly_mul_difference_of_squares():
     x = LaurentPoly.from_monomial(_m((0, 1, 1)))
     one = LaurentPoly.one()
-    prod = poly_mul(x + one, x - one)
-    assert prod == poly_mul(x, x) - one
+    prod = (x + one) * (x - one)
+    assert prod == x * x - one
 
 
 def test_poly_eval_exact():
     # Y[0,1]^-1 at Y[0,1] = 2 is exactly one half
     p = LaurentPoly.from_monomial(_m((0, 1, -1)))
-    val = poly_eval(p, {VarId(0, 1): Fraction(2)})
+    val = p.evaluate({VarId(0, 1): Fraction(2)})
     assert val == Fraction(1, 2)
 
 
 def test_poly_eval_missing_and_zero():
     p = LaurentPoly.from_monomial(_m((0, 1, 1), (1, 2, -1)))
     with pytest.raises(MissingAssignment):
-        poly_eval(p, {VarId(0, 1): Fraction(1)})
+        p.evaluate({VarId(0, 1): Fraction(1)})
     with pytest.raises(ZeroAssignment):
-        poly_eval(p, {VarId(0, 1): Fraction(1), VarId(1, 2): Fraction(0)})
+        p.evaluate({VarId(0, 1): Fraction(1), VarId(1, 2): Fraction(0)})
 
 
 def test_term_order_highest_variable_first():
@@ -144,8 +142,8 @@ def test_eval_is_ring_map_random():
         for v in p.variables() | q.variables():
             num = rng.choice([x for x in range(-6, 7) if x != 0])
             vals[v] = Fraction(num, rng.randint(1, 6))
-        assert poly_eval(p + q, vals) == poly_eval(p, vals) + poly_eval(q, vals)
-        assert poly_eval(p * q, vals) == poly_eval(p, vals) * poly_eval(q, vals)
+        assert (p + q).evaluate(vals) == p.evaluate(vals) + q.evaluate(vals)
+        assert (p * q).evaluate(vals) == p.evaluate(vals) * q.evaluate(vals)
 
 
 def test_json_round_trip():
@@ -178,8 +176,123 @@ def test_parse_monomial_rejects_garbage():
             parse_monomial(bad)
 
 
+def test_parse_monomial_reports_malformed_numbers():
+    cases = {
+        "Y[0,1]^": "malformed exponent at offset 7 in 'Y[0,1]^'",
+        "Y[0,1]^-": "malformed exponent at offset 7 in 'Y[0,1]^-'",
+        "Y[0,]": "malformed color at offset 4 in 'Y[0,]'",
+        "Y[,1]": "malformed shift at offset 2 in 'Y[,1]'",
+        "Y[x,1]": "malformed shift at offset 2 in 'Y[x,1]'",
+        "Y[0]": "malformed index at offset 0 in 'Y[0]'",
+        "Y[1,1]/Y[2,x]": "malformed color at offset 4 in 'Y[2,x]'",
+    }
+    for bad, message in cases.items():
+        with pytest.raises(ValueError) as info:
+            parse_monomial(bad)
+        assert str(info.value) == message
+
+
 def test_parse_round_trips_str():
     rng = random.Random(404)
     for _ in range(100):
         m = _random_mono(rng)
         assert parse_monomial(str(m)) == m
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+def _reference_cmp(a: Monomial, b: Monomial) -> int:
+    """The canonical term order as a comparator, walking both factor lists
+    from the highest variable; kept here as an independent reference."""
+    fa, fb = a.factors, b.factors
+    ia, ib = len(fa) - 1, len(fb) - 1
+    while ia >= 0 or ib >= 0:
+        va = fa[ia][0] if ia >= 0 else None
+        vb = fb[ib][0] if ib >= 0 else None
+        if va == vb:
+            ea, eb = fa[ia][1], fb[ib][1]
+            if ea != eb:
+                return -1 if ea > eb else 1
+            ia -= 1
+            ib -= 1
+        elif vb is None or (va is not None and va > vb):
+            return -1 if fa[ia][1] > 0 else 1
+        else:
+            return 1 if fb[ib][1] > 0 else -1
+    return 0
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+monos = st.builds(
+    lambda pairs: Monomial.of(*pairs),
+    st.lists(
+        st.tuples(st.builds(VarId, st.integers(-2, 3), st.integers(1, 4)), st.integers(-3, 3)),
+        max_size=4,
+    ),
+)
+term_lists = st.lists(st.tuples(monos, st.integers(-4, 4)), max_size=6)
+polys = st.builds(LaurentPoly.from_terms, term_lists)
+
+
+@PROPERTY
+@given(polys, polys, polys)
+def test_ring_axioms_property(p, q, r):
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p
+    assert (p * zero).is_zero()
+    assert (p + (-p)).is_zero() and p - q == p + (-q)
+
+
+@PROPERTY
+@given(polys)
+def test_terms_follow_reference_order(p):
+    monomials = [m for m, _ in p.terms]
+    pairs = zip(monomials, monomials[1:])
+    assert all(_reference_cmp(a, b) < 0 for a, b in pairs)
+    assert len(set(monomials)) == len(p)
+
+
+@PROPERTY
+@given(monos, monos)
+def test_monomial_order_matches_reference(a, b):
+    c = _reference_cmp(a, b)
+    assert (a < b) == (c < 0)
+    assert (a <= b) == (c <= 0)
+    assert (c == 0) == (a == b)
+
+
+@PROPERTY
+@given(term_lists, st.randoms(use_true_random=False))
+def test_equal_polys_hash_equal_whatever_the_term_order(terms, rng):
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    p, q = LaurentPoly.from_terms(terms), LaurentPoly.from_terms(shuffled)
+    summed = LaurentPoly.zero()
+    for m, c in shuffled:
+        summed = summed + LaurentPoly.from_monomial(m, c)
+    assert p == q == summed
+    assert hash(p) == hash(q) == hash(summed)
+    assert str(p) == str(q) == str(summed)
+
+
+@PROPERTY
+@given(monos)
+def test_parse_inverts_str_property(m):
+    assert parse_monomial(str(m)) == m
+
+
+@PROPERTY
+@given(polys)
+def test_json_round_trip_property(p):
+    text = poly_to_json(p)
+    back = poly_from_json(text)
+    assert back == p
+    assert poly_to_json(back) == text

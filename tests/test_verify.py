@@ -1,8 +1,11 @@
 """The named check layer: results, determinism, swept word specs."""
 
+import pytest
+
+from crystalminor import verify
 from crystalminor.bruhat import WordSpec
 from crystalminor.crystal import CrystalConfig, demazure_polynomial, tau_render_poly
-from crystalminor.laurent import Monomial, VarId
+from crystalminor.laurent import LaurentPoly, Monomial, VarId
 from crystalminor.verify import (
     CHECKS,
     all_word_specs,
@@ -114,3 +117,37 @@ def test_axioms_detail_counts():
     res = check_axioms(3)
     assert res.passed
     assert res.lines[0].startswith("PASS axioms fundamental r=1 d=1 nodes=2")
+
+
+@pytest.mark.parametrize(
+    "check, route, side, other",
+    [
+        ("thm5-5", "path_sum", "path sum", "minor"),
+        ("prop6-1", "path_sum", "path sum", "minor"),
+        ("prop6-10", "closed_form_sum", "closed form", "path sum"),
+        ("thm5-6", "d1_closed_form", "closed form", "minor"),
+    ],
+)
+def test_failure_detail_names_the_dropped_term(monkeypatch, check, route, side, other):
+    real = getattr(verify, route)
+    dropped = []
+
+    def lossy(*args):
+        poly = real(*args)
+        if not dropped and len(poly) > 1:
+            dropped.append(poly.terms[0])
+            return LaurentPoly.from_terms(poly.terms[1:])
+        return poly
+
+    monkeypatch.setattr(verify, route, lossy)
+    res = CHECKS[check](3)
+    assert not res.passed
+    lost = str(LaurentPoly.from_terms(dropped))
+    assert res.detail.endswith(f"; only in {side}: 0; only in {other}: {lost}")
+    assert res.summary().startswith(f"FAIL {check}: ")
+
+
+def test_failure_detail_shows_at_most_three_terms_per_side():
+    p = LaurentPoly.from_terms((Monomial.of((VarId(0, i), 1)), 1) for i in range(1, 6))
+    detail = verify._difference("left", p, "right", LaurentPoly.one())
+    assert detail == "only in left: Y[0,5] + Y[0,4] + Y[0,3] (+2 more); only in right: 1"
