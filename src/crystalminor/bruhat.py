@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Mapping, Sequence
 
 from .crystal import ell
@@ -441,11 +442,8 @@ def _check_torus(a: Sequence[Fraction], r: int) -> tuple[Fraction, ...]:
         raise NotInTorus(f"diagonal needs {r + 1} entries, got {len(vec)}")
     if any(x == 0 for x in vec):
         raise NotInTorus("diagonal entries must be nonzero")
-    prod = Fraction(1)
-    for x in vec:
-        prod *= x
-    if prod != 1:
-        raise NotInTorus(f"diagonal product is {prod}, not 1")
+    if prod(vec) != 1:
+        raise NotInTorus(f"diagonal product is {prod(vec)}, not 1")
     return vec
 
 

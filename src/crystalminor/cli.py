@@ -18,6 +18,7 @@ from fractions import Fraction
 from .bruhat import MinorSpec, WordSpec, delta_G, delta_L
 from .cluster import SeedMatrix, seed_matrix
 from .crystal import (
+    DEFAULT_CAP,
     CrystalConfig,
     DemazureSpec,
     component,
@@ -32,6 +33,7 @@ from .errors import CrystalMinorError
 from .laurent import mono_to_json, parse_monomial, poly_to_json
 from .paths import (
     PathSpec,
+    _vertex,
     closed_form_sum,
     d1_closed_form,
     enumerate_paths,
@@ -40,7 +42,7 @@ from .paths import (
     paths_dot,
     paths_json,
 )
-from .verify import CHECKS, phi_word_check
+from .verify import CHECKS, DEFAULT_SEED, phi_word_check
 
 
 def _check_positive(args) -> None:
@@ -154,9 +156,7 @@ def _run_paths_enum(args) -> int:
         return 0
     cfg = CrystalConfig(args.r)
     for p in enumerate_paths(spec):
-        route = "->".join(
-            f"({spec.m - s};{','.join(map(str, row))})" for s, row in enumerate(p.rows)
-        )
+        route = "->".join(_vertex(spec.m, s, row) for s, row in enumerate(p.rows))
         print(f"{route}  {tau_render(cfg, label(spec, p, args.r))}")
     return 0
 
@@ -213,15 +213,8 @@ def _run_phi_check(args) -> int:
 
 
 def _run_verify(args) -> int:
-    kwargs = {}
-    if args.max_r is not None:
-        kwargs["max_r"] = args.max_r
-    if args.max_dim is not None:
-        kwargs["max_dim"] = args.max_dim
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    flags = ("max_r", "max_dim", "samples", "seed")
+    kwargs = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
     fn = CHECKS[args.check]
     allowed = set(inspect.signature(fn).parameters)
     for key in kwargs:
@@ -256,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("component", help="connected component of a seed monomial")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", required=True, help="seed monomial, e.g. Y[-1,3] or 1/Y[2,2]")
-    p.add_argument("--cap", type=int, default=10000, help="node cap for the search")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="node cap for the search")
     p.add_argument("--format", choices=("tau", "y", "json", "dot"), default="tau")
     p.set_defaults(func=_run_component)
 
@@ -269,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--word", required=True, help="generating word, consumed right to left")
         p.add_argument("--sign", choices=("plus", "minus"), default="minus")
         p.add_argument("--seed", required=True, help="seed monomial")
-        p.add_argument("--cap", type=int, default=10000)
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
         choices = ("tau", "json") if name == "demazure" else ("tau", "json", "y")
         p.add_argument("--format", choices=choices, default="tau")
         p.set_defaults(func=func)
@@ -313,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=20260817)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_run_phi_check)
 
     p = sub.add_parser("verify", help="named cross-module identity sweeps")

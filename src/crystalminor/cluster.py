@@ -111,19 +111,8 @@ class SeedMatrix:
         """Matrix mutation in the direction of column label k."""
         if k not in self.cols:
             raise IndexOutOfRange(k, what="mutation direction")
-        out = []
-        for i in self.rows:
-            row = []
-            for j in self.cols:
-                a = self.entry(i, j)
-                if i == k or j == k:
-                    row.append(-a)
-                else:
-                    aik = self.entry(i, k)
-                    akj = self.entry(k, j)
-                    row.append(a + (abs(aik) * akj + aik * abs(akj)) // 2)
-            out.append(tuple(row))
-        return replace(self, entries=tuple(out))
+        entries = _mutate(self.entries, self.rows.index(k), self.cols.index(k))
+        return replace(self, entries=entries)
 
     def to_json(self) -> str:
         payload = {
@@ -149,26 +138,26 @@ def _check_square(matrix: Sequence[Sequence[int]]) -> Matrix:
     return rows
 
 
+def _mutate(rows: Matrix, kr: int, kc: int) -> Matrix:
+    """Matrix mutation (Fomin-Zelevinsky) in the direction with row index
+    kr and column index kc, both 0-based; rows may outnumber columns."""
+    pivot = rows[kr]
+    return tuple(
+        tuple(
+            -a if i == kr or j == kc
+            else a + (abs(row[kc]) * pivot[j] + row[kc] * abs(pivot[j])) // 2
+            for j, a in enumerate(row)
+        )
+        for i, row in enumerate(rows)
+    )
+
+
 def mutate(matrix: Sequence[Sequence[int]], k: int) -> Matrix:
     """Square-matrix mutation in direction k (1-based)."""
     rows = _check_square(matrix)
-    n = len(rows)
-    if not 1 <= k <= n:
+    if not 1 <= k <= len(rows):
         raise IndexOutOfRange(k, what="mutation direction")
-    k0 = k - 1
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a = rows[i][j]
-            if i == k0 or j == k0:
-                row.append(-a)
-            else:
-                aik = rows[i][k0]
-                akj = rows[k0][j]
-                row.append(a + (abs(aik) * akj + aik * abs(akj)) // 2)
-        out.append(tuple(row))
-    return tuple(out)
+    return _mutate(rows, k - 1, k - 1)
 
 
 def is_sign_skew_symmetric(matrix: Sequence[Sequence[int]]) -> bool:

@@ -111,26 +111,25 @@ def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
     1
     """
     d, m, mp = spec.d, spec.m, spec.mprime
+    steps = tuple(product((0, 1), repeat=d))
     out: list[Path] = []
-    prefix: list[tuple[int, ...]] = [spec.source()]
-
-    def grow(level: int) -> None:
-        cur = prefix[-1]
-        if level == m:
-            out.append(Path(tuple(prefix)))
-            return
-        left = m - level - 1
-        for bits in product((0, 1), repeat=d):
+    # depth first with an explicit stack of partial paths, last pushed first
+    stack = [(spec.source(),)]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) > m:
+            out.append(Path(prefix))
+            continue
+        cur, left = prefix[-1], m - len(prefix)
+        grown = []
+        for bits in steps:
             nxt = tuple(a + b for a, b in zip(cur, bits))
             if any(nxt[i] >= nxt[i + 1] for i in range(d - 1)):
                 continue
             if any(nxt[i] > mp + i + 1 or nxt[i] + left < mp + i + 1 for i in range(d)):
                 continue
-            prefix.append(nxt)
-            grow(level + 1)
-            prefix.pop()
-
-    grow(0)
+            grown.append(prefix + (nxt,))
+        stack.extend(reversed(grown))
     return tuple(out)
 
 
@@ -250,18 +249,17 @@ def k_arrays(spec: PathSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     rows = [c for c in combinations(range(1, hi + 1), spec.d)
             if all(c[i] <= spec.mprime + i + 1 for i in range(spec.d))]
 
-    def grow(prefix: list[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if len(prefix) == spec.depth:
-            yield tuple(prefix)
-            return
-        floor = prefix[-1] if prefix else (0,) * spec.d
-        for row in rows:
-            if all(row[i] >= floor[i] for i in range(spec.d)):
-                prefix.append(row)
-                yield from grow(prefix)
-                prefix.pop()
-
-    return grow([])
+    # depth first with an explicit stack of partial arrays, last pushed first
+    stack: list[tuple[tuple[int, ...], ...]] = [()]
+    while stack:
+        arr = stack.pop()
+        if len(arr) == spec.depth:
+            yield arr
+            continue
+        floor = arr[-1] if arr else (0,) * spec.d
+        stack.extend(
+            arr + (row,) for row in reversed(rows) if all(a >= b for a, b in zip(row, floor))
+        )
 
 
 def _array_pairs(

@@ -1,18 +1,21 @@
 """Cross-module identity sweeps.
 
-Each check function runs one family of exact identities over a bounded
-sweep and reports a CheckResult: a one line summary plus one line per
-swept spec, already sorted.  A sweep that checks nothing fails.  Random
-cases are drawn from a local generator with an explicit seed, so repeated
-runs are byte-identical.
+Each check is a generator over one family of exact identities on a
+bounded sweep; one runner (``_sweep``) registers it in CHECKS and turns
+it into a CheckResult: a one line summary plus one line per swept spec,
+already sorted.  A sweep that checks nothing fails.  Random cases are
+drawn from a local generator with an explicit seed, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from math import comb, prod
+from typing import Callable, Generator, Iterator
 
 from .bruhat import (
     MinorSpec,
@@ -52,27 +55,42 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-class _Report:
-    """Collects per-spec lines with sort keys; freezes into a CheckResult."""
+Sweep = Generator[tuple[tuple, str, str | None], None, tuple[str, int]]
 
-    def __init__(self, name: str):
-        self.name = name
-        self._rows: list[tuple[tuple, str]] = []
+CHECKS: dict[str, Callable[..., CheckResult]] = {}
 
-    def ok(self, key: tuple, text: str) -> None:
-        self._rows.append((key, f"PASS {self.name} {text}"))
 
-    def fail(self, key: tuple, text: str, detail: str) -> CheckResult:
-        self._rows.append((key, f"FAIL {self.name} {text}"))
-        return CheckResult(self.name, False, detail, self._sorted())
+def _sweep(name: str) -> Callable[[Callable[..., Sweep]], Callable[..., CheckResult]]:
+    """Register a sweep generator as the check ``name`` in CHECKS.
 
-    def done(self, detail: str, checked: int) -> CheckResult:
-        if not checked:
-            return CheckResult(self.name, False, f"empty sweep ({detail})", self._sorted())
-        return CheckResult(self.name, True, detail, self._sorted())
+    The generator yields ``(sort key, text, failure)`` per swept spec,
+    where failure is None or the summary detail, and returns ``(detail,
+    checked)``.  The runner writes ``PASS|FAIL <name> <text>`` lines,
+    stops at the first failure without resuming the generator, and
+    fails a sweep that checked nothing.
+    """
 
-    def _sorted(self) -> tuple[str, ...]:
-        return tuple(line for _, line in sorted(self._rows))
+    def register(sweep: Callable[..., Sweep]) -> Callable[..., CheckResult]:
+        @functools.wraps(sweep)
+        def run(*args, **kwargs) -> CheckResult:
+            rows: list[tuple[tuple, str]] = []
+            specs = sweep(*args, **kwargs)
+            try:
+                while True:
+                    key, text, failure = next(specs)
+                    rows.append((key, f"{'PASS' if failure is None else 'FAIL'} {name} {text}"))
+                    if failure is not None:
+                        break
+            except StopIteration as stop:
+                detail, checked = stop.value
+                failure = None if checked else f"empty sweep ({detail})"
+            lines = tuple(line for _, line in sorted(rows))
+            return CheckResult(name, failure is None, detail if failure is None else failure, lines)
+
+        CHECKS[name] = run
+        return run
+
+    return register
 
 
 def _difference(left: str, p: LaurentPoly, right: str, q: LaurentPoly, shown: int = 3) -> str:
@@ -100,8 +118,8 @@ def matched_positions(w: WordSpec) -> tuple[int, ...]:
     return tuple(k for k in range(1, w.n + 1) if w.letter(k) == w.last)
 
 
-def _word_text(w: WordSpec) -> str:
-    return ",".join(map(str, w.letters()))
+def _tag(w: WordSpec) -> str:
+    return f"r={w.r} word={','.join(map(str, w.letters()))}"
 
 
 def demazure_data(w: WordSpec, k: int) -> DemazureSpec:
@@ -116,9 +134,9 @@ def demazure_data(w: WordSpec, k: int) -> DemazureSpec:
     return DemazureSpec(word=w.letters()[:k], sign="minus", seed=seed)
 
 
-def check_minor_chain(max_r: int = 5) -> CheckResult:
+@_sweep("thm5-5")
+def check_minor_chain(max_r: int = 5) -> Sweep:
     """Four-way equality: Demazure sum, minor, path sum, closed form."""
-    rep = _Report("thm5-5")
     words = 0
     positions = 0
     for w in all_word_specs(max_r, min_r=2):
@@ -129,7 +147,7 @@ def check_minor_chain(max_r: int = 5) -> CheckResult:
             ms = MinorSpec(w, k)
             spec = PathSpec(ms.d, w.m, ms.mprime)
             minor = delta_L(ms)
-            tag = f"r={w.r} word={_word_text(w)} k={k}"
+            tag = f"{_tag(w)} k={k}"
             routes = (
                 ("demazure", demazure_polynomial(cfg, demazure_data(w, k))),
                 ("path sum", path_sum(spec, w.r)),
@@ -138,20 +156,16 @@ def check_minor_chain(max_r: int = 5) -> CheckResult:
             for route, value in routes:
                 if value != minor:
                     diff = _difference(route, value, "minor", minor)
-                    return rep.fail(
-                        key, f"{tag} {route} mismatch", f"{route} mismatch at {tag}; {diff}"
-                    )
+                    yield key, f"{tag} {route} mismatch", f"{route} mismatch at {tag}; {diff}"
             positions += 1
-        rep.ok(key, f"r={w.r} word={_word_text(w)} positions={len(ks)}")
+        yield key, f"{_tag(w)} positions={len(ks)}", None
         words += 1
-    return rep.done(
-        f"{words} words, {positions} positions, 4-way equal, r <= {max_r}", positions
-    )
+    return f"{words} words, {positions} positions, 4-way equal, r <= {max_r}", positions
 
 
-def check_minor_paths(max_r: int = 5) -> CheckResult:
+@_sweep("prop6-1")
+def check_minor_paths(max_r: int = 5) -> Sweep:
     """Two-way equality: minor against the path sum."""
-    rep = _Report("prop6-1")
     words = 0
     positions = 0
     for w in all_word_specs(max_r):
@@ -161,41 +175,37 @@ def check_minor_paths(max_r: int = 5) -> CheckResult:
             ms = MinorSpec(w, k)
             total, minor = path_sum(PathSpec(ms.d, w.m, ms.mprime), w.r), delta_L(ms)
             if total != minor:
-                tag = f"r={w.r} word={_word_text(w)} k={k}"
+                tag = f"{_tag(w)} k={k}"
                 diff = _difference("path sum", total, "minor", minor)
-                return rep.fail(key, f"{tag} mismatch", f"mismatch at {tag}; {diff}")
+                yield key, f"{tag} mismatch", f"mismatch at {tag}; {diff}"
             positions += 1
-        rep.ok(key, f"r={w.r} word={_word_text(w)} positions={len(ks)}")
+        yield key, f"{_tag(w)} positions={len(ks)}", None
         words += 1
-    return rep.done(f"{words} words, {positions} positions, r <= {max_r}", positions)
+    return f"{words} words, {positions} positions, r <= {max_r}", positions
 
 
-def check_closed_form(max_dim: int = 5) -> CheckResult:
+@_sweep("prop6-10")
+def check_closed_form(max_dim: int = 5) -> Sweep:
     """Closed form against enumeration on pure path shapes."""
-    rep = _Report("prop6-10")
     count = 0
     for d in range(1, max_dim + 1):
         for m in range(1, max_dim + 1):
             for mp in range(1, m + 1):
                 spec = PathSpec(d, m, mp)
                 r = d + m - 1
-                total = path_sum(spec, r)
-                closed = closed_form_sum(spec, r)
+                total, closed = path_sum(spec, r), closed_form_sum(spec, r)
+                tag = f"d={d} m={m} mprime={mp}"
                 if closed != total:
                     diff = _difference("closed form", closed, "path sum", total)
-                    return rep.fail(
-                        (d, m, mp),
-                        f"d={d} m={m} mprime={mp} mismatch",
-                        f"mismatch at d={d} m={m} mprime={mp}; {diff}",
-                    )
-                rep.ok((d, m, mp), f"d={d} m={m} mprime={mp} terms={len(total)}")
+                    yield (d, m, mp), f"{tag} mismatch", f"mismatch at {tag}; {diff}"
+                yield (d, m, mp), f"{tag} terms={len(total)}", None
                 count += 1
-    return rep.done(f"{count} shapes, d,m <= {max_dim}", count)
+    return f"{count} shapes, d,m <= {max_dim}", count
 
 
-def check_d1(max_r: int = 5) -> CheckResult:
+@_sweep("thm5-6")
+def check_d1(max_r: int = 5) -> Sweep:
     """Width-one closed form against the minor, with term counts."""
-    rep = _Report("thm5-6")
     count = 0
     for w in all_word_specs(max_r):
         if w.last != 1:
@@ -203,19 +213,16 @@ def check_d1(max_r: int = 5) -> CheckResult:
         for k in matched_positions(w):
             ms = MinorSpec(w, k)
             key = (w.r, w.m, w.last, k)
-            tag = f"r={w.r} word={_word_text(w)} k={k}"
+            tag = f"{_tag(w)} k={k}"
             poly, minor = d1_closed_form(w.m, ms.mprime, w.r), delta_L(ms)
             if poly != minor:
                 diff = _difference("closed form", poly, "minor", minor)
-                return rep.fail(key, f"{tag} mismatch", f"mismatch at {tag}; {diff}")
-            expect = 1
-            for i in range(ms.mprime):
-                expect = expect * (w.m - i) // (i + 1)
-            if len(poly) != expect:
-                return rep.fail(key, f"{tag} term count", f"term count at {tag}")
-            rep.ok(key, f"{tag} terms={len(poly)}")
+                yield key, f"{tag} mismatch", f"mismatch at {tag}; {diff}"
+            if len(poly) != comb(w.m, ms.mprime):
+                yield key, f"{tag} term count", f"term count at {tag}"
+            yield key, f"{tag} terms={len(poly)}", None
             count += 1
-    return rep.done(f"{count} width-one positions, r <= {max_r}", count)
+    return f"{count} width-one positions, r <= {max_r}", count
 
 
 def _random_nonzero(rng: random.Random) -> Fraction:
@@ -226,77 +233,75 @@ def _random_nonzero(rng: random.Random) -> Fraction:
 
 def _random_torus(rng: random.Random, r: int) -> tuple[Fraction, ...]:
     body = [_random_nonzero(rng) for _ in range(r)]
-    prod = Fraction(1)
-    for x in body:
-        prod *= x
-    return tuple(body) + (1 / prod,)
+    return tuple(body) + (1 / prod(body),)
 
 
 def _random_values(rng: random.Random, w: WordSpec) -> dict[VarId, Fraction]:
     return {v: _random_nonzero(rng) for v in w.variables()}
 
 
-def check_torus_factor(max_r: int = 4, samples: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
+@_sweep("prop5-1")
+def check_torus_factor(max_r: int = 4, samples: int = 50, seed: int = DEFAULT_SEED) -> Sweep:
     """Minor of the dressed cell against the torus multiple of the plain minor."""
-    rep = _Report("prop5-1")
     rng = random.Random(seed)
     count = 0
     for w in all_word_specs(max_r):
         for k in range(1, w.n + 1):
             ms = MinorSpec(w, k)
             key = (w.r, w.m, w.last, k)
-            tag = f"r={w.r} word={_word_text(w)} k={k}"
+            tag = f"{_tag(w)} k={k}"
             symbolic = delta_L(ms)
             for _ in range(samples):
                 a = _random_torus(rng, w.r)
                 t = _random_values(rng, w)
-                factor = Fraction(1)
-                for row in ms.rows:
-                    factor *= a[row - 1]
+                factor = prod(a[row - 1] for row in ms.rows)
                 if delta_G(ms, a, t) != factor * symbolic.evaluate(t):
-                    return rep.fail(
-                        key, f"{tag} mismatch", f"mismatch at {tag} a={a} t={t}"
-                    )
+                    yield key, f"{tag} mismatch", f"mismatch at {tag} a={a} t={t}"
                 count += 1
-            rep.ok(key, f"{tag} samples={samples}")
-    return rep.done(f"{count} samples, r <= {max_r}", count)
+            yield key, f"{tag} samples={samples}", None
+    return f"{count} samples, r <= {max_r}", count
 
 
-def check_phi_factorization(max_r: int = 4, samples: int = 20, seed: int = DEFAULT_SEED) -> CheckResult:
+def _phi_mismatch(w: WordSpec, samples: int, rng: random.Random) -> tuple | None:
+    """First random sample (1-based) at which the dressed cell matrix differs
+    from the lower-generator product at the moved point, with its torus
+    point and values; None when every sample agrees."""
+    for s in range(1, samples + 1):
+        a = _random_torus(rng, w.r)
+        t = _random_values(rng, w)
+        moved, tau = phi_map(w, a, t)
+        if cell_matrix_value(w, a, t) != lower_product_value(w, moved, tau):
+            return s, a, t
+    return None
+
+
+@_sweep("prop2-4")
+def check_phi_factorization(max_r: int = 4, samples: int = 20, seed: int = DEFAULT_SEED) -> Sweep:
     """Dressed cell matrix against the lower-generator product at the moved point."""
-    rep = _Report("prop2-4")
     rng = random.Random(seed)
     count = 0
     for w in all_word_specs(max_r):
         key = (w.r, w.m, w.last)
-        tag = f"r={w.r} word={_word_text(w)}"
-        for _ in range(samples):
-            a = _random_torus(rng, w.r)
-            t = _random_values(rng, w)
-            moved, tau = phi_map(w, a, t)
-            if cell_matrix_value(w, a, t) != lower_product_value(w, moved, tau):
-                return rep.fail(key, f"{tag} mismatch", f"mismatch at {tag} a={a} t={t}")
-            count += 1
-        rep.ok(key, f"{tag} samples={samples}")
-    return rep.done(f"{count} samples, r <= {max_r}", count)
+        bad = _phi_mismatch(w, samples, rng)
+        if bad is not None:
+            yield key, f"{_tag(w)} mismatch", f"mismatch at {_tag(w)} a={bad[1]} t={bad[2]}"
+        yield key, f"{_tag(w)} samples={samples}", None
+        count += samples
+    return f"{count} samples, r <= {max_r}", count
 
 
 def phi_word_check(w: WordSpec, samples: int = 20, seed: int = DEFAULT_SEED) -> CheckResult:
     """Factorization identity on random samples for a single word; no
     samples is a failure."""
-    rng = random.Random(seed)
-    for s in range(samples):
-        a = _random_torus(rng, w.r)
-        t = _random_values(rng, w)
-        moved, tau = phi_map(w, a, t)
-        if cell_matrix_value(w, a, t) != lower_product_value(w, moved, tau):
-            return CheckResult("phi", False, f"r={w.r} word={_word_text(w)} sample={s + 1}")
-    return CheckResult("phi", samples > 0, f"r={w.r} word={_word_text(w)} samples={samples}")
+    bad = _phi_mismatch(w, samples, random.Random(seed))
+    if bad is not None:
+        return CheckResult("phi", False, f"{_tag(w)} sample={bad[0]}")
+    return CheckResult("phi", samples > 0, f"{_tag(w)} samples={samples}")
 
 
-def check_truncation(max_r: int = 4) -> CheckResult:
+@_sweep("lemma5-4")
+def check_truncation(max_r: int = 4) -> Sweep:
     """One-letter extensions with a fresh letter leave minors unchanged."""
-    rep = _Report("lemma5-4")
     count = 0
     for w in all_word_specs(max_r):
         ext = w.extension()
@@ -304,17 +309,16 @@ def check_truncation(max_r: int = 4) -> CheckResult:
             continue
         appended = ext.letter(ext.n)
         key = (w.r, w.m, w.last)
-        tag = f"r={w.r} word={_word_text(w)}"
         checked = 0
         for k in range(1, w.n + 1):
             if w.letter(k) == appended:
                 continue
             if not delta_L_truncation_check(w, k):
-                return rep.fail(key, f"{tag} k={k} changed", f"changed at {tag} k={k}")
+                yield key, f"{_tag(w)} k={k} changed", f"changed at {_tag(w)} k={k}"
             checked += 1
-        rep.ok(key, f"{tag} positions={checked}")
+        yield key, f"{_tag(w)} positions={checked}", None
         count += checked
-    return rep.done(f"{count} extensions, r <= {max_r}", count)
+    return f"{count} extensions, r <= {max_r}", count
 
 
 def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]:
@@ -360,60 +364,38 @@ def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]
     return bad
 
 
-def check_axioms(max_r: int = 5) -> CheckResult:
+@_sweep("axioms")
+def check_axioms(max_r: int = 5) -> Sweep:
     """Axioms on fundamental components and minor-seed components.
 
     Fundamental components must have binomial(r+1, d) nodes.  Minor seeds
     are the Demazure seeds of the position sweep, capped at rank 4 to
     keep the component sizes small.
     """
-    rep = _Report("axioms")
+
+    def components() -> Iterator[tuple[tuple, str, CrystalConfig, CrystalGraph, int | None]]:
+        for r in range(1, max_r + 1):
+            cfg = CrystalConfig(r)
+            for d in range(1, r + 1):
+                g = component(cfg, Monomial.of((VarId(-1, d), 1)))
+                yield (0, r, d), f"fundamental r={r} d={d}", cfg, g, comb(r + 1, d)
+        for w in all_word_specs(min(max_r, 4), min_r=2):
+            cfg = CrystalConfig(w.r)
+            for k in matched_positions(w):
+                g = component(cfg, demazure_data(w, k).seed)
+                yield (1, w.r, w.m, w.last, k), f"minor-seed {_tag(w)} k={k}", cfg, g, None
+
     nodes = 0
     graphs = 0
-    for r in range(1, max_r + 1):
-        cfg = CrystalConfig(r)
-        for d in range(1, r + 1):
-            g = component(cfg, Monomial.of((VarId(-1, d), 1)))
-            expect = 1
-            for i in range(d):
-                expect = expect * (r + 1 - i) // (i + 1)
-            key = (0, r, d)
-            tag = f"fundamental r={r} d={d}"
-            if g.node_count() != expect:
-                return rep.fail(
-                    key,
-                    f"{tag} nodes={g.node_count()} expected={expect}",
-                    f"component size at {tag}: {g.node_count()} != {expect}",
-                )
-            bad = crystal_axiom_failures(cfg, g)
-            if bad:
-                return rep.fail(key, f"{tag} {bad[0]}", f"{tag}: {bad[0]}")
-            rep.ok(key, f"{tag} nodes={g.node_count()} edges={g.edge_count()}")
-            nodes += g.node_count()
-            graphs += 1
-    for w in all_word_specs(min(max_r, 4), min_r=2):
-        cfg = CrystalConfig(w.r)
-        for k in matched_positions(w):
-            seed = demazure_data(w, k).seed
-            g = component(cfg, seed)
-            key = (1, w.r, w.m, w.last, k)
-            tag = f"minor-seed r={w.r} word={_word_text(w)} k={k}"
-            bad = crystal_axiom_failures(cfg, g)
-            if bad:
-                return rep.fail(key, f"{tag} {bad[0]}", f"{tag}: {bad[0]}")
-            rep.ok(key, f"{tag} nodes={g.node_count()} edges={g.edge_count()}")
-            nodes += g.node_count()
-            graphs += 1
-    return rep.done(f"{graphs} components, {nodes} nodes, r <= {max_r}", graphs)
-
-
-CHECKS = {
-    "thm5-5": check_minor_chain,
-    "prop6-1": check_minor_paths,
-    "prop6-10": check_closed_form,
-    "thm5-6": check_d1,
-    "prop5-1": check_torus_factor,
-    "prop2-4": check_phi_factorization,
-    "lemma5-4": check_truncation,
-    "axioms": check_axioms,
-}
+    for key, tag, cfg, g, expect in components():
+        size = g.node_count()
+        if expect is not None and size != expect:
+            failure = f"component size at {tag}: {size} != {expect}"
+            yield key, f"{tag} nodes={size} expected={expect}", failure
+        bad = crystal_axiom_failures(cfg, g)
+        if bad:
+            yield key, f"{tag} {bad[0]}", f"{tag}: {bad[0]}"
+        yield key, f"{tag} nodes={size} edges={g.edge_count()}", None
+        nodes += size
+        graphs += 1
+    return f"{graphs} components, {nodes} nodes, r <= {max_r}", graphs

@@ -5,6 +5,7 @@ import json
 from crystalminor import cli
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.cluster import seed_matrix
+from crystalminor.crystal import DEFAULT_CAP
 from crystalminor.laurent import poly_from_json
 from crystalminor.paths import PathSpec, paths_dot, paths_json
 from crystalminor.verify import CheckResult
@@ -182,6 +183,14 @@ def test_paths_closed_form(capsys):
     assert out == GOLDEN_MINOR + "\n"
 
 
+def test_long_path_families_need_no_recursion(capsys):
+    shape = ["--d", "1", "--m", "1000", "--mprime", "1000", "--r", "1000"]
+    assert run(capsys, ["paths", "sum"] + shape) == (0, "1\n", "")
+    code, out, err = run(capsys, ["paths", "enum"] + shape)
+    assert (code, err) == (0, "")
+    assert out.endswith("->(0;1001)  1\n")
+
+
 def test_paths_rank_too_small(capsys):
     code, _, err = run(
         capsys, ["paths", "sum", "--d", "2", "--m", "3", "--mprime", "2", "--r", "2"]
@@ -300,6 +309,14 @@ def test_nonpositive_bounds_are_usage_errors(capsys):
         assert out == ""
         assert err.startswith("error: --") and "must be positive" in err, argv
         assert err.count("\n") == 1, argv
+
+
+def test_cap_default_is_the_library_default():
+    parser = cli.build_parser()
+    for sub in ("component", "demazure", "polynomial"):
+        extra = [] if sub == "component" else ["--word", "1"]
+        args = parser.parse_args(["crystal", sub, "--r", "2", "--seed", "Y[-1,1]"] + extra)
+        assert args.cap == DEFAULT_CAP
 
 
 def test_verify_failure_exit(capsys, monkeypatch):

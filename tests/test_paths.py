@@ -282,6 +282,11 @@ def test_k_arrays_golden():
     ]
 
 
+def test_long_shapes_need_no_recursion():
+    assert sum(1 for _ in k_arrays(PathSpec(1, 1100, 1))) == 1100
+    assert len(enumerate_paths(PathSpec(1, 1100, 1100))) == 1
+
+
 def test_closed_form_golden():
     cfg = CrystalConfig(4)
     assert tau_render_poly(cfg, closed_form_sum(SPEC232, 4)) == GOLDEN_MINOR

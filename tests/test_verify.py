@@ -145,6 +145,12 @@ def test_failure_detail_names_the_dropped_term(monkeypatch, check, route, side, 
     lost = str(LaurentPoly.from_terms(dropped))
     assert res.detail.endswith(f"; only in {side}: 0; only in {other}: {lost}")
     assert res.summary().startswith(f"FAIL {check}: ")
+    failed = [line for line in res.lines if line.startswith(f"FAIL {check} ")]
+    assert len(failed) == 1
+    assert all(line.startswith(f"PASS {check} ") for line in res.lines if line not in failed)
+    # single-digit specs at r <= 3, so the text after the status sorts like the key
+    specs = [line.split(" ", 2)[2] for line in res.lines]
+    assert specs == sorted(specs)
 
 
 def test_failure_detail_shows_at_most_three_terms_per_side():
