@@ -42,7 +42,7 @@ from .paths import (
     paths_dot,
     paths_json,
 )
-from .verify import CHECKS, DEFAULT_SEED, phi_word_check
+from .verify import CHECKS, DEFAULT_PHI_SAMPLES, DEFAULT_SEED, phi_word_check
 
 
 def _check_positive(args) -> None:
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = phisub.add_parser("check", help="factorization identity on random samples")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=int, default=DEFAULT_PHI_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_run_phi_check)
 

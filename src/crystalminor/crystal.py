@@ -8,6 +8,11 @@ argmax scan over partial sums of the color-i exponents.  The sign convention
 is fixed so that the cyclic color pattern reads 1, 2, ..., r repeating as the
 shift grows.
 
+Each operator call is one pass over the monomial's factors that reads only
+color i and builds no lists; A[s,i] and its inverse depend only on
+(r, s, i) and are built once each, in a bounded cache.  Operator results
+are never cached, so every call really applies the operator.
+
 Connected components of this action are finite crystal graphs; closing a
 suitable extremal monomial under one operator along a reduced word, letter by
 letter from the right, carves out the Demazure subset used elsewhere in the
@@ -21,7 +26,9 @@ word double as the coordinates tau_1, ..., tau_n of a factorization cell;
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapExceeded, ColorOutOfRange, NotTauRenderable
 from .laurent import LaurentPoly, Monomial, VarId
@@ -72,6 +79,18 @@ def _check_color(cfg: CrystalConfig, i: int) -> None:
         raise ColorOutOfRange(i, cfg.r)
 
 
+@lru_cache(maxsize=1024)
+def _a_pair(r: int, s: int, i: int) -> tuple[Monomial, Monomial]:
+    """A[s,i] at rank r and its inverse, each built once per (r, s, i)."""
+    pairs = [(VarId(s, i), 1), (VarId(s + 1, i), 1)]
+    if i > 1:
+        pairs.append((VarId(s + 1, i - 1), -1))
+    if i < r:
+        pairs.append((VarId(s, i + 1), -1))
+    a = Monomial.of(*pairs)
+    return a, a.inverse()
+
+
 def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
     """The multiplier monomial A[s,i] of color i at shift s.
 
@@ -79,33 +98,7 @@ def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
     'Y[0,1]Y[0,2]^-1Y[1,1]'
     """
     _check_color(cfg, i)
-    pairs = [(VarId(s, i), 1), (VarId(s + 1, i), 1)]
-    if i > 1:
-        pairs.append((VarId(s + 1, i - 1), -1))
-    if i < cfg.r:
-        pairs.append((VarId(s, i + 1), -1))
-    return Monomial.of(*pairs)
-
-
-def _color_profile(m: Monomial, i: int) -> list[tuple[int, int]]:
-    """Sorted (shift, exponent) pairs of the color-i part of m."""
-    return [(v.s, e) for v, e in m.factors if v.i == i]
-
-
-def _phi_data(m: Monomial, i: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """(phi, total, prefix) for color i.
-
-    ``prefix`` lists (shift, partial sum up to that shift); phi is the max
-    of those partial sums and the empty sum 0; total is the full sum.
-    """
-    prof = _color_profile(m, i)
-    prefix = []
-    run = 0
-    for s, e in prof:
-        run += e
-        prefix.append((s, run))
-    phi = max([0] + [v for _, v in prefix])
-    return phi, run, prefix
+    return _a_pair(cfg.r, s, i)[0]
 
 
 @dataclass(frozen=True)
@@ -119,48 +112,51 @@ class CrystalNode:
 
 
 def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
-    """Weight, phi and epsilon of m in all colors.
+    """Weight, phi and epsilon of m in all colors, in one pass over m.
 
-    phi[i-1] is the max over shifts n of the partial exponent sum of color i
-    up to n (at least 0); epsilon[i-1] = phi[i-1] - weight[i-1].
+    weight[i-1] is the exponent sum of color i; phi[i-1] is the max over
+    shifts n of the partial exponent sum of color i up to n (at least 0);
+    epsilon[i-1] = phi[i-1] - weight[i-1].  Colors above r are ignored.
     """
-    weight, phi, eps = [], [], []
-    for i in cfg.colors():
-        p, total, _ = _phi_data(m, i)
-        weight.append(total)
-        phi.append(p)
-        eps.append(p - total)
-    return CrystalNode(m, tuple(weight), tuple(phi), tuple(eps))
+    r = cfg.r
+    run = [0] * (r + 1)
+    top = [0] * (r + 1)
+    for (_, c), e in m.factors:
+        if c <= r:
+            total = run[c] + e
+            run[c] = total
+            if total > top[c]:
+                top[c] = total
+    weight, phi = tuple(run[1:]), tuple(top[1:])
+    return CrystalNode(m, weight, phi, tuple(p - w for p, w in zip(phi, weight)))
 
 
 def kashiwara_rows(cfg: CrystalConfig, m: Monomial, i: int) -> tuple[int | None, int | None]:
     """Shifts at which the color-i operators act on m: (raise, lower).
 
-    The raising shift is the largest n whose partial sum still attains
-    phi_i (defined only when epsilon_i > 0); the lowering shift is the
-    smallest such n (defined only when phi_i > 0).
+    The raising shift is the largest n whose partial sum of color-i
+    exponents up to n still attains phi_i (defined only when epsilon_i > 0);
+    the lowering shift is the smallest such n (defined only when phi_i > 0).
+    One pass over m's factors that reads only color i.
+
+    >>> m = Monomial.of((VarId(0, 1), 1), (VarId(1, 1), -1), (VarId(3, 1), 1), (VarId(5, 1), -1))
+    >>> kashiwara_rows(CrystalConfig(1), m, 1)
+    (4, 0)
     """
     _check_color(cfg, i)
-    phi, total, prefix = _phi_data(m, i)
-    lower = None
-    if phi > 0:
-        lower = next(s for s, v in prefix if v == phi)
-    raise_ = None
-    if phi > total:
-        if phi == 0:
-            # partial sums start at 0; find where they leave 0 for good
-            last_zero = None
-            for idx, (s, v) in enumerate(prefix):
-                if v == 0:
-                    last_zero = idx
-            if last_zero is None:
-                raise_ = prefix[0][0] - 1
-            else:
-                raise_ = prefix[last_zero + 1][0] - 1
-        else:
-            last = max(idx for idx, (_, v) in enumerate(prefix) if v == phi)
-            raise_ = prefix[last + 1][0] - 1
-    return raise_, lower
+    run = phi = 0
+    lower = follower = None
+    at_max = True  # the empty partial sum attains phi = 0
+    for (s, c), e in m.factors:
+        if c != i:
+            continue
+        if at_max:
+            follower = s
+        run += e
+        if run > phi:
+            phi, lower = run, s
+        at_max = run == phi
+    return (follower - 1 if phi > run else None), lower
 
 
 def apply_e(cfg: CrystalConfig, m: Monomial, i: int) -> Monomial | None:
@@ -168,7 +164,7 @@ def apply_e(cfg: CrystalConfig, m: Monomial, i: int) -> Monomial | None:
     row, _ = kashiwara_rows(cfg, m, i)
     if row is None:
         return None
-    return m * a_monomial(cfg, row, i)
+    return m * _a_pair(cfg.r, row, i)[0]
 
 
 def apply_f(cfg: CrystalConfig, m: Monomial, i: int) -> Monomial | None:
@@ -176,7 +172,7 @@ def apply_f(cfg: CrystalConfig, m: Monomial, i: int) -> Monomial | None:
     _, row = kashiwara_rows(cfg, m, i)
     if row is None:
         return None
-    return m * a_monomial(cfg, row, i).inverse()
+    return m * _a_pair(cfg.r, row, i)[1]
 
 
 class CrystalGraph:
@@ -224,9 +220,9 @@ def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> Cry
     index = {seed: 0}
     edges: list[tuple[int, int, int]] = []
     edge_seen: set[tuple[int, int, int]] = set()
-    queue = [0]
+    queue = deque([0])
     while queue:
-        at = queue.pop(0)
+        at = queue.popleft()
         m = nodes[at].monomial
         for i in cfg.colors():
             for step, forward in ((apply_f, True), (apply_e, False)):

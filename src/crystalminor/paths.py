@@ -80,6 +80,13 @@ class Path:
         if rows[-1] != tuple(range(shift + 1, shift + d + 1)):
             raise ValueError("last level must be consecutive")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Path":
+        """A path from rows that are valid by construction; no checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rows", rows)
+        return p
+
     @property
     def m(self) -> int:
         return len(self.rows) - 1
@@ -118,7 +125,7 @@ def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
     while stack:
         prefix = stack.pop()
         if len(prefix) > m:
-            out.append(Path(prefix))
+            out.append(Path._trusted(prefix))
             continue
         cur, left = prefix[-1], m - len(prefix)
         grown = []

@@ -41,6 +41,7 @@ from .laurent import LaurentPoly, Monomial, VarId
 from .paths import PathSpec, closed_form_sum, d1_closed_form, path_sum
 
 DEFAULT_SEED = 20260817
+DEFAULT_PHI_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,8 @@ def _phi_mismatch(w: WordSpec, samples: int, rng: random.Random) -> tuple | None
 
 
 @_sweep("prop2-4")
-def check_phi_factorization(max_r: int = 4, samples: int = 20, seed: int = DEFAULT_SEED) -> Sweep:
+def check_phi_factorization(max_r: int = 4, samples: int = DEFAULT_PHI_SAMPLES,
+                             seed: int = DEFAULT_SEED) -> Sweep:
     """Dressed cell matrix against the lower-generator product at the moved point."""
     rng = random.Random(seed)
     count = 0
@@ -290,7 +292,8 @@ def check_phi_factorization(max_r: int = 4, samples: int = 20, seed: int = DEFAU
     return f"{count} samples, r <= {max_r}", count
 
 
-def phi_word_check(w: WordSpec, samples: int = 20, seed: int = DEFAULT_SEED) -> CheckResult:
+def phi_word_check(w: WordSpec, samples: int = DEFAULT_PHI_SAMPLES,
+                   seed: int = DEFAULT_SEED) -> CheckResult:
     """Factorization identity on random samples for a single word; no
     samples is a failure."""
     bad = _phi_mismatch(w, samples, random.Random(seed))

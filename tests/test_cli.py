@@ -1,14 +1,25 @@
 """Command line behavior: output bytes, formats, exit codes."""
 
+import contextlib
+import inspect
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalminor import cli
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.cluster import seed_matrix
 from crystalminor.crystal import DEFAULT_CAP
-from crystalminor.laurent import poly_from_json
+from crystalminor.laurent import Monomial, VarId, poly_from_json
 from crystalminor.paths import PathSpec, paths_dot, paths_json
-from crystalminor.verify import CheckResult
+from crystalminor.verify import (
+    DEFAULT_PHI_SAMPLES,
+    CheckResult,
+    check_phi_factorization,
+    phi_word_check,
+)
 
 GOLDEN_MINOR = "τ_2/τ_4 + τ_3τ_5/(τ_4τ_6) + τ_5/τ_7 + τ_3/(τ_4τ_8) + τ_6/(τ_7τ_8) + 1/τ_9"
 MINOR_ARGS = ["minor", "--r", "4", "--word", "1,2,3,4,1,2,3,1,2,1", "--k", "6"]
@@ -319,6 +330,13 @@ def test_cap_default_is_the_library_default():
         assert args.cap == DEFAULT_CAP
 
 
+def test_phi_samples_default_is_the_library_default():
+    args = cli.build_parser().parse_args(["phi", "check", "--r", "2", "--word", "1,2,1"])
+    assert args.samples == DEFAULT_PHI_SAMPLES
+    for fn in (phi_word_check, check_phi_factorization):
+        assert inspect.signature(fn).parameters["samples"].default == DEFAULT_PHI_SAMPLES
+
+
 def test_verify_failure_exit(capsys, monkeypatch):
     def fake(max_r=5):
         return CheckResult("thm5-6", False, "forced", ("FAIL thm5-6 forced",))
@@ -361,3 +379,46 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["minor", "--help"])[0] == 0
+
+
+@st.composite
+def crystal_argv(draw):
+    """A parseable crystal command: small rank, seed, word and cap.
+
+    Seeds are mostly extremal for the drawn sign (all exponents of one
+    sign), words mostly in range; the rest are malformed, untau-able or
+    out of range on purpose.
+    """
+    r = draw(st.integers(0, 4))
+    command = draw(st.sampled_from(["component", "demazure", "polynomial"]))
+    sign = draw(st.sampled_from(["plus", "minus"]))
+    power = st.integers(1, 2).map(lambda e: e if sign == "plus" else -e)
+    pairs = st.tuples(st.builds(VarId, st.integers(-1, 3), st.integers(1, max(r, 1))), power)
+    wild = st.tuples(st.builds(VarId, st.integers(-3, 5), st.integers(1, 6)), st.integers(-3, 3))
+    seed = draw(st.one_of(
+        st.lists(pairs, max_size=3).map(lambda ps: str(Monomial.of(*ps))),
+        st.lists(wild, max_size=4).map(lambda ps: str(Monomial.of(*ps))),
+        st.sampled_from(["1/Y[2,2]", "Y[-1,3]", "Y[0,1]^", "Y[a,1]", "Y[0,0]", "", "x"]),
+    ))
+    formats = {"component": ["tau", "y", "json", "dot"], "demazure": ["tau", "json"],
+               "polynomial": ["tau", "json", "y"]}[command]
+    argv = ["crystal", command, "--r", str(r), "--seed", seed,
+            "--cap", str(draw(st.integers(1, 200))), "--format", draw(st.sampled_from(formats))]
+    if command != "component":
+        word = draw(st.lists(st.integers(1, max(r, 1)), min_size=1, max_size=6))
+        word += draw(st.lists(st.integers(-1, 6), max_size=1))
+        argv += ["--word=" + ",".join(map(str, word)), "--sign", sign]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(crystal_argv())
+def test_crystal_commands_never_raise(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv

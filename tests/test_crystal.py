@@ -7,7 +7,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crystalminor import crystal
 from crystalminor.errors import CapExceeded, ColorOutOfRange, NotTauRenderable
 from crystalminor.crystal import (
     CrystalConfig,
@@ -82,6 +85,8 @@ def test_kashiwara_rows_simple():
     assert kashiwara_rows(cfg, _m((2, 2, -1)), 2) == (1, None)
     # plain variable: lowering acts at its shift
     assert kashiwara_rows(cfg, _m((-1, 3, 1)), 3) == (None, -1)
+    # partial sums -1, 0, -1: raising acts below the shift after the last 0
+    assert kashiwara_rows(cfg, _m((0, 1, -1), (1, 1, 1), (2, 1, -1)), 1) == (1, None)
 
 
 def test_kashiwara_rows_plateau():
@@ -392,3 +397,95 @@ def test_graph_json_null_tau_outside_window():
     g = component(cfg, _m((0, 1, 1)))
     data = json.loads(graph_to_json(g))
     assert any(n["tau"] is None for n in data["nodes"])
+
+
+# ---------------------------------------------------------------------------
+# operator properties on random monomials
+
+
+def _reference_phi_data(m, i):
+    """(phi, total, prefix) for color i, from an explicit list of partial sums."""
+    prefix = []
+    run = 0
+    for v, e in m.factors:
+        if v.i == i:
+            run += e
+            prefix.append((v.s, run))
+    phi = max([0] + [v for _, v in prefix])
+    return phi, run, prefix
+
+
+def _reference_rows(m, i):
+    """(raise, lower) shifts located on the list of partial sums."""
+    phi, total, prefix = _reference_phi_data(m, i)
+    lower = None
+    if phi > 0:
+        lower = next(s for s, v in prefix if v == phi)
+    raise_ = None
+    if phi > total:
+        if phi == 0:
+            zeros = [idx for idx, (_, v) in enumerate(prefix) if v == 0]
+            raise_ = prefix[zeros[-1] + 1 if zeros else 0][0] - 1
+        else:
+            last = max(idx for idx, (_, v) in enumerate(prefix) if v == phi)
+            raise_ = prefix[last + 1][0] - 1
+    return raise_, lower
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+
+@st.composite
+def rank_and_monomial(draw):
+    """A rank and a monomial that may also carry colors above the rank."""
+    r = draw(st.integers(1, 4))
+    pairs = draw(st.lists(
+        st.tuples(st.builds(VarId, st.integers(-3, 4), st.integers(1, r + 1)), st.integers(-3, 3)),
+        max_size=10,
+    ))
+    return CrystalConfig(r), Monomial.of(*pairs)
+
+
+@PROPERTY
+@given(rank_and_monomial())
+def test_kashiwara_rows_match_reference_property(cfg_m):
+    cfg, m = cfg_m
+    for i in cfg.colors():
+        assert kashiwara_rows(cfg, m, i) == _reference_rows(m, i)
+
+
+@PROPERTY
+@given(rank_and_monomial())
+def test_node_stats_match_per_color_reference_property(cfg_m):
+    cfg, m = cfg_m
+    stats = node_stats(cfg, m)
+    for i in cfg.colors():
+        phi, total, _ = _reference_phi_data(m, i)
+        got = (stats.weight[i - 1], stats.phi[i - 1], stats.epsilon[i - 1])
+        assert got == (total, phi, phi - total)
+
+
+@PROPERTY
+@given(rank_and_monomial())
+def test_operators_invert_and_step_by_one_property(cfg_m):
+    cfg, m = cfg_m
+    here = node_stats(cfg, m)
+    for i in cfg.colors():
+        ii = i - 1
+        up, down = apply_e(cfg, m, i), apply_f(cfg, m, i)
+        assert (up is None) == (here.epsilon[ii] == 0)
+        assert (down is None) == (here.phi[ii] == 0)
+        if up is not None:
+            assert apply_f(cfg, up, i) == m
+            stats = node_stats(cfg, up)
+            assert (stats.phi[ii], stats.epsilon[ii]) == (here.phi[ii] + 1, here.epsilon[ii] - 1)
+        if down is not None:
+            assert apply_e(cfg, down, i) == m
+            stats = node_stats(cfg, down)
+            assert (stats.phi[ii], stats.epsilon[ii]) == (here.phi[ii] - 1, here.epsilon[ii] + 1)
+
+
+def test_a_monomial_cache_is_bounded():
+    cfg = CrystalConfig(3)
+    assert a_monomial(cfg, 7, 2) is a_monomial(cfg, 7, 2)
+    assert crystal._a_pair.cache_info().maxsize == 1024

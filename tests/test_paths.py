@@ -118,7 +118,11 @@ def test_enumeration_is_lexicographic():
 
 def test_enumeration_matches_brute_force():
     for spec in SWEEP:
-        assert set(enumerate_paths(spec)) == brute_paths(spec)
+        got = enumerate_paths(spec)
+        assert set(got) == brute_paths(spec)
+        # generated paths skip validation; the validating constructor agrees
+        for p in got:
+            assert Path(p.rows) == p
 
 
 def test_forced_path():
