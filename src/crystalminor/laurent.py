@@ -25,6 +25,7 @@ and caches the tuple.  Equality compares the dicts and needs no order.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -349,6 +350,80 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly({})
 _POLY_ONE = LaurentPoly({_ONE: 1})
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+
+class PackedCodec:
+    """Monomials over a fixed set of variables, each packed into one int.
+
+    The caller proves that no exponent it decodes exceeds ``bound`` in
+    absolute value.  Each variable gets a slot, in variable order, of
+    ``width`` bits: the least of 8, 16, 32 and 64 that holds ``2 * bound``.
+    A slot holds its exponent plus ``bound``, so ``one`` (every slot at
+    ``bound``) packs 1 and adding ``step(m)`` multiplies by m.  Packing is
+    additive, so partial sums may leave the slots freely; only the value
+    decoded has to obey the bound.  ``decode`` reads the slots in variable
+    order, so its factors come out canonically sorted.  A bound too wide
+    for 64-bit slots, an exponent past the bound, a variable without a
+    slot and a value outside the slots raise ``OverflowError``; nothing
+    wraps silently.
+
+    >>> x, y = VarId(0, 1), VarId(1, 2)
+    >>> codec = PackedCodec([y, x], bound=2)
+    >>> codec.width, codec.one == 2 + (2 << 8)
+    (8, True)
+    >>> packed = codec.one + codec.step(Monomial.of((x, 2))) + codec.step(Monomial.of((y, -1)))
+    >>> str(codec.decode(packed))
+    'Y[0,1]^2Y[1,2]^-1'
+    >>> codec.step(Monomial.of((x, 3)))
+    Traceback (most recent call last):
+    ...
+    OverflowError: exponent 3 of Y[0,1] exceeds the bound 2
+    """
+
+    __slots__ = ("variables", "bound", "width", "one", "_shift", "_format", "_bytes")
+
+    def __init__(self, variables: Iterable[VarId], bound: int):
+        if bound < 0:
+            raise ValueError(f"exponent bound must be >= 0, got {bound}")
+        for width, fmt in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
+            if 2 * bound < 1 << width:
+                break
+        else:
+            raise OverflowError(f"exponent bound {bound} needs slots wider than 64 bits")
+        self.variables = tuple(sorted(set(variables)))
+        self.bound = bound
+        self.width = width
+        self._shift = {v: n * width for n, v in enumerate(self.variables)}
+        self._format = fmt
+        self._bytes = len(self.variables) * width // 8
+        self.one = sum(bound << s for s in self._shift.values())
+
+    def step(self, m: Monomial) -> int:
+        """Offset that multiplies a packed monomial by m."""
+        out = 0
+        for v, e in m.factors:
+            s = self._shift.get(v)
+            if s is None:
+                raise OverflowError(f"{v} has no slot")
+            if abs(e) > self.bound:
+                raise OverflowError(f"exponent {e} of {v} exceeds the bound {self.bound}")
+            out += e << s
+        return out
+
+    def decode(self, packed: int) -> Monomial:
+        """The monomial packed in ``packed``, factors in canonical order."""
+        # to_bytes raises OverflowError for a negative or too long value
+        digits = memoryview(packed.to_bytes(self._bytes, sys.byteorder)).cast(self._format)
+        bound = self.bound
+        factors = tuple((v, e - bound) for v, e in zip(self.variables, digits) if e != bound)
+        for v, e in factors:
+            if e > bound:
+                raise OverflowError(f"slot of {v} exceeds the bound {bound}")
+        return Monomial(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,28 @@ paths from (m;1,...,d) down to (0;m'+1,...,m'+d) reproduces the
 corresponding cell minor term by term.  Two closed forms of that sum
 are implemented as well: one over stationary-entry arrays, one special
 to d = 1.
+
+The path sum and the array closed form are each one depth-first walk,
+over paths and over arrays respectively, that never copies a prefix.
+The walk carries the running label as an int packed by
+``laurent.PackedCodec``: every edge (or every row at a given depth) is
+labelled once, as one offset, a label is the sum of the offsets along
+the walk, and each distinct label is unpacked into a monomial once.  The
+two walks share no walking code, so each still checks the other.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, product
+from operator import add, ge, le, lt
 from typing import Iterable, Iterator
 
 from .crystal import CrystalConfig, tau_render
 from .errors import RankTooSmall
-from .laurent import LaurentPoly, Monomial, VarId
+from .laurent import LaurentPoly, Monomial, PackedCodec, VarId
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,78 @@ def _check_path(spec: PathSpec, p: Path) -> None:
         raise ValueError(f"path of shape ({p.d},{p.m},{p.mprime}) does not fit {spec}")
 
 
+def _path_table(spec: PathSpec, edge) -> dict:
+    """Children of every vertex a path passes, keyed by (level, row).
+
+    Each entry lists (next row, edge(level, row, next row)) in enumeration
+    order.  A step keeps each entry or raises it by one, keeps the row
+    strictly increasing, and stays within reach of the target; from every
+    such vertex the target is reachable, so every edge lies on a path.
+    """
+    d, m, mp = spec.d, spec.m, spec.mprime
+    steps = tuple(product((0, 1), repeat=d))
+    table: dict = {}
+    level = [spec.source()]
+    for s in range(m):
+        left = m - s - 1
+        lo = tuple(mp + i + 1 - left for i in range(d))
+        hi = tuple(mp + i + 1 for i in range(d))
+        seen: dict = {}
+        for cur in level:
+            kids = []
+            for bits in steps:
+                nxt = tuple(map(add, cur, bits))
+                if all(map(lt, nxt, nxt[1:])) and all(map(le, lo, nxt)) and all(map(le, nxt, hi)):
+                    kids.append((nxt, edge(s, cur, nxt)))
+                    seen[nxt] = None
+            table[s, cur] = kids
+        level = list(seen)
+    return table
+
+
+def _path_walk(spec: PathSpec, table: dict, start: int):
+    """Depth first over the paths of spec, in enumeration order.
+
+    Yields (levels, label) per path: levels is the walk's own list of rows
+    (copy it to keep it), label is start plus the table's edge values along
+    the path.  An edge value that is an exception is raised when the walk
+    first crosses the edge, so the error is the first path's.  The walk
+    descends along first children and stacks a (level, iterator) entry only
+    where siblings are left, so climbing back is one truncation.
+    """
+    m = spec.m
+    levels = [spec.source()]
+    labels = [start]
+    stack = [(1, iter(table[0, levels[0]]))]
+    while stack:
+        s, it = stack[-1]
+        step = next(it, None)
+        if step is None:
+            stack.pop()
+            continue
+        del levels[s:], labels[s:]
+        while s < m:
+            nxt, delta = step
+            if isinstance(delta, Exception):
+                raise delta
+            levels.append(nxt)
+            labels.append(labels[-1] + delta)
+            kids = table[s, nxt]
+            it = iter(kids)
+            step = next(it)
+            s += 1
+            if s < m and len(kids) > 1:
+                stack.append((s, it))
+        # the last level: this step and the siblings left in it
+        base = labels[-1]
+        levels.append(None)
+        for nxt, delta in chain((step,), it):
+            if isinstance(delta, Exception):
+                raise delta
+            levels[-1] = nxt
+            yield levels, base + delta
+
+
 def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
     """All paths of the given shape, ordered by their flattened levels.
 
@@ -117,27 +199,8 @@ def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
     >>> len(enumerate_paths(PathSpec(3, 3, 3)))
     1
     """
-    d, m, mp = spec.d, spec.m, spec.mprime
-    steps = tuple(product((0, 1), repeat=d))
-    out: list[Path] = []
-    # depth first with an explicit stack of partial paths, last pushed first
-    stack = [(spec.source(),)]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) > m:
-            out.append(Path._trusted(prefix))
-            continue
-        cur, left = prefix[-1], m - len(prefix)
-        grown = []
-        for bits in steps:
-            nxt = tuple(a + b for a, b in zip(cur, bits))
-            if any(nxt[i] >= nxt[i + 1] for i in range(d - 1)):
-                continue
-            if any(nxt[i] > mp + i + 1 or nxt[i] + left < mp + i + 1 for i in range(d)):
-                continue
-            grown.append(prefix + (nxt,))
-        stack.extend(reversed(grown))
-    return tuple(out)
+    table = _path_table(spec, lambda s, cur, nxt: 0)
+    return tuple(Path._trusted(tuple(levels)) for levels, _ in _path_walk(spec, table, 0))
 
 
 def _slot(r: int, c: int, j: int) -> VarId | None:
@@ -185,9 +248,39 @@ def label(spec: PathSpec, p: Path, r: int) -> Monomial:
     return Monomial.of(*chain.from_iterable(steps))
 
 
+def _caught(make, *args):
+    """make(*args), or the RankTooSmall it raises; a walk raises it when it
+    first reaches the value, so the error is the one met first in order."""
+    try:
+        return make(*args)
+    except RankTooSmall as e:
+        return e
+
+
+def _packer(values: list, bound: int):
+    """A codec over the variables of the monomials among values, and the
+    function that packs one value as its offset, passing errors through."""
+    codec = PackedCodec(
+        (v for x in values if isinstance(x, Monomial) for v in x.variables()), bound
+    )
+    return codec, lambda x: x if isinstance(x, RankTooSmall) else codec.step(x)
+
+
 def path_sum(spec: PathSpec, r: int) -> LaurentPoly:
-    """Sum of the labels of every path of the given shape."""
-    return LaurentPoly.from_terms((label(spec, p, r), 1) for p in enumerate_paths(spec))
+    """Sum of the labels of every path of the given shape.
+
+    One walk over the paths carries each label as a packed int: every edge
+    label is built once, packed as one offset, and a path's label is the
+    sum of its edge offsets.  Each edge moves at most 2d exponents by one,
+    so no exponent of a label exceeds 2md, the bound of the codec.  Equal
+    labels are counted, and each distinct one is unpacked once.
+    """
+    m = spec.m
+    table = _path_table(spec, lambda s, cur, nxt: _caught(edge_label, r, m, s, cur, nxt))
+    codec, pack = _packer([x for kids in table.values() for _, x in kids], 2 * m * spec.d)
+    packed = {key: [(nxt, pack(x)) for nxt, x in kids] for key, kids in table.items()}
+    counts = Counter(label for _, label in _path_walk(spec, packed, codec.one))
+    return LaurentPoly.from_terms((codec.decode(x), c) for x, c in counts.items())
 
 
 @dataclass(frozen=True)
@@ -245,6 +338,68 @@ def cbar(r: int, c: int, j: int) -> Monomial:
     return Monomial.of(*_ratio_pairs(r, c, j - 1, j))
 
 
+def _array_rows(spec: PathSpec) -> list[tuple[int, ...]]:
+    """Rows an array may use, lexicographically: strictly increasing, the
+    entry in column i+1 at most mprime + i + 1."""
+    mp, d = spec.mprime, spec.d
+    return [c for c in combinations(range(1, mp + d + 1), d)
+            if all(c[i] <= mp + i + 1 for i in range(d))]
+
+
+def _array_walk(spec: PathSpec, rows: list, deltas: list, start: int):
+    """Depth first over the stationary-value arrays, in k_arrays order.
+
+    Yields (arr, label) per array: arr is the walk's own list of rows (copy
+    it to keep it), label is start plus deltas[j0][t] for each row rows[t]
+    at depth j0.  A delta that is an exception is raised when the walk
+    first reaches it.  The rows at or above rows[t] are found once per t;
+    the first is rows[t] itself, which the walk descends along, stacking a
+    (depth, iterator) entry only where other rows are left.
+    """
+    depth = spec.depth
+    if not depth:
+        yield [], start
+        return
+    last = depth - 1
+    above: list = [None] * len(rows)
+    arr: list = []
+    labels = [start]
+    stack = [(0, iter(range(len(rows))))]
+    while stack:
+        j0, it = stack[-1]
+        t = next(it, None)
+        if t is None:
+            stack.pop()
+            continue
+        del arr[j0:], labels[j0 + 1:]
+        while j0 < last:
+            delta = deltas[j0][t]
+            if isinstance(delta, Exception):
+                raise delta
+            arr.append(rows[t])
+            labels.append(labels[-1] + delta)
+            kids = above[t]
+            if kids is None:
+                floor = rows[t]
+                kids = above[t] = [
+                    u for u in range(t, len(rows)) if all(map(ge, rows[u], floor))
+                ]
+            it = iter(kids)
+            t = next(it)
+            j0 += 1
+            if j0 < last and len(kids) > 1:
+                stack.append((j0, it))
+        # the last row: this one and the rows left in it
+        base, row_deltas = labels[-1], deltas[last]
+        arr.append(None)
+        for u in chain((t,), it):
+            delta = row_deltas[u]
+            if isinstance(delta, Exception):
+                raise delta
+            arr[-1] = rows[u]
+            yield arr, base + delta
+
+
 def k_arrays(spec: PathSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Admissible stationary-value arrays for the given shape.
 
@@ -252,38 +407,39 @@ def k_arrays(spec: PathSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     columns increase weakly top to bottom, starting at or above the
     column index and ending at or below mprime plus the column index.
     """
-    hi = spec.mprime + spec.d
-    rows = [c for c in combinations(range(1, hi + 1), spec.d)
-            if all(c[i] <= spec.mprime + i + 1 for i in range(spec.d))]
+    rows = _array_rows(spec)
+    zeros = [[0] * len(rows)] * spec.depth
+    for arr, _ in _array_walk(spec, rows, zeros, 0):
+        yield tuple(arr)
 
-    # depth first with an explicit stack of partial arrays, last pushed first
-    stack: list[tuple[tuple[int, ...], ...]] = [()]
-    while stack:
-        arr = stack.pop()
-        if len(arr) == spec.depth:
-            yield arr
-            continue
-        floor = arr[-1] if arr else (0,) * spec.d
-        stack.extend(
-            arr + (row,) for row in reversed(rows) if all(a >= b for a, b in zip(row, floor))
+
+def _row_term(r: int, m: int, j0: int, row: tuple[int, ...]) -> Monomial:
+    """Product of cbar(r, m - k - j0 + i0, k) over the entries k of one row
+    at depth j0, built as one monomial."""
+    return Monomial.of(
+        *chain.from_iterable(
+            _ratio_pairs(r, m - k - j0 + i0, k - 1, k) for i0, k in enumerate(row)
         )
-
-
-def _array_pairs(
-    r: int, m: int, arr: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[VarId, int]]:
-    for j0, row in enumerate(arr):
-        for i0, k in enumerate(row):
-            yield from _ratio_pairs(r, m - k - j0 + i0, k - 1, k)
+    )
 
 
 def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
     """Path sum written directly over stationary-value arrays: each array
     contributes the product of cbar(r, m - k - j0 + i0, k) over its entries
-    k, built as one monomial."""
-    return LaurentPoly.from_terms(
-        (Monomial.of(*_array_pairs(r, spec.m, arr)), 1) for arr in k_arrays(spec)
-    )
+    k.
+
+    One walk over the arrays carries each term as a packed int: the product
+    over one row at one depth is built once and packed as one offset, and
+    an array's term is the sum of its rows' offsets.  An array has at most
+    md entries, each moving two exponents by one, so 2md bounds the codec.
+    """
+    m = spec.m
+    rows = _array_rows(spec)
+    cells = [[_caught(_row_term, r, m, j0, row) for row in rows] for j0 in range(spec.depth)]
+    codec, pack = _packer([x for level in cells for x in level], 2 * m * spec.d)
+    deltas = [[pack(x) for x in level] for level in cells]
+    counts = Counter(label for _, label in _array_walk(spec, rows, deltas, codec.one))
+    return LaurentPoly.from_terms((codec.decode(x), c) for x, c in counts.items())
 
 
 def d1_closed_form(m: int, mprime: int, r: int) -> LaurentPoly:

@@ -422,3 +422,64 @@ def test_crystal_commands_never_raise(argv):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
     else:
         assert err.getvalue() == "", argv
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one in-process cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    usage_error = ["paths", "sum", "--d", "2"]
+    valid = ["paths", "sum", "--d", "2", "--m", "3", "--mprime", "2", "--r", "4"]
+    sequence = [usage_error, valid, usage_error, valid, ["--help"], valid]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert fresh[0][0] == 2 and "error: " in fresh[0][2]
+    assert fresh[1] == (0, GOLDEN_MINOR + "\n", "")
+
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in sequence] == fresh
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()
+    cli._parser.cache_clear()
+
+
+@st.composite
+def paths_argv(draw):
+    """A parseable paths command: mostly a valid shape at a rank that may
+    be too small, sometimes a zero or negative size, shift or rank."""
+    d = draw(st.sampled_from([1, 2, 3, 1, 2, 3, 0, -1]))
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 0, -2]))
+    mprime = draw(st.sampled_from([None, None, None, None, 0, -1, m + 1]))
+    if mprime is None:
+        mprime = draw(st.integers(1, max(m, 1)))
+    r = draw(st.one_of(st.integers(-1, 10), st.just(max(d, 1) + max(m, 1))))
+    command = draw(st.sampled_from(["enum", "sum", "closed-form"]))
+    formats = ["tau", "json", "dot"] if command == "enum" else ["tau", "json", "y"]
+    return ["paths", command, f"--d={d}", f"--m={m}", f"--mprime={mprime}", f"--r={r}",
+            "--format", draw(st.sampled_from(formats))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(paths_argv())
+def test_paths_commands_never_raise(argv):
+    code, _, err = call(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -13,6 +13,7 @@ from crystalminor.errors import MissingAssignment, ZeroAssignment
 from crystalminor.laurent import (
     LaurentPoly,
     Monomial,
+    PackedCodec,
     VarId,
     mono_from_json,
     mono_to_json,
@@ -296,3 +297,83 @@ def test_json_round_trip_property(p):
     back = poly_from_json(text)
     assert back == p
     assert poly_to_json(back) == text
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+# bounds at the edges of the 8-, 16-, 32- and 64-bit digits
+EDGE_BOUNDS = [127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**63 - 1]
+
+
+def _reference_product(monomials):
+    """Factor tuple of a product: exponents added per variable, zeros
+    dropped, sorted by variable."""
+    acc = {}
+    for m in monomials:
+        for v, e in m.factors:
+            acc[v] = acc.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in acc.items() if e))
+
+
+@st.composite
+def codec_cases(draw):
+    """A codec and monomials over its variables with exponents within its
+    bound, often exactly at it."""
+    bound = draw(st.one_of(st.integers(0, 3), st.sampled_from(EDGE_BOUNDS)))
+    variables = draw(st.lists(
+        st.builds(VarId, st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=6, unique=True
+    ))
+    exps = st.one_of(st.sampled_from([-bound, bound]), st.integers(-bound, bound))
+    monomials = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(variables), exps), max_size=4).map(
+            lambda pairs: Monomial.of(*dict(pairs).items())
+        ),
+        min_size=1, max_size=4,
+    ))
+    return PackedCodec(variables, bound), monomials
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(codec_cases())
+def test_codec_round_trip_property(case):
+    codec, monomials = case
+    assert codec.width in (8, 16, 32, 64) and 2 * codec.bound < 1 << codec.width
+    for m in monomials:
+        back = codec.decode(codec.one + codec.step(m))
+        assert back.factors == _reference_product([m])
+        assert back == m and str(back) == str(m)
+    want = _reference_product(monomials)
+    if all(abs(e) <= codec.bound for _, e in want):
+        packed = codec.one + sum(codec.step(m) for m in monomials)
+        assert codec.decode(packed).factors == want
+
+
+def test_codec_refuses_exponents_past_the_bound():
+    v, w = VarId(0, 1), VarId(2, 3)
+    for bound in [0, 1, 2, 3] + EDGE_BOUNDS:
+        codec = PackedCodec([v, w], bound)
+        at_bound = Monomial.of((w, -bound))
+        assert codec.decode(codec.one + codec.step(at_bound)) == at_bound
+        for sign in (1, -1):
+            past = Monomial.of((w, sign * (bound + 1)))
+            with pytest.raises(OverflowError):
+                codec.step(past)
+
+
+def test_codec_refuses_what_it_cannot_hold():
+    x, y = VarId(0, 1), VarId(0, 2)
+    with pytest.raises(OverflowError):
+        PackedCodec([x], 2**63)
+    codec = PackedCodec([x], 2)
+    with pytest.raises(OverflowError):
+        codec.step(Monomial.of((y, 1)))  # no slot
+    with pytest.raises(OverflowError):
+        codec.decode(-1)
+    with pytest.raises(OverflowError):
+        codec.decode(1 << codec.width)  # past the last digit
+    with pytest.raises(OverflowError):
+        codec.decode(200)  # digit 200 stands for exponent 198
+    assert codec.decode(codec.one) == Monomial.one()
+    empty = PackedCodec([], 5)
+    assert empty.one == 0 and empty.decode(0) == Monomial.one()

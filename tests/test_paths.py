@@ -3,14 +3,17 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.crystal import CrystalConfig, apply_e, tau_render, tau_render_poly
 from crystalminor.errors import RankTooSmall
-from crystalminor.laurent import LaurentPoly, Monomial, VarId
+from crystalminor.laurent import LaurentPoly, Monomial, VarId, poly_to_json
 from crystalminor.paths import (
     Path,
     PathSpec,
@@ -405,3 +408,85 @@ def test_dot_export():
     assert '  "(2;2,3)" -> "(1;2,4)" [label="τ_5/τ_6"];' in edges
     assert '  "(1;3,4)" -> "(0;3,4)" [label="τ_2/τ_4"];' in edges
     assert paths_dot(SPEC232, 4) == text
+
+
+def path_count(spec: PathSpec) -> int:
+    """Number of paths of the shape, by counting paths per vertex level by level."""
+    counts = Counter({spec.source(): 1})
+    for _ in range(spec.m):
+        grown = Counter()
+        for row, c in counts.items():
+            for bits in product((0, 1), repeat=spec.d):
+                nxt = tuple(a + b for a, b in zip(row, bits))
+                if all(x < y for x, y in zip(nxt, nxt[1:])) and all(
+                    a <= spec.mprime + i + 1 for i, a in enumerate(nxt)
+                ):
+                    grown[nxt] += c
+        counts = grown
+    return counts[spec.target()]
+
+
+# shapes with d <= 3 and m <= 8 small enough to label path by path, and
+# long width-one shapes
+SMALL_SHAPES = [
+    spec
+    for spec in (PathSpec(d, m, mp) for d in (1, 2, 3) for m in range(1, 9) for mp in range(1, m + 1))
+    if path_count(spec) <= 150
+]
+LONG_SHAPES = [PathSpec(1, m, mp) for m in (12, 25, 60) for mp in (1, m - 1, m)]
+SHAPE_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+
+
+@st.composite
+def shapes_and_ranks(draw):
+    """A shape and any rank from -1 to d + m, so that some are too small.
+
+    At rank 0 slot 1 is the unit slot r + 1, so the first missing slot a
+    path meets is not always the first one level by level; the sums must
+    still raise the error of the first path in order.
+    """
+    spec = draw(st.one_of(st.sampled_from(SMALL_SHAPES), st.sampled_from(LONG_SHAPES)))
+    return spec, draw(st.integers(-1, spec.d + spec.m))
+
+
+def outcome(compute):
+    """The polynomial with its text and JSON, or the RankTooSmall message."""
+    try:
+        poly = compute()
+    except RankTooSmall as e:
+        return "RankTooSmall", str(e)
+    return poly, str(poly), poly_to_json(poly)
+
+
+def test_path_count_matches_enumeration():
+    for spec in SWEEP:
+        assert path_count(spec) == len(enumerate_paths(spec))
+
+
+@SHAPE_PROPERTY
+@given(shapes_and_ranks())
+def test_path_sum_matches_label_sum_property(case):
+    spec, r = case
+    want = outcome(
+        lambda: LaurentPoly.from_terms((label(spec, p, r), 1) for p in enumerate_paths(spec))
+    )
+    assert outcome(lambda: path_sum(spec, r)) == want
+
+
+def cbar_sum(spec: PathSpec, r: int) -> LaurentPoly:
+    """Closed form by hand: one cbar product per stationary-value array."""
+    terms = []
+    for arr in k_arrays(spec):
+        mono = Monomial.one()
+        for j0, row in enumerate(arr):
+            for i0, k in enumerate(row):
+                mono = mono * cbar(r, spec.m - k - j0 + i0, k)
+        terms.append((mono, 1))
+    return LaurentPoly.from_terms(terms)
+
+
+@SHAPE_PROPERTY
+@given(shapes_and_ranks())
+def test_closed_form_matches_cbar_products_property(case):
+    spec, r = case
+    assert outcome(lambda: closed_form_sum(spec, r)) == outcome(lambda: cbar_sum(spec, r))
