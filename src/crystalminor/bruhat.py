@@ -164,65 +164,12 @@ class MinorSpec:
 
 
 # ---------------------------------------------------------------------------
-# permutations
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1..size}; images[x-1] = w(x)."""
-
-    images: tuple[int, ...]
-
-    @staticmethod
-    def identity(size: int) -> "Permutation":
-        return Permutation(tuple(range(1, size + 1)))
-
-    @staticmethod
-    def simple(size: int, i: int) -> "Permutation":
-        """The transposition of i and i+1."""
-        if not 1 <= i < size:
-            raise IndexOutOfRange(i, "transposition index")
-        images = list(range(1, size + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        return Permutation(tuple(self(other(x)) for x in range(1, len(self.images) + 1)))
-
-    def image_of_interval(self, d: int) -> set[int]:
-        return {self(x) for x in range(1, d + 1)}
-
-
-def u_leq(w: WordSpec, k: int) -> Permutation:
-    """Product of the first k letters of w as a permutation of {1..r+1}.
-
-    Frozen indices -1..-r give the identity; word positions 1..n give the
-    left-to-right partial product.
-    """
-    size = w.r + 1
-    if -w.r <= k <= -1:
-        return Permutation.identity(size)
-    if not 1 <= k <= w.n:
-        raise IndexOutOfRange(k, "word position")
-    acc = Permutation.identity(size)
-    for letter in w.letters()[:k]:
-        acc = acc.compose(Permutation.simple(size, letter))
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # matrices over a ring (Laurent polynomials or rationals)
 
 
 def _coerce(t):
     if isinstance(t, VarId):
         return LaurentPoly.from_monomial(Monomial.of((t, 1)))
-    if isinstance(t, Monomial):
-        return LaurentPoly.from_monomial(t)
     if isinstance(t, int):
         return Fraction(t)
     return t
@@ -251,31 +198,12 @@ def _identity(size: int, one, zero):
     return [[one if a == b else zero for b in range(size)] for a in range(size)]
 
 
-def gen_x(r: int, i: int, t):
-    """Upper elementary factor: identity plus t in slot (i, i+1)."""
-    t = _coerce(t)
-    zero, one = _ring(t)
-    mat = _identity(r + 1, one, zero)
-    mat[i - 1][i] = t
-    return mat
-
-
 def gen_y(r: int, i: int, t):
     """Lower elementary factor: identity plus t in slot (i+1, i)."""
     t = _coerce(t)
     zero, one = _ring(t)
     mat = _identity(r + 1, one, zero)
     mat[i][i - 1] = t
-    return mat
-
-
-def gen_alpha(r: int, i: int, t):
-    """Coweight torus factor: t at (i,i), 1/t at (i+1,i+1)."""
-    t = _coerce(t)
-    zero, one = _ring(t)
-    mat = _identity(r + 1, one, zero)
-    mat[i - 1][i - 1] = t
-    mat[i][i] = _inv(t)
     return mat
 
 

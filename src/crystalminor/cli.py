@@ -27,21 +27,19 @@ from .crystal import (
     demazure_polynomial,
     graph_to_dot,
     graph_to_json,
-    tau_render,
+    monomial_text,
     tau_render_poly,
 )
 from .errors import CrystalMinorError
 from .laurent import mono_to_json, parse_monomial, poly_to_json
 from .paths import (
     PathSpec,
-    _vertex,
     closed_form_sum,
     d1_closed_form,
-    enumerate_paths,
-    label,
     path_sum,
     paths_dot,
     paths_json,
+    paths_text,
 )
 from .verify import CHECKS, DEFAULT_PHI_SAMPLES, DEFAULT_SEED, phi_word_check
 
@@ -100,8 +98,7 @@ def _run_minor(args) -> int:
 def _graph_text(cfg: CrystalConfig, g, form: str) -> str:
     lines = [f"nodes {g.node_count()} edges {g.edge_count()}"]
     for k, node in enumerate(g.nodes):
-        name = tau_render(cfg, node.monomial) if form == "tau" else str(node.monomial)
-        lines.append(f"{k} {name}")
+        lines.append(f"{k} {monomial_text(cfg, node.monomial, form)}")
     for src, color, dst in g.edges:
         lines.append(f"{src} -{color}-> {dst}")
     return "\n".join(lines)
@@ -132,7 +129,7 @@ def _run_demazure(args) -> int:
         print(json.dumps([mono_to_json(m) for m in members], separators=(",", ":")))
         return 0
     for m in members:
-        print(tau_render(cfg, m) if args.format == "tau" else str(m))
+        print(monomial_text(cfg, m, args.format))
     return 0
 
 
@@ -155,10 +152,8 @@ def _run_paths_enum(args) -> int:
     if args.format == "dot":
         print(paths_dot(spec, args.r))
         return 0
-    cfg = CrystalConfig(args.r)
-    for p in enumerate_paths(spec):
-        route = "->".join(_vertex(spec.m, s, row) for s, row in enumerate(p.rows))
-        print(f"{route}  {tau_render(cfg, label(spec, p, args.r))}")
+    for line in paths_text(spec, args.r):
+        print(line)
     return 0
 
 

@@ -44,35 +44,19 @@ def _index_universe(w: WordSpec) -> tuple[int, ...]:
     return tuple(range(-1, -w.r - 1, -1)) + tuple(range(1, w.n + 1))
 
 
-def _abs_letter(w: WordSpec, k: int) -> int:
-    return -k if k < 0 else w.letter(k)
-
-
-def _signed_letter(w: WordSpec, k: int) -> int:
-    return k if k < 0 else w.letter(k)
-
-
-def _successor(w: WordSpec, k: int) -> int:
-    """Next index to the right with the same letter, or n+1."""
-    target = _abs_letter(w, k)
-    for l in _index_universe(w):
-        if l > k and _abs_letter(w, l) == target:
-            return l
-    return w.n + 1
-
-
-def _entry(w: WordSpec, k: int, l: int) -> int:
-    kp = _successor(w, k)
-    lp = _successor(w, l)
+def _entry(signed: dict[int, int], succ: dict[int, int], k: int, l: int) -> int:
+    """Entry (k, l) from the signed letter and the successor of each index."""
+    kp = succ[k]
+    lp = succ[l]
     p = max(k, l)
     q = min(kp, lp)
     if p == q:
-        return -_sgn((k - l) * _signed_letter(w, p))
+        return -_sgn((k - l) * signed[p])
     if p < q and k != l and kp != lp:
-        cond = _sgn(_signed_letter(w, p) * _signed_letter(w, q)) * (k - l) * (kp - lp)
+        cond = _sgn(signed[p] * signed[q]) * (k - l) * (kp - lp)
         if cond > 0:
-            a = cartan(_abs_letter(w, k), _abs_letter(w, l))
-            return -_sgn((k - l) * _signed_letter(w, p) * a)
+            a = cartan(abs(signed[k]), abs(signed[l]))
+            return -_sgn((k - l) * signed[p] * a)
     return 0
 
 
@@ -127,7 +111,15 @@ def seed_matrix(w: WordSpec) -> SeedMatrix:
     """Exchange matrix of the word, rows -1..-r,1..n, columns e_set(w)."""
     rows = _index_universe(w)
     cols = e_set(w)
-    entries = tuple(tuple(_entry(w, k, l) for l in cols) for k in rows)
+    # signed letter of every index (k itself for k < 0) and its successor:
+    # the next index to the right with the same letter, or n+1
+    signed = dict(zip(rows, rows[: w.r] + w.letters()))
+    succ = {}
+    later: dict[int, int] = {}
+    for k in sorted(rows, reverse=True):
+        succ[k] = later.get(abs(signed[k]), w.n + 1)
+        later[abs(signed[k])] = k
+    entries = tuple(tuple(_entry(signed, succ, k, l) for l in cols) for k in rows)
     return SeedMatrix(rows, cols, entries)
 
 

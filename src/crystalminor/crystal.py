@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import CapExceeded, ColorOutOfRange, NotTauRenderable
 from .laurent import LaurentPoly, Monomial, VarId
@@ -354,12 +354,12 @@ def tau_render(cfg: CrystalConfig, m: Monomial) -> str:
     denominator factor is printed without parentheses; an empty numerator
     prints as 1.  Raises NotTauRenderable if any variable has no alias.
     """
-    num = sorted((tau_index(cfg.r, v), e) for v, e in m.factors if e > 0)
-    den = sorted((tau_index(cfg.r, v), -e) for v, e in m.factors if e < 0)
-    top = "".join(_tau_str(k, e) for k, e in num) or "1"
+    num = sorted([(tau_index(cfg.r, v), e) for v, e in m.factors if e > 0])
+    den = sorted([(tau_index(cfg.r, v), -e) for v, e in m.factors if e < 0])
+    top = "".join([_tau_str(k, e) for k, e in num]) or "1"
     if not den:
         return top
-    bottom = "".join(_tau_str(k, e) for k, e in den)
+    bottom = "".join([_tau_str(k, e) for k, e in den])
     if len(den) > 1:
         bottom = f"({bottom})"
     return f"{top}/{bottom}"
@@ -367,36 +367,24 @@ def tau_render(cfg: CrystalConfig, m: Monomial) -> str:
 
 def tau_render_poly(cfg: CrystalConfig, p: LaurentPoly) -> str:
     """Terms of p in canonical order, tau-rendered, joined with ' + '."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for m, c in p.terms:
-        body = tau_render(cfg, m)
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append("-" + body)
-        else:
-            parts.append(f"{c}{body}")
-    return " + ".join(parts)
+    return p.render(partial(tau_render, cfg))
+
+
+def monomial_text(cfg: CrystalConfig, m: Monomial, form: str) -> str:
+    """m in tau aliases when form is 'tau', in Y variables otherwise."""
+    return tau_render(cfg, m) if form == "tau" else str(m)
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def _node_label(g: CrystalGraph, node: CrystalNode, form: str) -> str:
-    if form == "tau":
-        return tau_render(CrystalConfig(g.r), node.monomial)
-    return str(node.monomial)
-
-
 def graph_to_dot(g: CrystalGraph, form: str = "tau") -> str:
     """DOT text: nodes by discovery id, arrows in the lowering direction."""
+    cfg = CrystalConfig(g.r)
     lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=plaintext];']
     for k, node in enumerate(g.nodes):
-        label = _node_label(g, node, form)
-        lines.append(f'  n{k} [label="{label}"];')
+        lines.append(f'  n{k} [label="{monomial_text(cfg, node.monomial, form)}"];')
     for src, color, dst in g.edges:
         lines.append(f'  n{src} -> n{dst} [label="{color}"];')
     lines.append("}")

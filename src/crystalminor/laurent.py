@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import MissingAssignment, ZeroAssignment
 
@@ -329,7 +329,14 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(self.terms)
 
-    def __str__(self) -> str:
+    def render(self, mono: Callable[[Monomial], str] = str) -> str:
+        """Terms in canonical order joined with ' + ', each monomial spelled
+        by ``mono``; the constant term prints as its coefficient.
+
+        >>> p = LaurentPoly.from_terms([(Monomial.one(), 2), (Monomial.of((VarId(0, 1), -1)), -1)])
+        >>> p.render()
+        '2 + -Y[0,1]^-1'
+        """
         if not self._coeffs:
             return "0"
         parts = []
@@ -337,12 +344,15 @@ class LaurentPoly:
             if m.is_one():
                 parts.append(str(c))
             elif c == 1:
-                parts.append(str(m))
+                parts.append(mono(m))
             elif c == -1:
-                parts.append("-" + str(m))
+                parts.append("-" + mono(m))
             else:
-                parts.append(f"{c}{m}")
+                parts.append(f"{c}{mono(m)}")
         return " + ".join(parts)
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"

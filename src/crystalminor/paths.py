@@ -12,8 +12,10 @@ The path sum and the array closed form are each one depth-first walk,
 over paths and over arrays respectively, that never copies a prefix.
 The walk carries the running label as an int packed by
 ``laurent.PackedCodec``: every edge (or every row at a given depth) is
-labelled once, as one offset, a label is the sum of the offsets along
-the walk, and each distinct label is unpacked into a monomial once.  The
+labelled once, as one offset, and a label is the sum of the offsets
+along the walk.  The path walk also labels the paths the exporters list,
+and the DOT export reads its edge labels from the same table, so nothing
+relabels a path from its rows; ``label`` stays as the reference.  The
 two walks share no walking code, so each still checks the other.
 """
 
@@ -266,21 +268,31 @@ def _packer(values: list, bound: int):
     return codec, lambda x: x if isinstance(x, RankTooSmall) else codec.step(x)
 
 
-def path_sum(spec: PathSpec, r: int) -> LaurentPoly:
-    """Sum of the labels of every path of the given shape.
+def _label_table(spec: PathSpec, r: int) -> dict:
+    """The path table with every edge label built once, or its error."""
+    m = spec.m
+    return _path_table(spec, lambda s, cur, nxt: _caught(edge_label, r, m, s, cur, nxt))
+
+
+def _labelled_paths(spec: PathSpec, table: dict) -> Iterator[tuple[list, Monomial]]:
+    """(levels, label) per path of a label table, in enumeration order.
 
     One walk over the paths carries each label as a packed int: every edge
-    label is built once, packed as one offset, and a path's label is the
-    sum of its edge offsets.  Each edge moves at most 2d exponents by one,
-    so no exponent of a label exceeds 2md, the bound of the codec.  Equal
-    labels are counted, and each distinct one is unpacked once.
+    label is packed as one offset, a path's label is the sum of its edge
+    offsets, and each path's label is unpacked once.  Each edge moves at
+    most 2d exponents by one, so no exponent of a label exceeds 2md, the
+    bound of the codec.  levels is the walk's own list (copy it to keep it).
     """
-    m = spec.m
-    table = _path_table(spec, lambda s, cur, nxt: _caught(edge_label, r, m, s, cur, nxt))
-    codec, pack = _packer([x for kids in table.values() for _, x in kids], 2 * m * spec.d)
+    codec, pack = _packer([x for kids in table.values() for _, x in kids], 2 * spec.m * spec.d)
     packed = {key: [(nxt, pack(x)) for nxt, x in kids] for key, kids in table.items()}
-    counts = Counter(label for _, label in _path_walk(spec, packed, codec.one))
-    return LaurentPoly.from_terms((codec.decode(x), c) for x, c in counts.items())
+    for levels, x in _path_walk(spec, packed, codec.one):
+        yield levels, codec.decode(x)
+
+
+def path_sum(spec: PathSpec, r: int) -> LaurentPoly:
+    """Sum of the labels of every path of the given shape, each label
+    built by one walk that carries it packed."""
+    return LaurentPoly.from_terms((m, 1) for _, m in _labelled_paths(spec, _label_table(spec, r)))
 
 
 @dataclass(frozen=True)
@@ -466,35 +478,60 @@ def _vertex(m: int, s: int, row: Iterable[int]) -> str:
     return f"({m - s};{','.join(str(a) for a in row)})"
 
 
+def paths_text(spec: PathSpec, r: int) -> Iterator[str]:
+    """One line per path: its vertices joined by '->', then its label."""
+    cfg = CrystalConfig(r)
+    table = _label_table(spec, r)
+    names = {key: _vertex(spec.m, *key) for key in chain(table, [(spec.m, spec.target())])}
+    for levels, mono in _labelled_paths(spec, table):
+        route = "->".join([names[key] for key in enumerate(levels)])
+        yield f"{route}  {tau_render(cfg, mono)}"
+
+
 def paths_json(spec: PathSpec, r: int) -> str:
     """JSON list of paths as integer matrices with rendered labels."""
     cfg = CrystalConfig(r)
     entries = [
-        {"rows": [list(row) for row in p.rows],
-         "label": tau_render(cfg, label(spec, p, r))}
-        for p in enumerate_paths(spec)
+        {"rows": levels[:], "label": tau_render(cfg, mono)}
+        for levels, mono in _labelled_paths(spec, _label_table(spec, r))
     ]
     return json.dumps(entries, ensure_ascii=False, separators=(",", ":"))
 
 
 def paths_dot(spec: PathSpec, r: int) -> str:
-    """DOT text of every vertex and edge used by some path."""
+    """DOT text of every vertex and edge used by some path.
+
+    Vertices and edges come in order of first appearance along the paths
+    in enumeration order.  That is the preorder of one depth-first search
+    of the label table that enters each vertex once: every path through a
+    vertex follows the first path that reaches it.
+    """
     cfg = CrystalConfig(r)
-    nodes: list[str] = []
-    edges: dict[tuple[str, str], Monomial] = {}
-    for p in enumerate_paths(spec):
-        for s, row in enumerate(p.rows):
-            name = _vertex(spec.m, s, row)
-            if name not in nodes:
-                nodes.append(name)
-            if s:
-                key = (_vertex(spec.m, s - 1, p.rows[s - 1]), name)
-                if key not in edges:
-                    edges[key] = edge_label(r, spec.m, s - 1, p.rows[s - 1], row)
+    m = spec.m
+    table = _label_table(spec, r)
+    root = (0, spec.source())
+    names = {root: _vertex(m, *root)}
+    edges = []
+    stack = [(root, iter(table[root]))]
+    while stack:
+        src, it = stack[-1]
+        step = next(it, None)
+        if step is None:
+            stack.pop()
+            continue
+        nxt, mono = step
+        if isinstance(mono, Exception):
+            raise mono
+        dst = (src[0] + 1, nxt)
+        if dst not in names:
+            names[dst] = _vertex(m, *dst)
+            if dst[0] < m:
+                stack.append((dst, iter(table[dst])))
+        edges.append((names[src], names[dst], mono))
     lines = ["digraph paths {", "  rankdir=TB;", "  node [shape=plaintext];"]
-    for name in nodes:
+    for name in names.values():
         lines.append(f'  "{name}";')
-    for (a, b), mono in edges.items():
+    for a, b, mono in edges:
         lines.append(f'  "{a}" -> "{b}" [label="{tau_render(cfg, mono)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -366,6 +366,23 @@ def test_tau_render_poly_uses_canonical_order():
     assert tau_render_poly(cfg, poly) == " + ".join(GOLDEN_DEMAZURE)
 
 
+@pytest.mark.parametrize("const, text", [(2, "2"), (-3, "-3")])
+def test_constant_term_prints_its_coefficient(const, text):
+    cfg = CrystalConfig(4)
+    poly = LaurentPoly.from_terms([(Monomial.one(), const), (_m((2, 2, -1)), 1)])
+    assert str(poly) == f"{text} + Y[2,2]^-1"
+    assert tau_render_poly(cfg, poly) == f"{text} + 1/τ_9"
+    alone = LaurentPoly.from_terms([(Monomial.one(), const)])
+    assert str(alone) == tau_render_poly(cfg, alone) == text
+
+
+def test_monomial_text_spells_both_forms():
+    cfg = CrystalConfig(4)
+    m = _m((1, 1, 1), (1, 3, -1))
+    assert crystal.monomial_text(cfg, m, "tau") == "τ_5/τ_7"
+    assert crystal.monomial_text(cfg, m, "y") == str(m) == "Y[1,1]Y[1,3]^-1"
+
+
 # ---------------------------------------------------------------------------
 # export
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.crystal import CrystalConfig, apply_e, tau_render, tau_render_poly
-from crystalminor.errors import RankTooSmall
+from crystalminor.errors import NotTauRenderable, RankTooSmall
 from crystalminor.laurent import LaurentPoly, Monomial, VarId, poly_to_json
 from crystalminor.paths import (
     Path,
@@ -28,6 +28,7 @@ from crystalminor.paths import (
     path_sum,
     paths_dot,
     paths_json,
+    paths_text,
     rebuild,
     stats,
 )
@@ -490,3 +491,87 @@ def cbar_sum(spec: PathSpec, r: int) -> LaurentPoly:
 def test_closed_form_matches_cbar_products_property(case):
     spec, r = case
     assert outcome(lambda: closed_form_sum(spec, r)) == outcome(lambda: cbar_sum(spec, r))
+
+
+@st.composite
+def brute_force_shapes(draw):
+    """Shapes with d * m <= 10, small enough for the 2^(dm) filter."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 10 // d))
+    return PathSpec(d, m, draw(st.integers(1, m)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(brute_force_shapes())
+def test_enumeration_matches_brute_force_property(spec):
+    want = sorted(brute_paths(spec), key=lambda p: sum(p.rows, ()))
+    assert list(enumerate_paths(spec)) == want
+
+
+def vertex(m: int, s: int, row) -> str:
+    return f"({m - s};{','.join(str(a) for a in row)})"
+
+
+def reference_text(spec: PathSpec, r: int):
+    """paths enum text lines, each path labelled from its rows."""
+    cfg = CrystalConfig(r)
+    for p in enumerate_paths(spec):
+        route = "->".join(vertex(spec.m, s, row) for s, row in enumerate(p.rows))
+        yield f"{route}  {tau_render(cfg, label(spec, p, r))}"
+
+
+def reference_json(spec: PathSpec, r: int) -> str:
+    cfg = CrystalConfig(r)
+    entries = [
+        {"rows": [list(row) for row in p.rows], "label": tau_render(cfg, label(spec, p, r))}
+        for p in enumerate_paths(spec)
+    ]
+    return json.dumps(entries, ensure_ascii=False, separators=(",", ":"))
+
+
+def reference_dot(spec: PathSpec, r: int) -> str:
+    """DOT text with vertices and edges in order of first appearance, path
+    by path and level by level, each edge labelled when first seen."""
+    cfg = CrystalConfig(r)
+    nodes: list[str] = []
+    edges: dict = {}
+    for p in enumerate_paths(spec):
+        for s, row in enumerate(p.rows):
+            name = vertex(spec.m, s, row)
+            if name not in nodes:
+                nodes.append(name)
+            if s:
+                key = (vertex(spec.m, s - 1, p.rows[s - 1]), name)
+                if key not in edges:
+                    edges[key] = edge_label(r, spec.m, s - 1, p.rows[s - 1], row)
+    lines = ["digraph paths {", "  rankdir=TB;", "  node [shape=plaintext];"]
+    lines += [f'  "{name}";' for name in nodes]
+    lines += [f'  "{a}" -> "{b}" [label="{tau_render(cfg, mono)}"];' for (a, b), mono in edges.items()]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def collect(make):
+    """Every item of make() up to the first error, and that error's type
+    and text."""
+    out = []
+    try:
+        for item in make():
+            out.append(item)
+    except (RankTooSmall, NotTauRenderable, ValueError) as e:
+        return out, type(e).__name__, str(e)
+    return out, None, None
+
+
+@SHAPE_PROPERTY
+@given(shapes_and_ranks())
+def test_text_and_json_labels_match_label_property(case):
+    spec, r = case
+    assert collect(lambda: paths_text(spec, r)) == collect(lambda: reference_text(spec, r))
+    assert collect(lambda: [paths_json(spec, r)]) == collect(lambda: [reference_json(spec, r)])
+
+
+@SHAPE_PROPERTY
+@given(shapes_and_ranks())
+def test_dot_order_matches_first_appearance_property(case):
+    spec, r = case
+    assert collect(lambda: [paths_dot(spec, r)]) == collect(lambda: [reference_dot(spec, r)])
