@@ -184,11 +184,7 @@ def _ring(t) -> tuple:
 
 def _inv(t):
     if isinstance(t, LaurentPoly):
-        terms = t.terms
-        if len(terms) != 1 or terms[0][1] not in (1, -1):
-            raise ValueError(f"cannot invert non-unit {t}")
-        m, c = terms[0]
-        return LaurentPoly.from_monomial(m.inverse(), c)
+        return t.inverse()
     if t == 0:
         raise ZeroDivisionError("cannot invert zero")
     return 1 / Fraction(t)

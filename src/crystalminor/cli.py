@@ -30,11 +30,12 @@ from .crystal import (
     monomial_text,
     tau_render_poly,
 )
-from .errors import CrystalMinorError
+from .errors import CapExceeded, CrystalMinorError
 from .laurent import mono_to_json, parse_monomial, poly_to_json
 from .paths import (
     PathSpec,
     closed_form_sum,
+    count_paths,
     d1_closed_form,
     path_sum,
     paths_dot,
@@ -141,7 +142,11 @@ def _run_polynomial(args) -> int:
 
 
 def _path_spec(args) -> PathSpec:
-    return PathSpec(args.d, args.m, args.mprime)
+    """The shape, refused before any walk when it has more than --cap paths."""
+    spec = PathSpec(args.d, args.m, args.mprime)
+    if count_paths(spec) > args.cap:
+        raise CapExceeded(args.cap)
+    return spec
 
 
 def _run_paths_enum(args) -> int:
@@ -276,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help="number of steps")
         p.add_argument("--mprime", type=int, required=True, help="total shift")
         p.add_argument("--r", type=int, required=True, help="rank for labels")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="path cap for the family")
         p.add_argument("--format", choices=formats, default="tau")
         p.set_defaults(func=func)
 

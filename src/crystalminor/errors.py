@@ -72,6 +72,10 @@ class InvalidExtension(CrystalMinorError):
     """A word cannot be extended the way a truncation check requires."""
 
 
+class ExponentOverflow(CrystalMinorError, OverflowError):
+    """A polynomial exponent, or a bound on one, reached the packed limit 2**63."""
+
+
 class RankTooSmall(CrystalMinorError):
     """A path label needs variables that do not exist at this rank."""
 

@@ -6,32 +6,46 @@ is a finite product of integer powers of such generators and a LaurentPoly
 is a finite sum of integer multiples of monomials.  All arithmetic is exact;
 coefficients stay in Z and evaluation produces ``fractions.Fraction``.
 
-There is no general division.  Monomials are units, so they carry an
-``inverse()``, and that is the only reciprocal the module offers.
+There is no general division: only monomials and one-term polynomials
+with coefficient ±1 have an ``inverse()``.
 
-A polynomial is held as a dict from monomial to nonzero coefficient, so
-``+``, ``-`` and ``*`` only accumulate and never sort.  The canonical term
-order (see ``Monomial._sort_key``) is computed at the boundary: the first
-use of ``.terms``, ``str``, ``hash`` or the JSON form sorts the terms once
-and caches the tuple.  Equality compares the dicts and needs no order.
+A polynomial is a dict from a packed monomial to a nonzero coefficient.
+A variable gets the next slot of one process-wide table when first packed;
+a monomial packs as the int sum of ``e * 2**(64 * slot)`` over its factors
+(signed 64-bit digits), so the unit is 0, a product is int addition, an
+inverse is negation, and a growing table touches no key.  Exponents of
+terms must stay below ``EXPONENT_LIMIT`` = 2**63 in absolute value: each
+polynomial carries a proven exponent bound (the max under ``+``, the sum
+under ``*``), and one that reaches the limit raises ``ExponentOverflow``
+instead of wrapping.  A Monomial alone has no limit, and caches its
+packed int on first use.  The first use of ``.terms``, ``str``, JSON or
+``evaluate`` unpacks each key once and sorts the terms in canonical order
+(``Monomial._sort_key``), independent of the order of the slots.
 
 >>> a = Monomial.of((VarId(0, 1), 1), (VarId(0, 2), -1))
 >>> str(a)
 'Y[0,1]Y[0,2]^-1'
 >>> str(a * a.inverse())
 '1'
+>>> Monomial.unpack(a.packed + a.packed) == a * a
+True
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import MissingAssignment, ZeroAssignment
+from .errors import ExponentOverflow, MissingAssignment, ZeroAssignment
 
 Rational = Fraction
+
+_WIDTH = 64
+EXPONENT_LIMIT = 1 << (_WIDTH - 1)
+_HALF_DIGIT = EXPONENT_LIMIT.to_bytes(_WIDTH // 8, sys.byteorder)
 
 
 class VarId(NamedTuple):
@@ -50,6 +64,13 @@ def _check_var(v: VarId) -> VarId:
     return v
 
 
+# process-wide slot table (variable -> 64 * slot, slot -> variable); each
+# update is one atomic call, so threads that meet a new variable agree
+_SLOTS = itertools.count()
+_SHIFT: dict[VarId, int] = {}
+_SLOT_VARS: dict[int, VarId] = {}
+
+
 class Monomial:
     """An immutable product of integer powers of generators.
 
@@ -63,13 +84,14 @@ class Monomial:
     0
     """
 
-    __slots__ = ("_factors", "_hash", "_key")
+    __slots__ = ("_factors", "_hash", "_key", "_packed")
 
     def __init__(self, factors: tuple[tuple[VarId, int], ...]):
         # internal: factors must already be sorted, deduplicated, zero-free
         self._factors = factors
         self._hash = hash(factors)
         self._key = None
+        self._packed = None
 
     @staticmethod
     def one() -> "Monomial":
@@ -129,6 +151,40 @@ class Monomial:
         if n == 0:
             return _ONE
         return Monomial(tuple((v, e * n) for v, e in self._factors))
+
+    def _pack(self) -> tuple[int, int]:
+        """(packed int, largest absolute exponent), computed once."""
+        packed = self._packed
+        if packed is None:
+            key = 0
+            for v, e in self._factors:
+                shift = _SHIFT.get(v)
+                if shift is None:
+                    slot = next(_SLOTS)
+                    _SLOT_VARS[slot] = v
+                    shift = _SHIFT.setdefault(v, _WIDTH * slot)
+                key += e << shift
+            bound = max([abs(e) for _, e in self._factors], default=0)
+            if bound >= EXPONENT_LIMIT:
+                raise ExponentOverflow(f"exponent {bound} of a polynomial term reaches the limit 2**63")
+            packed = self._packed = (key, bound)
+        return packed
+
+    @property
+    def packed(self) -> int:
+        """This monomial as one int (see the module docstring); raises
+        ExponentOverflow when an exponent reaches EXPONENT_LIMIT."""
+        return self._pack()[0]
+
+    @staticmethod
+    def unpack(key: int) -> "Monomial":
+        """The monomial packed as key, factors in canonical order.  The bias
+        makes each digit its exponent plus 2**63, an unsigned 64-bit word."""
+        n = key.bit_length() // _WIDTH + 1
+        biased = key + int.from_bytes(_HALF_DIGIT * n, sys.byteorder)
+        digits = memoryview(biased.to_bytes(n * _WIDTH // 8, sys.byteorder)).cast("Q")
+        factors = [(_SLOT_VARS[j], d - EXPONENT_LIMIT) for j, d in enumerate(digits) if d != EXPONENT_LIMIT]
+        return Monomial(tuple(sorted(factors)))
 
     def evaluate(self, assignment: Mapping[VarId, Fraction]) -> Fraction:
         out = Fraction(1)
@@ -195,9 +251,8 @@ _ONE = Monomial(())
 class LaurentPoly:
     """A finite Z-linear combination of monomials.
 
-    The terms live in a dict from monomial to nonzero coefficient; the
-    canonical order is sorted on first use of ``terms``, ``str``, ``hash``
-    or the JSON form and cached, since the polynomial is immutable.
+    A dict from packed monomial to nonzero coefficient, with a proven
+    bound on every exponent's absolute value (see the module docstring).
 
     >>> p = LaurentPoly.from_monomial(Monomial.of((VarId(0, 1), 1)))
     >>> q = p + LaurentPoly.one()
@@ -207,11 +262,12 @@ class LaurentPoly:
     '0'
     """
 
-    __slots__ = ("_coeffs", "_terms")
+    __slots__ = ("_coeffs", "_bound", "_terms")
 
-    def __init__(self, coeffs: dict[Monomial, int]):
-        # internal: coefficients must be nonzero; the dict is never mutated
+    def __init__(self, coeffs: dict[int, int], bound: int):
+        # internal: packed keys within bound, nonzero coefficients, never mutated
         self._coeffs = coeffs
+        self._bound = bound
         self._terms = None
 
     @staticmethod
@@ -224,38 +280,45 @@ class LaurentPoly:
 
     @staticmethod
     def from_monomial(m: Monomial, coeff: int = 1) -> "LaurentPoly":
-        if coeff == 0:
-            return _ZERO
-        return LaurentPoly({m: int(coeff)})
+        return LaurentPoly.from_terms([(m, coeff)])
 
     @staticmethod
     def from_terms(terms: Iterable[tuple[Monomial, int]]) -> "LaurentPoly":
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
+        bound = 0
         for m, c in terms:
-            acc[m] = acc.get(m, 0) + int(c)
-        return LaurentPoly({m: c for m, c in acc.items() if c})
+            key, b = m._pack()
+            bound = max(bound, b)
+            acc[key] = acc.get(key, 0) + int(c)
+        return LaurentPoly.from_packed(acc, bound)
+
+    @staticmethod
+    def from_packed(counts: Mapping[int, int], bound: int) -> "LaurentPoly":
+        """The polynomial with coefficient counts[key] at each packed key; the
+        caller proves that no exponent exceeds bound in absolute value."""
+        if bound >= EXPONENT_LIMIT:
+            raise ExponentOverflow(f"exponent bound {bound} reaches the limit 2**63")
+        return LaurentPoly({key: c for key, c in counts.items() if c}, bound)
 
     @property
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
         """(monomial, coefficient) pairs in canonical order."""
         terms = self._terms
         if terms is None:
-            items = sorted(self._coeffs.items(), key=lambda t: t[0]._sort_key())
+            items = [(Monomial.unpack(key), c) for key, c in self._coeffs.items()]
+            items.sort(key=lambda t: t[0]._sort_key())
             terms = self._terms = tuple(items)
         return terms
 
     def coefficient(self, m: Monomial) -> int:
-        return self._coeffs.get(m, 0)
+        return self._coeffs.get(m.packed, 0)
 
     def monomials(self) -> Iterator[Monomial]:
         for m, _ in self.terms:
             yield m
 
     def variables(self) -> set[VarId]:
-        out: set[VarId] = set()
-        for m in self._coeffs:
-            out.update(m.variables())
-        return out
+        return {v for m, _ in self.terms for v in m.variables()}
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -277,16 +340,16 @@ class LaurentPoly:
         if len(a) < len(b):
             a, b = b, a  # copy the larger side, fold in the smaller
         acc = dict(a)
-        for m, c in b.items():
-            c += acc.get(m, 0)
+        for key, c in b.items():
+            c += acc.get(key, 0)
             if c:
-                acc[m] = c
+                acc[key] = c
             else:
-                del acc[m]
-        return LaurentPoly(acc)
+                del acc[key]
+        return LaurentPoly(acc, max(self._bound, other._bound))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self._coeffs.items()})
+        return LaurentPoly({key: -c for key, c in self._coeffs.items()}, self._bound)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -295,22 +358,33 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return _ZERO
-            return LaurentPoly({m: c * other for m, c in self._coeffs.items()})
+            return LaurentPoly({key: c * other for key, c in self._coeffs.items()}, self._bound)
         if isinstance(other, Monomial):
-            # multiplying by a unit is injective: no terms merge
-            return LaurentPoly({m * other: c for m, c in self._coeffs.items()})
-        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly.from_monomial(other)
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc: dict[Monomial, int] = {}
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return _ZERO
+        acc: dict[int, int] = {}
         get = acc.get
-        right = other._coeffs.items()
-        for ma, ca in self._coeffs.items():
-            for mb, cb in right:
-                m = ma * mb
-                acc[m] = get(m, 0) + ca * cb
-        return LaurentPoly({m: c for m, c in acc.items() if c})
+        right = b.items()
+        for ka, ca in a.items():
+            for kb, cb in right:
+                key = ka + kb
+                acc[key] = get(key, 0) + ca * cb
+        # keys past the limit may have carried; the bound check refuses them
+        return LaurentPoly.from_packed(acc, self._bound + other._bound)
 
     __rmul__ = __mul__
+
+    def inverse(self) -> "LaurentPoly":
+        """The reciprocal of a unit: one term with coefficient ±1."""
+        if len(self._coeffs) == 1:
+            ((key, c),) = self._coeffs.items()
+            if c in (1, -1):
+                return LaurentPoly({-key: c}, self._bound)
+        raise ValueError(f"cannot invert non-unit {self}")
 
     def evaluate(self, assignment: Mapping[VarId, Fraction]) -> Fraction:
         """Exact value at nonzero rationals, in canonical term order.
@@ -327,15 +401,18 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash(frozenset(self._coeffs.items()))
 
     def render(self, mono: Callable[[Monomial], str] = str) -> str:
         """Terms in canonical order joined with ' + ', each monomial spelled
-        by ``mono``; the constant term prints as its coefficient.
+        by ``mono``; the constant term prints as its coefficient, and any other
+        coefficient but ±1 replaces the empty numerator of a '1/...' spelling.
 
         >>> p = LaurentPoly.from_terms([(Monomial.one(), 2), (Monomial.of((VarId(0, 1), -1)), -1)])
         >>> p.render()
         '2 + -Y[0,1]^-1'
+        >>> (p * 3).render(lambda m: "1/y")
+        '6 + -3/y'
         """
         if not self._coeffs:
             return "0"
@@ -348,7 +425,8 @@ class LaurentPoly:
             elif c == -1:
                 parts.append("-" + mono(m))
             else:
-                parts.append(f"{c}{mono(m)}")
+                text = mono(m)
+                parts.append(f"{c}{text[1:] if text.startswith('1/') else text}")
         return " + ".join(parts)
 
     def __str__(self) -> str:
@@ -358,82 +436,8 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
-_ZERO = LaurentPoly({})
-_POLY_ONE = LaurentPoly({_ONE: 1})
-
-
-# ---------------------------------------------------------------------------
-# packed monomials
-
-
-class PackedCodec:
-    """Monomials over a fixed set of variables, each packed into one int.
-
-    The caller proves that no exponent it decodes exceeds ``bound`` in
-    absolute value.  Each variable gets a slot, in variable order, of
-    ``width`` bits: the least of 8, 16, 32 and 64 that holds ``2 * bound``.
-    A slot holds its exponent plus ``bound``, so ``one`` (every slot at
-    ``bound``) packs 1 and adding ``step(m)`` multiplies by m.  Packing is
-    additive, so partial sums may leave the slots freely; only the value
-    decoded has to obey the bound.  ``decode`` reads the slots in variable
-    order, so its factors come out canonically sorted.  A bound too wide
-    for 64-bit slots, an exponent past the bound, a variable without a
-    slot and a value outside the slots raise ``OverflowError``; nothing
-    wraps silently.
-
-    >>> x, y = VarId(0, 1), VarId(1, 2)
-    >>> codec = PackedCodec([y, x], bound=2)
-    >>> codec.width, codec.one == 2 + (2 << 8)
-    (8, True)
-    >>> packed = codec.one + codec.step(Monomial.of((x, 2))) + codec.step(Monomial.of((y, -1)))
-    >>> str(codec.decode(packed))
-    'Y[0,1]^2Y[1,2]^-1'
-    >>> codec.step(Monomial.of((x, 3)))
-    Traceback (most recent call last):
-    ...
-    OverflowError: exponent 3 of Y[0,1] exceeds the bound 2
-    """
-
-    __slots__ = ("variables", "bound", "width", "one", "_shift", "_format", "_bytes")
-
-    def __init__(self, variables: Iterable[VarId], bound: int):
-        if bound < 0:
-            raise ValueError(f"exponent bound must be >= 0, got {bound}")
-        for width, fmt in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
-            if 2 * bound < 1 << width:
-                break
-        else:
-            raise OverflowError(f"exponent bound {bound} needs slots wider than 64 bits")
-        self.variables = tuple(sorted(set(variables)))
-        self.bound = bound
-        self.width = width
-        self._shift = {v: n * width for n, v in enumerate(self.variables)}
-        self._format = fmt
-        self._bytes = len(self.variables) * width // 8
-        self.one = sum(bound << s for s in self._shift.values())
-
-    def step(self, m: Monomial) -> int:
-        """Offset that multiplies a packed monomial by m."""
-        out = 0
-        for v, e in m.factors:
-            s = self._shift.get(v)
-            if s is None:
-                raise OverflowError(f"{v} has no slot")
-            if abs(e) > self.bound:
-                raise OverflowError(f"exponent {e} of {v} exceeds the bound {self.bound}")
-            out += e << s
-        return out
-
-    def decode(self, packed: int) -> Monomial:
-        """The monomial packed in ``packed``, factors in canonical order."""
-        # to_bytes raises OverflowError for a negative or too long value
-        digits = memoryview(packed.to_bytes(self._bytes, sys.byteorder)).cast(self._format)
-        bound = self.bound
-        factors = tuple((v, e - bound) for v, e in zip(self.variables, digits) if e != bound)
-        for v, e in factors:
-            if e > bound:
-                raise OverflowError(f"slot of {v} exceeds the bound {bound}")
-        return Monomial(factors)
+_ZERO = LaurentPoly({}, 0)
+_POLY_ONE = LaurentPoly({0: 1}, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ to d = 1.
 
 The path sum and the array closed form are each one depth-first walk,
 over paths and over arrays respectively, that never copies a prefix.
-The walk carries the running label as an int packed by
-``laurent.PackedCodec``: every edge (or every row at a given depth) is
-labelled once, as one offset, and a label is the sum of the offsets
-along the walk.  The path walk also labels the paths the exporters list,
-and the DOT export reads its edge labels from the same table, so nothing
-relabels a path from its rows; ``label`` stays as the reference.  The
-two walks share no walking code, so each still checks the other.
+Every edge (or row at a given depth) is labelled and packed once by the
+Laurent kernel (``Monomial.packed``); a label is the int sum along the
+walk, and the sums pass their label counts to ``LaurentPoly.from_packed``
+unpacked.  The exporters unpack one label per path (the DOT export one
+per edge), so nothing relabels a path from its rows; ``label`` stays as
+the reference.  The two walks share no code, so each checks the other.
 """
 
 from __future__ import annotations
@@ -24,13 +23,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, product
-from operator import add, ge, le, lt
+from itertools import chain, combinations
+from operator import ge
 from typing import Iterable, Iterator
 
 from .crystal import CrystalConfig, tau_render
 from .errors import RankTooSmall
-from .laurent import LaurentPoly, Monomial, PackedCodec, VarId
+from .laurent import LaurentPoly, Monomial, VarId
 
 
 @dataclass(frozen=True)
@@ -128,33 +127,32 @@ def _path_table(spec: PathSpec, edge) -> dict:
     order.  A step keeps each entry or raises it by one, keeps the row
     strictly increasing, and stays within reach of the target; from every
     such vertex the target is reachable, so every edge lies on a path.
+    Rows are grown entry by entry, keeping only prefixes that obey these
+    rules, so a vertex costs its children rather than all 2^d steps.
     """
     d, m, mp = spec.d, spec.m, spec.mprime
-    steps = tuple(product((0, 1), repeat=d))
     table: dict = {}
     level = [spec.source()]
     for s in range(m):
         left = m - s - 1
-        lo = tuple(mp + i + 1 - left for i in range(d))
-        hi = tuple(mp + i + 1 for i in range(d))
+        bounds = [(mp + i + 1 - left, mp + i + 1) for i in range(d)]
         seen: dict = {}
         for cur in level:
-            kids = []
-            for bits in steps:
-                nxt = tuple(map(add, cur, bits))
-                if all(map(lt, nxt, nxt[1:])) and all(map(le, lo, nxt)) and all(map(le, nxt, hi)):
-                    kids.append((nxt, edge(s, cur, nxt)))
-                    seen[nxt] = None
-            table[s, cur] = kids
+            rows = [()]
+            for a, (lo, hi) in zip(cur, bounds):
+                rows = [row + (x,) for row in rows for x in (a, a + 1)
+                        if lo <= x <= hi and (not row or row[-1] < x)]
+            table[s, cur] = [(nxt, edge(s, cur, nxt)) for nxt in rows]
+            seen.update(dict.fromkeys(rows))
         level = list(seen)
     return table
 
 
-def _path_walk(spec: PathSpec, table: dict, start: int):
+def _path_walk(spec: PathSpec, table: dict):
     """Depth first over the paths of spec, in enumeration order.
 
     Yields (levels, label) per path: levels is the walk's own list of rows
-    (copy it to keep it), label is start plus the table's edge values along
+    (copy it to keep it), label is the sum of the table's edge values along
     the path.  An edge value that is an exception is raised when the walk
     first crosses the edge, so the error is the first path's.  The walk
     descends along first children and stacks a (level, iterator) entry only
@@ -162,7 +160,7 @@ def _path_walk(spec: PathSpec, table: dict, start: int):
     """
     m = spec.m
     levels = [spec.source()]
-    labels = [start]
+    labels = [0]
     stack = [(1, iter(table[0, levels[0]]))]
     while stack:
         s, it = stack[-1]
@@ -193,6 +191,19 @@ def _path_walk(spec: PathSpec, table: dict, start: int):
             yield levels, base + delta
 
 
+def count_paths(spec: PathSpec) -> int:
+    """Number of paths of the given shape, counted level by level."""
+    table = _path_table(spec, lambda s, cur, nxt: None)
+    counts = {spec.source(): 1}
+    for s in range(spec.m):
+        grown: dict = {}
+        for cur, n in counts.items():
+            for nxt, _ in table[s, cur]:
+                grown[nxt] = grown.get(nxt, 0) + n
+        counts = grown
+    return counts.get(spec.target(), 0)
+
+
 def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
     """All paths of the given shape, ordered by their flattened levels.
 
@@ -202,7 +213,7 @@ def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
     1
     """
     table = _path_table(spec, lambda s, cur, nxt: 0)
-    return tuple(Path._trusted(tuple(levels)) for levels, _ in _path_walk(spec, table, 0))
+    return tuple(Path._trusted(tuple(levels)) for levels, _ in _path_walk(spec, table))
 
 
 def _slot(r: int, c: int, j: int) -> VarId | None:
@@ -251,48 +262,29 @@ def label(spec: PathSpec, p: Path, r: int) -> Monomial:
 
 
 def _caught(make, *args):
-    """make(*args), or the RankTooSmall it raises; a walk raises it when it
-    first reaches the value, so the error is the one met first in order."""
+    """make(*args) packed, or the RankTooSmall it raises; a walk raises it
+    when it first reaches the value, so the error is the one met first."""
     try:
-        return make(*args)
+        return make(*args).packed
     except RankTooSmall as e:
         return e
 
 
-def _packer(values: list, bound: int):
-    """A codec over the variables of the monomials among values, and the
-    function that packs one value as its offset, passing errors through."""
-    codec = PackedCodec(
-        (v for x in values if isinstance(x, Monomial) for v in x.variables()), bound
-    )
-    return codec, lambda x: x if isinstance(x, RankTooSmall) else codec.step(x)
-
-
 def _label_table(spec: PathSpec, r: int) -> dict:
-    """The path table with every edge label built once, or its error."""
+    """The path table with every edge label built and packed once."""
     m = spec.m
     return _path_table(spec, lambda s, cur, nxt: _caught(edge_label, r, m, s, cur, nxt))
 
 
-def _labelled_paths(spec: PathSpec, table: dict) -> Iterator[tuple[list, Monomial]]:
-    """(levels, label) per path of a label table, in enumeration order.
-
-    One walk over the paths carries each label as a packed int: every edge
-    label is packed as one offset, a path's label is the sum of its edge
-    offsets, and each path's label is unpacked once.  Each edge moves at
-    most 2d exponents by one, so no exponent of a label exceeds 2md, the
-    bound of the codec.  levels is the walk's own list (copy it to keep it).
-    """
-    codec, pack = _packer([x for kids in table.values() for _, x in kids], 2 * spec.m * spec.d)
-    packed = {key: [(nxt, pack(x)) for nxt, x in kids] for key, kids in table.items()}
-    for levels, x in _path_walk(spec, packed, codec.one):
-        yield levels, codec.decode(x)
-
-
 def path_sum(spec: PathSpec, r: int) -> LaurentPoly:
-    """Sum of the labels of every path of the given shape, each label
-    built by one walk that carries it packed."""
-    return LaurentPoly.from_terms((m, 1) for _, m in _labelled_paths(spec, _label_table(spec, r)))
+    """Sum of the labels of every path of the given shape.
+
+    One walk carries each label packed: a path's label is the sum of its
+    packed edge labels.  Each edge moves at most 2d exponents by one, so no
+    exponent of a label exceeds 2md, the bound of the sum.
+    """
+    counts = Counter(x for _, x in _path_walk(spec, _label_table(spec, r)))
+    return LaurentPoly.from_packed(counts, 2 * spec.m * spec.d)
 
 
 @dataclass(frozen=True)
@@ -358,24 +350,24 @@ def _array_rows(spec: PathSpec) -> list[tuple[int, ...]]:
             if all(c[i] <= mp + i + 1 for i in range(d))]
 
 
-def _array_walk(spec: PathSpec, rows: list, deltas: list, start: int):
+def _array_walk(spec: PathSpec, rows: list, deltas: list):
     """Depth first over the stationary-value arrays, in k_arrays order.
 
     Yields (arr, label) per array: arr is the walk's own list of rows (copy
-    it to keep it), label is start plus deltas[j0][t] for each row rows[t]
-    at depth j0.  A delta that is an exception is raised when the walk
+    it to keep it), label is the sum of deltas[j0][t] over its rows rows[t]
+    at depths j0.  A delta that is an exception is raised when the walk
     first reaches it.  The rows at or above rows[t] are found once per t;
     the first is rows[t] itself, which the walk descends along, stacking a
     (depth, iterator) entry only where other rows are left.
     """
     depth = spec.depth
     if not depth:
-        yield [], start
+        yield [], 0
         return
     last = depth - 1
     above: list = [None] * len(rows)
     arr: list = []
-    labels = [start]
+    labels = [0]
     stack = [(0, iter(range(len(rows))))]
     while stack:
         j0, it = stack[-1]
@@ -421,7 +413,7 @@ def k_arrays(spec: PathSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     """
     rows = _array_rows(spec)
     zeros = [[0] * len(rows)] * spec.depth
-    for arr, _ in _array_walk(spec, rows, zeros, 0):
+    for arr, _ in _array_walk(spec, rows, zeros):
         yield tuple(arr)
 
 
@@ -440,18 +432,16 @@ def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
     contributes the product of cbar(r, m - k - j0 + i0, k) over its entries
     k.
 
-    One walk over the arrays carries each term as a packed int: the product
-    over one row at one depth is built once and packed as one offset, and
-    an array's term is the sum of its rows' offsets.  An array has at most
-    md entries, each moving two exponents by one, so 2md bounds the codec.
+    One walk over the arrays carries each term packed: the product over one
+    row at one depth is built and packed once, and an array's term is the
+    sum of its rows' packed terms.  An array has at most md entries, each
+    moving two exponents by one, so 2md bounds the sum.
     """
     m = spec.m
     rows = _array_rows(spec)
     cells = [[_caught(_row_term, r, m, j0, row) for row in rows] for j0 in range(spec.depth)]
-    codec, pack = _packer([x for level in cells for x in level], 2 * m * spec.d)
-    deltas = [[pack(x) for x in level] for level in cells]
-    counts = Counter(label for _, label in _array_walk(spec, rows, deltas, codec.one))
-    return LaurentPoly.from_terms((codec.decode(x), c) for x, c in counts.items())
+    counts = Counter(label for _, label in _array_walk(spec, rows, cells))
+    return LaurentPoly.from_packed(counts, 2 * m * spec.d)
 
 
 def d1_closed_form(m: int, mprime: int, r: int) -> LaurentPoly:
@@ -483,17 +473,17 @@ def paths_text(spec: PathSpec, r: int) -> Iterator[str]:
     cfg = CrystalConfig(r)
     table = _label_table(spec, r)
     names = {key: _vertex(spec.m, *key) for key in chain(table, [(spec.m, spec.target())])}
-    for levels, mono in _labelled_paths(spec, table):
+    for levels, x in _path_walk(spec, table):
         route = "->".join([names[key] for key in enumerate(levels)])
-        yield f"{route}  {tau_render(cfg, mono)}"
+        yield f"{route}  {tau_render(cfg, Monomial.unpack(x))}"
 
 
 def paths_json(spec: PathSpec, r: int) -> str:
     """JSON list of paths as integer matrices with rendered labels."""
     cfg = CrystalConfig(r)
     entries = [
-        {"rows": levels[:], "label": tau_render(cfg, mono)}
-        for levels, mono in _labelled_paths(spec, _label_table(spec, r))
+        {"rows": levels[:], "label": tau_render(cfg, Monomial.unpack(x))}
+        for levels, x in _path_walk(spec, _label_table(spec, r))
     ]
     return json.dumps(entries, ensure_ascii=False, separators=(",", ":"))
 
@@ -519,15 +509,15 @@ def paths_dot(spec: PathSpec, r: int) -> str:
         if step is None:
             stack.pop()
             continue
-        nxt, mono = step
-        if isinstance(mono, Exception):
-            raise mono
+        nxt, packed = step
+        if isinstance(packed, Exception):
+            raise packed
         dst = (src[0] + 1, nxt)
         if dst not in names:
             names[dst] = _vertex(m, *dst)
             if dst[0] < m:
                 stack.append((dst, iter(table[dst])))
-        edges.append((names[src], names[dst], mono))
+        edges.append((names[src], names[dst], Monomial.unpack(packed)))
     lines = ["digraph paths {", "  rankdir=TB;", "  node [shape=plaintext];"]
     for name in names.values():
         lines.append(f'  "{name}";')

@@ -4,19 +4,25 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crystalminor
 from crystalminor import cli
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.cluster import seed_matrix
 from crystalminor.crystal import DEFAULT_CAP
-from crystalminor.laurent import Monomial, VarId, poly_from_json
+from crystalminor.laurent import EXPONENT_LIMIT, Monomial, VarId, poly_from_json
 from crystalminor.paths import PathSpec, paths_dot, paths_json
 from crystalminor.verify import (
     DEFAULT_PHI_SAMPLES,
     CheckResult,
+    all_word_specs,
     check_phi_factorization,
     phi_word_check,
 )
@@ -314,6 +320,7 @@ def test_nonpositive_bounds_are_usage_errors(capsys):
         ["crystal", "component", "--r", "2", "--seed", "Y[-1,1]", "--cap", "-1"],
         ["crystal", "demazure", "--r", "2", "--word", "1", "--seed", "Y[-1,1]", "--cap", "0"],
         ["crystal", "polynomial", "--r", "2", "--word", "1", "--seed", "Y[-1,1]", "--cap", "0"],
+        ["paths", "sum", "--d", "2", "--m", "3", "--mprime", "2", "--r", "4", "--cap", "0"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
@@ -328,6 +335,25 @@ def test_cap_default_is_the_library_default():
         extra = [] if sub == "component" else ["--word", "1"]
         args = parser.parse_args(["crystal", sub, "--r", "2", "--seed", "Y[-1,1]"] + extra)
         assert args.cap == DEFAULT_CAP
+    for sub in ("enum", "sum", "closed-form"):
+        args = parser.parse_args(["paths", sub, "--d", "1", "--m", "1", "--mprime", "1", "--r", "1"])
+        assert args.cap == DEFAULT_CAP
+
+
+def test_paths_family_over_the_cap_is_refused_before_any_walk(capsys):
+    # 1,081,724,803,600 paths each: walking them would take days, and the
+    # wide family has 2^12 candidate steps per vertex, nearly all invalid
+    long = ["--d", "2", "--m", "24", "--mprime", "12", "--r", "40"]
+    wide = ["--d", "12", "--m", "14", "--mprime", "2", "--r", "40"]
+    for sub, fmt in (("enum", "dot"), ("sum", "tau"), ("closed-form", "json")):
+        for shape in (long, wide):
+            code, out, err = run(capsys, ["paths", sub, *shape, "--format", fmt])
+            assert (code, out, err) == (2, "", f"error: node cap {DEFAULT_CAP} exceeded\n")
+    # PathSpec(2, 3, 2) has six paths, and six arrays
+    small = ["--d", "2", "--m", "3", "--mprime", "2", "--r", "4"]
+    for sub in ("enum", "sum", "closed-form"):
+        assert run(capsys, ["paths", sub, *small, "--cap", "6"]) == run(capsys, ["paths", sub, *small])
+        assert run(capsys, ["paths", sub, *small, "--cap", "5"]) == (2, "", "error: node cap 5 exceeded\n")
 
 
 def test_phi_samples_default_is_the_library_default():
@@ -399,6 +425,8 @@ def crystal_argv(draw):
         st.lists(pairs, max_size=3).map(lambda ps: str(Monomial.of(*ps))),
         st.lists(wild, max_size=4).map(lambda ps: str(Monomial.of(*ps))),
         st.sampled_from(["1/Y[2,2]", "Y[-1,3]", "Y[0,1]^", "Y[a,1]", "Y[0,0]", "", "x"]),
+        st.sampled_from([f"Y[0,2]^{EXPONENT_LIMIT}", f"Y[0,1]^-{EXPONENT_LIMIT}",
+                         f"Y[-1,1]^{EXPONENT_LIMIT - 1}", f"Y[1,1]^{1 - EXPONENT_LIMIT}Y[0,2]"]),
     ))
     formats = {"component": ["tau", "y", "json", "dot"], "demazure": ["tau", "json"],
                "polynomial": ["tau", "json", "y"]}[command]
@@ -422,6 +450,19 @@ def test_crystal_commands_never_raise(argv):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
     else:
         assert err.getvalue() == "", argv
+
+
+def test_polynomial_exponents_past_the_limit_are_domain_errors(capsys):
+    seed = ["--r", "1", "--seed", f"Y[0,2]^{EXPONENT_LIMIT}"]
+    code, out, err = run(capsys, ["crystal", "polynomial", *seed, "--word", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent {EXPONENT_LIMIT} of a polynomial term reaches the limit 2**63\n"
+    # a component is a set of monomials, which keep unbounded exponents
+    code, out, err = run(capsys, ["crystal", "component", *seed, "--format", "y"])
+    assert (code, err) == (0, "") and f"Y[0,2]^{EXPONENT_LIMIT}" in out
+    code, out, _ = run(capsys, ["crystal", "polynomial", "--r", "1", "--seed",
+                                f"Y[0,2]^{EXPONENT_LIMIT - 1}", "--word", "1", "--format", "y"])
+    assert (code, out) == (0, f"Y[0,2]^{EXPONENT_LIMIT - 1}\n")
 
 
 def call(argv):
@@ -483,3 +524,42 @@ def test_paths_commands_never_raise(argv):
         assert err == "", argv
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+# Packs the variables in the order given by argv[1], prints the packed form
+# of one variable, then the output of each command.
+INTERN_THEN_RUN = """
+import contextlib, io, sys
+from crystalminor import cli, verify
+from crystalminor.laurent import Monomial, VarId
+variables = [VarId(s, i) for s in range(-1, 6) for i in range(1, 7)]
+if sys.argv[1] == "reversed":
+    variables.reverse()
+for v in variables:
+    Monomial.of((v, 1)).packed
+print(Monomial.of((VarId(0, 1), 1)).packed)
+argvs = [["verify", "thm5-5", "--max-r", "5"]] + [
+    ["minor", "--r", str(w.r), "--word", ",".join(map(str, w.letters())), "--k", str(k),
+     "--format", "json"]
+    for w in verify.all_word_specs(4) for k in range(1, w.n + 1)
+]
+for argv in argvs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    print(argv, code, repr(out.getvalue()))
+"""
+
+
+def test_output_does_not_depend_on_the_order_variables_are_packed():
+    src = str(Path(crystalminor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = [
+        subprocess.run([sys.executable, "-c", INTERN_THEN_RUN, order], env=env, check=True,
+                       capture_output=True, text=True, timeout=120).stdout.splitlines()
+        for order in ("forward", "reversed")
+    ]
+    assert runs[0][0] != runs[1][0]  # the slots really differ
+    assert runs[0][1:] == runs[1][1:]
+    assert "PASS thm5-5: 34 words, 69 positions" in runs[0][1]
+    assert len(runs[0]) == 2 + sum(w.n for w in all_word_specs(4))

@@ -376,6 +376,20 @@ def test_constant_term_prints_its_coefficient(const, text):
     assert str(alone) == tau_render_poly(cfg, alone) == text
 
 
+@pytest.mark.parametrize("coeff, y_text, tau_text", [
+    (2, "2Y[2,2]^-1", "2/τ_9"),
+    (-3, "-3Y[2,2]^-1", "-3/τ_9"),
+    (-1, "-Y[2,2]^-1", "-1/τ_9"),
+])
+def test_coefficient_takes_the_place_of_an_empty_tau_numerator(coeff, y_text, tau_text):
+    cfg = CrystalConfig(4)
+    poly = LaurentPoly.from_monomial(_m((2, 2, -1)), coeff)
+    assert str(poly) == y_text
+    assert tau_render_poly(cfg, poly) == tau_text
+    both = poly + LaurentPoly.from_monomial(_m((1, 1, 1), (1, 3, -1)), coeff)
+    assert tau_render_poly(cfg, both) == f"{coeff}τ_5/τ_7 + {tau_text}".replace("-1τ", "-τ")
+
+
 def test_monomial_text_spells_both_forms():
     cfg = CrystalConfig(4)
     m = _m((1, 1, 1), (1, 3, -1))

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalminor.errors import MissingAssignment, ZeroAssignment
+from crystalminor.errors import ExponentOverflow, MissingAssignment, ZeroAssignment
 from crystalminor.laurent import (
+    EXPONENT_LIMIT,
     LaurentPoly,
     Monomial,
-    PackedCodec,
     VarId,
     mono_from_json,
     mono_to_json,
@@ -302,8 +303,10 @@ def test_json_round_trip_property(p):
 # ---------------------------------------------------------------------------
 # packed monomials
 
-# bounds at the edges of the 8-, 16-, 32- and 64-bit digits
-EDGE_BOUNDS = [127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**63 - 1]
+LIMIT = EXPONENT_LIMIT
+# exponents at the edges of 8-, 16-, 32- and 64-bit digits, up to the
+# largest one a packed digit holds
+EDGE_EXPONENTS = [127, 128, 32767, 32768, 2**31 - 1, 2**31, LIMIT - 1]
 
 
 def _reference_product(monomials):
@@ -318,9 +321,9 @@ def _reference_product(monomials):
 
 @st.composite
 def codec_cases(draw):
-    """A codec and monomials over its variables with exponents within its
-    bound, often exactly at it."""
-    bound = draw(st.one_of(st.integers(0, 3), st.sampled_from(EDGE_BOUNDS)))
+    """A bound and monomials over a few variables with exponents within
+    it, often exactly at it."""
+    bound = draw(st.one_of(st.integers(0, 3), st.sampled_from(EDGE_EXPONENTS)))
     variables = draw(st.lists(
         st.builds(VarId, st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=6, unique=True
     ))
@@ -331,49 +334,110 @@ def codec_cases(draw):
         ),
         min_size=1, max_size=4,
     ))
-    return PackedCodec(variables, bound), monomials
+    return bound, monomials
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(codec_cases())
 def test_codec_round_trip_property(case):
-    codec, monomials = case
-    assert codec.width in (8, 16, 32, 64) and 2 * codec.bound < 1 << codec.width
+    _, monomials = case
     for m in monomials:
-        back = codec.decode(codec.one + codec.step(m))
+        back = Monomial.unpack(m.packed)
         assert back.factors == _reference_product([m])
         assert back == m and str(back) == str(m)
+        assert m.inverse().packed == -m.packed
     want = _reference_product(monomials)
-    if all(abs(e) <= codec.bound for _, e in want):
-        packed = codec.one + sum(codec.step(m) for m in monomials)
-        assert codec.decode(packed).factors == want
+    if all(abs(e) < LIMIT for _, e in want):
+        packed = sum(m.packed for m in monomials)
+        assert Monomial.unpack(packed).factors == want
 
 
 def test_codec_refuses_exponents_past_the_bound():
     v, w = VarId(0, 1), VarId(2, 3)
-    for bound in [0, 1, 2, 3] + EDGE_BOUNDS:
-        codec = PackedCodec([v, w], bound)
-        at_bound = Monomial.of((w, -bound))
-        assert codec.decode(codec.one + codec.step(at_bound)) == at_bound
+    for e in [0, 1, 2, 3] + EDGE_EXPONENTS:
         for sign in (1, -1):
-            past = Monomial.of((w, sign * (bound + 1)))
-            with pytest.raises(OverflowError):
-                codec.step(past)
+            at_bound = Monomial.of((v, 1), (w, sign * e))
+            assert Monomial.unpack(at_bound.packed) == at_bound
+            assert LaurentPoly.from_monomial(at_bound, 2).terms == ((at_bound, 2),)
+    for sign in (1, -1):
+        past = Monomial.of((w, sign * LIMIT))
+        with pytest.raises(ExponentOverflow):
+            past.packed
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.from_terms([(past, 1)])
+        # a monomial on its own keeps unbounded exponents
+        assert (past * past).exponent(w) == sign * 2 * LIMIT
 
 
 def test_codec_refuses_what_it_cannot_hold():
-    x, y = VarId(0, 1), VarId(0, 2)
-    with pytest.raises(OverflowError):
-        PackedCodec([x], 2**63)
-    codec = PackedCodec([x], 2)
-    with pytest.raises(OverflowError):
-        codec.step(Monomial.of((y, 1)))  # no slot
-    with pytest.raises(OverflowError):
-        codec.decode(-1)
-    with pytest.raises(OverflowError):
-        codec.decode(1 << codec.width)  # past the last digit
-    with pytest.raises(OverflowError):
-        codec.decode(200)  # digit 200 stands for exponent 198
-    assert codec.decode(codec.one) == Monomial.one()
-    empty = PackedCodec([], 5)
-    assert empty.one == 0 and empty.decode(0) == Monomial.one()
+    x = VarId(0, 1)
+    top = LaurentPoly.from_monomial(Monomial.of((x, LIMIT - 1)))
+    with pytest.raises(ExponentOverflow):
+        top * LaurentPoly.from_monomial(Monomial.of((x, 1)))
+    # the proven bound, not the exponent, decides: the product would hold
+    # the exponent LIMIT - 2, but its bound LIMIT reaches the limit
+    with pytest.raises(ExponentOverflow):
+        top * Monomial.of((x, -1))
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.from_packed({0: 1}, LIMIT)
+    assert issubclass(ExponentOverflow, OverflowError)
+    assert top * LaurentPoly.one() == top and (top * LaurentPoly.zero()).is_zero()
+    assert (top + top).terms == ((Monomial.of((x, LIMIT - 1)), 2),)
+    assert top.inverse().terms == ((Monomial.of((x, 1 - LIMIT)), 1),)
+    assert LaurentPoly.from_packed({0: 1, 5: 0}, LIMIT - 1) == LaurentPoly.one()
+    assert Monomial.unpack(0) == Monomial.one()
+    with pytest.raises(ExponentOverflow):
+        top.coefficient(Monomial.of((x, LIMIT)))
+
+
+# the parent design as a reference: a dict from Monomial to coefficient,
+# multiplied with Monomial.__mul__
+
+
+def _ref(terms) -> dict:
+    acc = {}
+    for m, c in terms:
+        acc[m] = acc.get(m, 0) + c
+    return {m: c for m, c in acc.items() if c}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    return _ref(list(a.items()) + list(b.items()))
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    return _ref([(ma * mb, ca * cb) for ma, ca in a.items() for mb, cb in b.items()])
+
+
+def _ref_terms(a: dict) -> tuple:
+    return tuple(sorted(a.items(), key=cmp_to_key(lambda s, t: _reference_cmp(s[0], t[0]))))
+
+
+wide_exponents = st.one_of(
+    st.integers(-3, 3), st.sampled_from([LIMIT - 1, 1 - LIMIT, LIMIT // 2, -(LIMIT // 2)])
+)
+wide_monos = st.dictionaries(
+    st.builds(VarId, st.integers(-1, 2), st.integers(1, 3)), wide_exponents, max_size=3
+).map(lambda exps: Monomial.of(*exps.items()))
+wide_term_lists = st.lists(st.tuples(wide_monos, st.integers(-3, 3)), max_size=5)
+
+
+def _bound(terms) -> int:
+    return max((abs(e) for m, _ in terms for _, e in m.factors), default=0)
+
+
+@PROPERTY
+@given(wide_term_lists, wide_term_lists)
+def test_packed_arithmetic_matches_reference(ta, tb):
+    p, q = LaurentPoly.from_terms(ta), LaurentPoly.from_terms(tb)
+    rp, rq = _ref(ta), _ref(tb)
+    assert p.terms == _ref_terms(rp) and len(p) == len(rp)
+    assert (p + q).terms == _ref_terms(_ref_add(rp, rq))
+    assert (-p).terms == _ref_terms({m: -c for m, c in rp.items()})
+    for m, _ in ta + tb:
+        assert p.coefficient(m) == rp.get(m, 0)
+    if not p or not q or _bound(ta) + _bound(tb) < LIMIT:
+        assert (p * q).terms == _ref_terms(_ref_mul(rp, rq))
+    else:
+        with pytest.raises(ExponentOverflow):
+            p * q

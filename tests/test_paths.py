@@ -20,6 +20,7 @@ from crystalminor.paths import (
     PathStats,
     cbar,
     closed_form_sum,
+    count_paths,
     d1_closed_form,
     edge_label,
     enumerate_paths,
@@ -461,7 +462,9 @@ def outcome(compute):
 
 def test_path_count_matches_enumeration():
     for spec in SWEEP:
-        assert path_count(spec) == len(enumerate_paths(spec))
+        assert count_paths(spec) == path_count(spec) == len(enumerate_paths(spec))
+    # too many to enumerate: 1,081,724,803,600 paths
+    assert count_paths(PathSpec(2, 24, 12)) == path_count(PathSpec(2, 24, 12)) == 1081724803600
 
 
 @SHAPE_PROPERTY
