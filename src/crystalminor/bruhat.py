@@ -278,46 +278,41 @@ def xL_matrix(w: WordSpec):
 
 
 def det(matrix):
-    """Determinant by cofactor expansion with memoized column subsets.
+    """Determinant by cofactor expansion along the rows in their given
+    order, memoized by the set of columns left.
 
-    Rows are pre-sorted by sparsity (the expansion always uses the first
-    remaining row) and the parity of that reordering is restored at the end.
+    The expansion at a column set uses row size - len(cols).  Zero entries
+    are skipped, and a row with no nonzero entry left gives the ring's zero.
     Works over any commutative ring whose elements support +, *, unary -.
     """
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
-    order = sorted(range(size), key=lambda rr: sum(1 for e in matrix[rr] if e))
-    inversions = sum(
-        1 for a in range(size) for b in range(a + 1, size) if order[a] > order[b]
-    )
+    memo: dict[frozenset, object] = {}
 
-    memo: dict[tuple[int, frozenset], object] = {}
-
-    def go(depth: int, cols: frozenset):
-        row = order[depth]
+    def go(cols: frozenset):
+        row = matrix[size - len(cols)]
+        if len(cols) == 1:
+            (col,) = cols
+            return row[col]
+        if cols in memo:
+            return memo[cols]
         cols_list = sorted(cols)
-        if len(cols_list) == 1:
-            return matrix[row][cols_list[0]]
-        key = (depth, cols)
-        if key in memo:
-            return memo[key]
         acc = None
         for pos, col in enumerate(cols_list):
-            entry = matrix[row][col]
+            entry = row[col]
             if not entry:
                 continue
-            term = entry * go(depth + 1, cols - {col})
+            term = entry * go(cols - {col})
             if pos % 2:
                 term = -term
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = matrix[row][cols_list[0]] * 0
-        memo[key] = acc
+            acc = row[cols_list[0]] * 0
+        memo[cols] = acc
         return acc
 
-    result = go(0, frozenset(range(size)))
-    return -result if inversions % 2 else result
+    return go(frozenset(range(size)))
 
 
 def submatrix(matrix, rows: Sequence[int], cols: Sequence[int]):

@@ -214,12 +214,13 @@ def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> Cry
     """Connected component of seed under all raising and lowering operators.
 
     Breadth-first from the seed; discovery order (and hence node ids) is
-    deterministic.  Raises CapExceeded as soon as more than cap nodes exist.
+    deterministic.  Nodes are dequeued in id order and raising and lowering
+    invert each other, so each edge is recorded once, from its end with the
+    smaller id.  Raises CapExceeded as soon as more than cap nodes exist.
     """
     nodes = [node_stats(cfg, seed)]
     index = {seed: 0}
     edges: list[tuple[int, int, int]] = []
-    edge_seen: set[tuple[int, int, int]] = set()
     queue = deque([0])
     while queue:
         at = queue.popleft()
@@ -236,10 +237,8 @@ def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> Cry
                         raise CapExceeded(cap)
                     queue.append(index[other])
                 k = index[other]
-                edge = (at, i, k) if forward else (k, i, at)
-                if edge not in edge_seen:
-                    edge_seen.add(edge)
-                    edges.append(edge)
+                if k > at:
+                    edges.append((at, i, k) if forward else (k, i, at))
     return CrystalGraph(cfg.r, tuple(nodes), tuple(edges))
 
 

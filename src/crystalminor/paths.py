@@ -9,7 +9,8 @@ are implemented as well: one over stationary-entry arrays, one special
 to d = 1.
 
 The path sum and the array closed form are each one depth-first walk,
-over paths and over arrays respectively, that never copies a prefix.
+over paths and over arrays respectively: an explicit stack of one
+iterator per level, over a prefix kept in place and never copied.
 Every edge (or row at a given depth) is labelled and packed once by the
 Laurent kernel (``Monomial.packed``); a label is the int sum along the
 walk, and the sums pass their label counts to ``LaurentPoly.from_packed``
@@ -91,13 +92,6 @@ class Path:
         if rows[-1] != tuple(range(shift + 1, shift + d + 1)):
             raise ValueError("last level must be consecutive")
 
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Path":
-        """A path from rows that are valid by construction; no checks."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "rows", rows)
-        return p
-
     @property
     def m(self) -> int:
         return len(self.rows) - 1
@@ -154,41 +148,28 @@ def _path_walk(spec: PathSpec, table: dict):
     Yields (levels, label) per path: levels is the walk's own list of rows
     (copy it to keep it), label is the sum of the table's edge values along
     the path.  An edge value that is an exception is raised when the walk
-    first crosses the edge, so the error is the first path's.  The walk
-    descends along first children and stacks a (level, iterator) entry only
-    where siblings are left, so climbing back is one truncation.
+    first crosses the edge, so the error is the first path's.  The stack
+    holds one iterator per level, over the children of that level's row.
     """
     m = spec.m
-    levels = [spec.source()]
-    labels = [0]
-    stack = [(1, iter(table[0, levels[0]]))]
+    levels = [spec.source()] * (m + 1)
+    labels = [0] * (m + 1)
+    stack = [iter(table[0, levels[0]])]
     while stack:
-        s, it = stack[-1]
-        step = next(it, None)
+        s = len(stack)
+        step = next(stack[-1], None)
         if step is None:
             stack.pop()
             continue
-        del levels[s:], labels[s:]
-        while s < m:
-            nxt, delta = step
-            if isinstance(delta, Exception):
-                raise delta
-            levels.append(nxt)
-            labels.append(labels[-1] + delta)
-            kids = table[s, nxt]
-            it = iter(kids)
-            step = next(it)
-            s += 1
-            if s < m and len(kids) > 1:
-                stack.append((s, it))
-        # the last level: this step and the siblings left in it
-        base = labels[-1]
-        levels.append(None)
-        for nxt, delta in chain((step,), it):
-            if isinstance(delta, Exception):
-                raise delta
-            levels[-1] = nxt
-            yield levels, base + delta
+        nxt, delta = step
+        if isinstance(delta, Exception):
+            raise delta
+        levels[s] = nxt
+        labels[s] = labels[s - 1] + delta
+        if s < m:
+            stack.append(iter(table[s, nxt]))
+        else:
+            yield levels, labels[s]
 
 
 def count_paths(spec: PathSpec) -> int:
@@ -205,7 +186,9 @@ def count_paths(spec: PathSpec) -> int:
 
 
 def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
-    """All paths of the given shape, ordered by their flattened levels.
+    """All paths of the given shape, ordered by their flattened levels, each
+    built as a validated Path; a reference beside the sums, which walk the
+    same table without building paths.
 
     >>> [p.rows[1] for p in enumerate_paths(PathSpec(2, 3, 2))]
     [(1, 2), (1, 3), (1, 3), (2, 3), (2, 3), (2, 3)]
@@ -213,7 +196,7 @@ def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
     1
     """
     table = _path_table(spec, lambda s, cur, nxt: 0)
-    return tuple(Path._trusted(tuple(levels)) for levels, _ in _path_walk(spec, table))
+    return tuple(Path(tuple(levels)) for levels, _ in _path_walk(spec, table))
 
 
 def _slot(r: int, c: int, j: int) -> VarId | None:
@@ -356,52 +339,34 @@ def _array_walk(spec: PathSpec, rows: list, deltas: list):
     Yields (arr, label) per array: arr is the walk's own list of rows (copy
     it to keep it), label is the sum of deltas[j0][t] over its rows rows[t]
     at depths j0.  A delta that is an exception is raised when the walk
-    first reaches it.  The rows at or above rows[t] are found once per t;
-    the first is rows[t] itself, which the walk descends along, stacking a
-    (depth, iterator) entry only where other rows are left.
+    first reaches it.  The stack holds one iterator per depth, over the
+    rows at or above the row of the depth before it.
     """
     depth = spec.depth
     if not depth:
         yield [], 0
         return
-    last = depth - 1
-    above: list = [None] * len(rows)
-    arr: list = []
-    labels = [0]
-    stack = [(0, iter(range(len(rows))))]
+    # a walk one row deep never looks above a row
+    above = [[u for u in range(t, len(rows)) if all(map(ge, rows[u], floor))]
+             for t, floor in enumerate(rows)] if depth > 1 else []
+    arr = [None] * depth
+    labels = [0] * (depth + 1)
+    stack = [iter(range(len(rows)))]
     while stack:
-        j0, it = stack[-1]
-        t = next(it, None)
+        j0 = len(stack) - 1
+        t = next(stack[-1], None)
         if t is None:
             stack.pop()
             continue
-        del arr[j0:], labels[j0 + 1:]
-        while j0 < last:
-            delta = deltas[j0][t]
-            if isinstance(delta, Exception):
-                raise delta
-            arr.append(rows[t])
-            labels.append(labels[-1] + delta)
-            kids = above[t]
-            if kids is None:
-                floor = rows[t]
-                kids = above[t] = [
-                    u for u in range(t, len(rows)) if all(map(ge, rows[u], floor))
-                ]
-            it = iter(kids)
-            t = next(it)
-            j0 += 1
-            if j0 < last and len(kids) > 1:
-                stack.append((j0, it))
-        # the last row: this one and the rows left in it
-        base, row_deltas = labels[-1], deltas[last]
-        arr.append(None)
-        for u in chain((t,), it):
-            delta = row_deltas[u]
-            if isinstance(delta, Exception):
-                raise delta
-            arr[-1] = rows[u]
-            yield arr, base + delta
+        delta = deltas[j0][t]
+        if isinstance(delta, Exception):
+            raise delta
+        arr[j0] = rows[t]
+        labels[j0 + 1] = labels[j0] + delta
+        if j0 + 1 < depth:
+            stack.append(iter(above[t]))
+        else:
+            yield arr, labels[depth]
 
 
 def k_arrays(spec: PathSpec) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -3,7 +3,7 @@
 Each check is a generator over one family of exact identities on a
 bounded sweep; one runner (``_sweep``) registers it in CHECKS and turns
 it into a CheckResult: a one line summary plus one line per swept spec,
-already sorted.  A sweep that checks nothing fails.  Random cases are
+in sweep order.  A sweep that checks nothing fails.  Random cases are
 drawn from a local generator with an explicit seed, so repeated runs are
 byte-identical.
 """
@@ -56,7 +56,7 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-Sweep = Generator[tuple[tuple, str, str | None], None, tuple[str, int]]
+Sweep = Generator[tuple[str, str | None], None, tuple[str, int]]
 
 CHECKS: dict[str, Callable[..., CheckResult]] = {}
 
@@ -64,29 +64,29 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {}
 def _sweep(name: str) -> Callable[[Callable[..., Sweep]], Callable[..., CheckResult]]:
     """Register a sweep generator as the check ``name`` in CHECKS.
 
-    The generator yields ``(sort key, text, failure)`` per swept spec,
-    where failure is None or the summary detail, and returns ``(detail,
-    checked)``.  The runner writes ``PASS|FAIL <name> <text>`` lines,
-    stops at the first failure without resuming the generator, and
-    fails a sweep that checked nothing.
+    The generator yields ``(text, failure)`` per swept spec, in sweep
+    order, where failure is None or the summary detail, and returns
+    ``(detail, checked)``.  The runner writes ``PASS|FAIL <name> <text>``
+    lines in that order, stops at the first failure without resuming the
+    generator, and fails a sweep that checked nothing.
     """
 
     def register(sweep: Callable[..., Sweep]) -> Callable[..., CheckResult]:
         @functools.wraps(sweep)
         def run(*args, **kwargs) -> CheckResult:
-            rows: list[tuple[tuple, str]] = []
+            lines: list[str] = []
             specs = sweep(*args, **kwargs)
             try:
                 while True:
-                    key, text, failure = next(specs)
-                    rows.append((key, f"{'PASS' if failure is None else 'FAIL'} {name} {text}"))
+                    text, failure = next(specs)
+                    lines.append(f"{'PASS' if failure is None else 'FAIL'} {name} {text}")
                     if failure is not None:
                         break
             except StopIteration as stop:
                 detail, checked = stop.value
                 failure = None if checked else f"empty sweep ({detail})"
-            lines = tuple(line for _, line in sorted(rows))
-            return CheckResult(name, failure is None, detail if failure is None else failure, lines)
+            return CheckResult(name, failure is None, detail if failure is None else failure,
+                               tuple(lines))
 
         CHECKS[name] = run
         return run
@@ -142,7 +142,6 @@ def check_minor_chain(max_r: int = 5) -> Sweep:
     positions = 0
     for w in all_word_specs(max_r, min_r=2):
         cfg = CrystalConfig(w.r)
-        key = (w.r, w.m, w.last)
         ks = matched_positions(w)
         for k in ks:
             ms = MinorSpec(w, k)
@@ -157,9 +156,9 @@ def check_minor_chain(max_r: int = 5) -> Sweep:
             for route, value in routes:
                 if value != minor:
                     diff = _difference(route, value, "minor", minor)
-                    yield key, f"{tag} {route} mismatch", f"{route} mismatch at {tag}; {diff}"
+                    yield f"{tag} {route} mismatch", f"{route} mismatch at {tag}; {diff}"
             positions += 1
-        yield key, f"{_tag(w)} positions={len(ks)}", None
+        yield f"{_tag(w)} positions={len(ks)}", None
         words += 1
     return f"{words} words, {positions} positions, 4-way equal, r <= {max_r}", positions
 
@@ -170,7 +169,6 @@ def check_minor_paths(max_r: int = 5) -> Sweep:
     words = 0
     positions = 0
     for w in all_word_specs(max_r):
-        key = (w.r, w.m, w.last)
         ks = matched_positions(w)
         for k in ks:
             ms = MinorSpec(w, k)
@@ -178,9 +176,9 @@ def check_minor_paths(max_r: int = 5) -> Sweep:
             if total != minor:
                 tag = f"{_tag(w)} k={k}"
                 diff = _difference("path sum", total, "minor", minor)
-                yield key, f"{tag} mismatch", f"mismatch at {tag}; {diff}"
+                yield f"{tag} mismatch", f"mismatch at {tag}; {diff}"
             positions += 1
-        yield key, f"{_tag(w)} positions={len(ks)}", None
+        yield f"{_tag(w)} positions={len(ks)}", None
         words += 1
     return f"{words} words, {positions} positions, r <= {max_r}", positions
 
@@ -198,8 +196,8 @@ def check_closed_form(max_dim: int = 5) -> Sweep:
                 tag = f"d={d} m={m} mprime={mp}"
                 if closed != total:
                     diff = _difference("closed form", closed, "path sum", total)
-                    yield (d, m, mp), f"{tag} mismatch", f"mismatch at {tag}; {diff}"
-                yield (d, m, mp), f"{tag} terms={len(total)}", None
+                    yield f"{tag} mismatch", f"mismatch at {tag}; {diff}"
+                yield f"{tag} terms={len(total)}", None
                 count += 1
     return f"{count} shapes, d,m <= {max_dim}", count
 
@@ -213,15 +211,14 @@ def check_d1(max_r: int = 5) -> Sweep:
             continue
         for k in matched_positions(w):
             ms = MinorSpec(w, k)
-            key = (w.r, w.m, w.last, k)
             tag = f"{_tag(w)} k={k}"
             poly, minor = d1_closed_form(w.m, ms.mprime, w.r), delta_L(ms)
             if poly != minor:
                 diff = _difference("closed form", poly, "minor", minor)
-                yield key, f"{tag} mismatch", f"mismatch at {tag}; {diff}"
+                yield f"{tag} mismatch", f"mismatch at {tag}; {diff}"
             if len(poly) != comb(w.m, ms.mprime):
-                yield key, f"{tag} term count", f"term count at {tag}"
-            yield key, f"{tag} terms={len(poly)}", None
+                yield f"{tag} term count", f"term count at {tag}"
+            yield f"{tag} terms={len(poly)}", None
             count += 1
     return f"{count} width-one positions, r <= {max_r}", count
 
@@ -249,7 +246,6 @@ def check_torus_factor(max_r: int = 4, samples: int = 50, seed: int = DEFAULT_SE
     for w in all_word_specs(max_r):
         for k in range(1, w.n + 1):
             ms = MinorSpec(w, k)
-            key = (w.r, w.m, w.last, k)
             tag = f"{_tag(w)} k={k}"
             symbolic = delta_L(ms)
             for _ in range(samples):
@@ -257,9 +253,9 @@ def check_torus_factor(max_r: int = 4, samples: int = 50, seed: int = DEFAULT_SE
                 t = _random_values(rng, w)
                 factor = prod(a[row - 1] for row in ms.rows)
                 if delta_G(ms, a, t) != factor * symbolic.evaluate(t):
-                    yield key, f"{tag} mismatch", f"mismatch at {tag} a={a} t={t}"
+                    yield f"{tag} mismatch", f"mismatch at {tag} a={a} t={t}"
                 count += 1
-            yield key, f"{tag} samples={samples}", None
+            yield f"{tag} samples={samples}", None
     return f"{count} samples, r <= {max_r}", count
 
 
@@ -283,11 +279,10 @@ def check_phi_factorization(max_r: int = 4, samples: int = DEFAULT_PHI_SAMPLES,
     rng = random.Random(seed)
     count = 0
     for w in all_word_specs(max_r):
-        key = (w.r, w.m, w.last)
         bad = _phi_mismatch(w, samples, rng)
         if bad is not None:
-            yield key, f"{_tag(w)} mismatch", f"mismatch at {_tag(w)} a={bad[1]} t={bad[2]}"
-        yield key, f"{_tag(w)} samples={samples}", None
+            yield f"{_tag(w)} mismatch", f"mismatch at {_tag(w)} a={bad[1]} t={bad[2]}"
+        yield f"{_tag(w)} samples={samples}", None
         count += samples
     return f"{count} samples, r <= {max_r}", count
 
@@ -311,15 +306,14 @@ def check_truncation(max_r: int = 4) -> Sweep:
         if ext is None:
             continue
         appended = ext.letter(ext.n)
-        key = (w.r, w.m, w.last)
         checked = 0
         for k in range(1, w.n + 1):
             if w.letter(k) == appended:
                 continue
             if not delta_L_truncation_check(w, k):
-                yield key, f"{_tag(w)} k={k} changed", f"changed at {_tag(w)} k={k}"
+                yield f"{_tag(w)} k={k} changed", f"changed at {_tag(w)} k={k}"
             checked += 1
-        yield key, f"{_tag(w)} positions={checked}", None
+        yield f"{_tag(w)} positions={checked}", None
         count += checked
     return f"{count} extensions, r <= {max_r}", count
 
@@ -376,29 +370,29 @@ def check_axioms(max_r: int = 5) -> Sweep:
     keep the component sizes small.
     """
 
-    def components() -> Iterator[tuple[tuple, str, CrystalConfig, CrystalGraph, int | None]]:
+    def components() -> Iterator[tuple[str, CrystalConfig, CrystalGraph, int | None]]:
         for r in range(1, max_r + 1):
             cfg = CrystalConfig(r)
             for d in range(1, r + 1):
                 g = component(cfg, Monomial.of((VarId(-1, d), 1)))
-                yield (0, r, d), f"fundamental r={r} d={d}", cfg, g, comb(r + 1, d)
+                yield f"fundamental r={r} d={d}", cfg, g, comb(r + 1, d)
         for w in all_word_specs(min(max_r, 4), min_r=2):
             cfg = CrystalConfig(w.r)
             for k in matched_positions(w):
                 g = component(cfg, demazure_data(w, k).seed)
-                yield (1, w.r, w.m, w.last, k), f"minor-seed {_tag(w)} k={k}", cfg, g, None
+                yield f"minor-seed {_tag(w)} k={k}", cfg, g, None
 
     nodes = 0
     graphs = 0
-    for key, tag, cfg, g, expect in components():
+    for tag, cfg, g, expect in components():
         size = g.node_count()
         if expect is not None and size != expect:
             failure = f"component size at {tag}: {size} != {expect}"
-            yield key, f"{tag} nodes={size} expected={expect}", failure
+            yield f"{tag} nodes={size} expected={expect}", failure
         bad = crystal_axiom_failures(cfg, g)
         if bad:
-            yield key, f"{tag} {bad[0]}", f"{tag}: {bad[0]}"
-        yield key, f"{tag} nodes={size} edges={g.edge_count()}", None
+            yield f"{tag} {bad[0]}", f"{tag}: {bad[0]}"
+        yield f"{tag} nodes={size} edges={g.edge_count()}", None
         nodes += size
         graphs += 1
     return f"{graphs} components, {nodes} nodes, r <= {max_r}", graphs

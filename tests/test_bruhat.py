@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalminor.bruhat import (
     MinorSpec,
@@ -35,7 +39,7 @@ from crystalminor.errors import (
     NotInTorus,
     ZeroAssignment,
 )
-from crystalminor.laurent import LaurentPoly, VarId
+from crystalminor.laurent import LaurentPoly, Monomial, VarId
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +239,46 @@ def test_det_of_cell_matrix_is_one():
     for r in range(1, 4):
         w = WordSpec(r, r, 1)
         assert det(xL_matrix(w)) == LaurentPoly.one()
+
+
+def _leibniz_det(matrix) -> LaurentPoly:
+    """Sum over permutations of the signed products of one entry per row."""
+    total = LaurentPoly.zero()
+    size = len(matrix)
+    for perm in itertools.permutations(range(size)):
+        term = functools.reduce(operator.mul, (matrix[i][perm[i]] for i in range(size)),
+                                LaurentPoly.one())
+        inversions = sum(perm[a] > perm[b] for a in range(size) for b in range(a + 1, size))
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+small_polys = st.builds(
+    LaurentPoly.from_terms,
+    st.lists(st.tuples(
+        st.builds(lambda pairs: Monomial.of(*pairs), st.lists(
+            st.tuples(st.builds(VarId, st.integers(0, 1), st.integers(1, 2)), st.integers(-2, 2)),
+            max_size=2)),
+        st.integers(-3, 3)), max_size=2),
+)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """A square matrix of small polynomials, zero entries frequent, some
+    rows all zero."""
+    size = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(LaurentPoly.zero()), small_polys)
+    rows = [draw(st.lists(entry, min_size=size, max_size=size)) for _ in range(size)]
+    for i in draw(st.sets(st.integers(0, size - 1), max_size=1)):
+        rows[i] = [LaurentPoly.zero()] * size
+    return rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(laurent_matrices())
+def test_det_matches_leibniz_expansion_over_laurent_entries(matrix):
+    assert det(matrix) == _leibniz_det(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from crystalminor.crystal import DEFAULT_CAP
 from crystalminor.laurent import EXPONENT_LIMIT, Monomial, VarId, poly_from_json
 from crystalminor.paths import PathSpec, paths_dot, paths_json
 from crystalminor.verify import (
+    CHECKS,
     DEFAULT_PHI_SAMPLES,
     CheckResult,
     all_word_specs,
@@ -563,3 +565,114 @@ def test_output_does_not_depend_on_the_order_variables_are_packed():
     assert runs[0][1:] == runs[1][1:]
     assert "PASS thm5-5: 34 words, 69 positions" in runs[0][1]
     assert len(runs[0]) == 2 + sum(w.n for w in all_word_specs(4))
+
+
+def _assert_exit_contract(argv, code, err):
+    """Exit 0, 1 or 2; nothing on stderr on success; on a usage or domain
+    error exactly one `error: ` line, after argparse's usage if it speaks."""
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "", argv
+    if code == 2:
+        lines = err.splitlines()
+        assert [line for line in lines if "error: " in line] == lines[-1:], argv
+        assert len(lines) == 1 or lines[0].startswith("usage: "), argv
+
+
+NUMBERS = ["1", "2", "-1", "1/2", "-3/4", "0", "1/0", "x", "", "2.5"]
+
+
+def _mostly(draw, good, bad):
+    """good in about seven draws of eight, else one of bad."""
+    return good if draw(st.integers(0, 7)) else draw(st.sampled_from(bad))
+
+
+@st.composite
+def other_command_argv(draw):
+    """A `minor`, `seed`, `phi check` or `verify` command, mostly well
+    formed, with wrong counts, zeros, bad labels and inapplicable flags
+    mixed in."""
+    w = draw(st.sampled_from(list(all_word_specs(3))))
+    r = _mostly(draw, w.r, [w.r + 1, 0, -1])
+    word = _mostly(draw, ",".join(map(str, w.letters())), ["1,,2", "a", "", "0,1", "1,3"])
+    command = draw(st.sampled_from(["minor", "bmatrix", "mutate", "phi", "verify"]))
+    if command == "minor":
+        k = _mostly(draw, draw(st.integers(1, w.n)), [-1, 0, w.n + 1])
+        argv = ["minor", "--r", str(r), f"--word={word}", f"--k={k}",
+                "--format", draw(st.sampled_from(["tau", "json", "y"]))]
+        numeric = draw(st.sampled_from(["none", "both", "both", "a", "t"]))
+        torus = _mostly(draw, ",".join(["2"] + ["1"] * (w.r - 1) + ["1/2"]),
+                        ["1,1", "1,1,1,1,1", "0," + "1," * w.r + "1", "2," * w.r + "2", "x"])
+        good = ",".join(str(draw(st.integers(1, 3))) for _ in range(w.n))
+        bad = draw(st.lists(st.sampled_from(NUMBERS), min_size=w.n - 1, max_size=w.n + 1))
+        values = _mostly(draw, good, [",".join(bad)])
+        if numeric in ("both", "a"):
+            argv.append(f"--a={torus}")
+        if numeric in ("both", "t"):
+            argv.append(f"--t={values}")
+        return argv
+    if command in ("bmatrix", "mutate"):
+        argv = ["seed", command, "--r", str(r), f"--word={word}",
+                "--format", draw(st.sampled_from(["text", "json"]))]
+        if command == "mutate":
+            label = st.one_of(st.sampled_from(seed_matrix(w).cols), st.integers(-w.r - 2, w.n + 2))
+            labels = draw(st.lists(label, min_size=1, max_size=4))
+            labels += labels[:draw(st.integers(0, 2))]
+            argv.append(f"--k={_mostly(draw, ','.join(map(str, labels)), ['a', '', '1,,2'])}")
+        return argv
+    if command == "phi":
+        return ["phi", "check", "--r", str(r), f"--word={word}",
+                "--samples", str(_mostly(draw, draw(st.integers(1, 3)), [0, -1, -2])),
+                f"--seed={_mostly(draw, '7', ['0', '-5', 'x', '1.5', ''])}"]
+    check = draw(st.sampled_from(sorted(CHECKS)))
+    bound = "--max-dim" if check == "prop6-10" else "--max-r"
+    argv = ["verify", check, bound, str(draw(st.integers(0, 2)))]
+    for flag in draw(st.lists(st.sampled_from(["--max-r", "--max-dim", "--samples", "--seed"]),
+                              max_size=2, unique=True)):
+        if flag != bound:
+            argv += [flag, str(draw(st.integers(-1, 2)))]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(other_command_argv())
+def test_minor_seed_phi_and_verify_commands_never_raise(argv):
+    code, _, err = call(argv)
+    _assert_exit_contract(argv, code, err)
+
+
+def _readme_examples():
+    """(argv, shown output lines) of every `$ crystalminor` line of README.md."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for n, line in enumerate(lines):
+        if line.startswith("$ crystalminor "):
+            shown = []
+            for after in lines[n + 1:]:
+                if after.startswith(("$ ", "```")):
+                    break
+                shown.append(after)
+            examples.append((shlex.split(line[2:], comments=True)[1:], shown))
+    return examples
+
+
+def test_readme_command_examples_run_and_print_what_they_show():
+    examples = _readme_examples()
+    assert len(examples) >= 12
+    for argv, shown in examples:
+        code, out, err = call(argv)
+        assert (code, err) == (0, ""), argv
+        got = out.splitlines()
+        if "..." in shown:
+            cut = shown.index("...")
+            head, tail = shown[:cut], shown[cut + 1:]
+            assert got[:len(head)] == head and got[len(got) - len(tail):] == tail, argv
+        elif shown:
+            assert got == shown, argv
+    assert [shown for _, shown in examples if shown] == [
+        [GOLDEN_MINOR],
+        ["5/2"],
+        ["PASS phi: r=3 word=1,2,3,1,2,1 samples=20"],
+        ["PASS thm5-5 r=2 word=1 positions=1", "...",
+         "PASS thm5-5: 34 words, 69 positions, 4-way equal, r <= 5"],
+    ]

@@ -520,3 +520,44 @@ def test_a_monomial_cache_is_bounded():
     cfg = CrystalConfig(3)
     assert a_monomial(cfg, 7, 2) is a_monomial(cfg, 7, 2)
     assert crystal._a_pair.cache_info().maxsize == 1024
+
+
+def _set_deduplicated_component(cfg, seed, cap):
+    """(monomials, edges) by the breadth-first search that records an edge
+    from both of its ends and keeps its first sighting."""
+    monomials, index = [seed], {seed: 0}
+    edges, seen = [], set()
+    at = 0
+    while at < len(monomials):
+        m = monomials[at]
+        for i in cfg.colors():
+            for step, forward in ((apply_f, True), (apply_e, False)):
+                other = step(cfg, m, i)
+                if other is None:
+                    continue
+                if other not in index:
+                    index[other] = len(monomials)
+                    monomials.append(other)
+                    if len(monomials) > cap:
+                        raise CapExceeded(cap)
+                k = index[other]
+                edge = (at, i, k) if forward else (k, i, at)
+                if edge not in seen:
+                    seen.add(edge)
+                    edges.append(edge)
+        at += 1
+    return monomials, edges
+
+
+@PROPERTY
+@given(rank_and_monomial())
+def test_component_edges_come_in_set_deduplicated_bfs_order_property(cfg_m):
+    cfg, seed = cfg_m
+    try:
+        want = _set_deduplicated_component(cfg, seed, 300)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            component(cfg, seed, cap=300)
+        return
+    g = component(cfg, seed, cap=300)
+    assert ([n.monomial for n in g.nodes], list(g.edges)) == want

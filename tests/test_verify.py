@@ -1,5 +1,7 @@
 """The named check layer: results, determinism, swept word specs."""
 
+import re
+
 import pytest
 
 from crystalminor import verify
@@ -157,3 +159,39 @@ def test_failure_detail_shows_at_most_three_terms_per_side():
     p = LaurentPoly.from_terms((Monomial.of((VarId(0, i), 1)), 1) for i in range(1, 6))
     detail = verify._difference("left", p, "right", LaurentPoly.one())
     assert detail == "only in left: Y[0,5] + Y[0,4] + Y[0,3] (+2 more); only in right: 1"
+
+
+def _spec_key(line: str) -> tuple[int, ...]:
+    """The numeric spec fields of one sweep line, in sweep order: the group
+    (fundamental components before minor seeds), r, the word's (m, last),
+    k, then d, m, mprime of a path shape."""
+    fields = dict(re.findall(r"(\w+)=(\S+)", line))
+    key = [int(" minor-seed " in line)]
+    if "r" in fields:
+        key.append(int(fields["r"]))
+    if "word" in fields:
+        w = WordSpec.from_letters(int(fields["r"]), [int(x) for x in fields["word"].split(",")])
+        key += [w.m, w.last]
+    key += [int(fields[name]) for name in ("k", "d", "m", "mprime") if name in fields]
+    return tuple(key)
+
+
+SWEEP_BOUNDS = {
+    "thm5-5": {"max_r": 4},
+    "prop6-1": {"max_r": 4},
+    "prop6-10": {"max_dim": 3},
+    "thm5-6": {"max_r": 4},
+    "prop5-1": {"max_r": 3, "samples": 1},
+    "prop2-4": {"max_r": 3, "samples": 1},
+    "lemma5-4": {"max_r": 4},
+    "axioms": {"max_r": 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_sweep_lines_follow_the_numeric_order_of_their_specs(name):
+    res = CHECKS[name](**SWEEP_BOUNDS[name])
+    assert res.passed, res.detail
+    keys = [_spec_key(line) for line in res.lines]
+    # one line per spec, compared as numbers and not as text
+    assert len(keys) > 3 and keys == sorted(set(keys)), name
