@@ -10,8 +10,11 @@ shift grows.
 
 Each operator call is one pass over the monomial's factors that reads only
 color i and builds no lists; A[s,i] and its inverse depend only on
-(r, s, i) and are built once each, in a bounded cache.  Operator results
-are never cached, so every call really applies the operator.
+(r, s, i) and are built once each, in a bounded cache.  The searches
+(``component``, ``demazure``) scan each node once, in ``node_stats``, which
+records the shifts of every color's operators along with the string data;
+each step then multiplies by the cached A[s,i] or its inverse.  Operator
+results are never cached, so every step really applies the operator.
 
 Connected components of this action are finite crystal graphs; closing a
 suitable extremal monomial under one operator along a reduced word, letter by
@@ -29,6 +32,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import attrgetter
 
 from .errors import CapExceeded, ColorOutOfRange, NotTauRenderable
 from .laurent import LaurentPoly, Monomial, VarId
@@ -103,32 +107,45 @@ def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
 
 @dataclass(frozen=True)
 class CrystalNode:
-    """A monomial with its cached weight and string data."""
+    """A monomial with its cached weight, string data and operator shifts."""
 
     monomial: Monomial
     weight: tuple[int, ...]
     phi: tuple[int, ...]
     epsilon: tuple[int, ...]
+    raise_shift: tuple[int | None, ...]
+    lower_shift: tuple[int | None, ...]
 
 
 def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
-    """Weight, phi and epsilon of m in all colors, in one pass over m.
+    """Weight, string data and operator shifts of m in all colors, in one
+    pass over m.
 
     weight[i-1] is the exponent sum of color i; phi[i-1] is the max over
     shifts n of the partial exponent sum of color i up to n (at least 0);
-    epsilon[i-1] = phi[i-1] - weight[i-1].  Colors above r are ignored.
+    epsilon[i-1] = phi[i-1] - weight[i-1].  raise_shift[i-1] and
+    lower_shift[i-1] are the shifts that ``kashiwara_rows(cfg, m, i)``
+    returns, None where the operator is undefined.  Colors above r are
+    ignored.
     """
     r = cfg.r
     run = [0] * (r + 1)
     top = [0] * (r + 1)
-    for (_, c), e in m.factors:
+    follower: list[int | None] = [None] * (r + 1)
+    lower: list[int | None] = [None] * (r + 1)
+    for (s, c), e in m.factors:
         if c <= r:
-            total = run[c] + e
+            total, best = run[c], top[c]
+            if total == best:  # the partial sum before this factor attains phi
+                follower[c] = s
+            total += e
             run[c] = total
-            if total > top[c]:
-                top[c] = total
+            if total > best:
+                top[c], lower[c] = total, s
     weight, phi = tuple(run[1:]), tuple(top[1:])
-    return CrystalNode(m, weight, phi, tuple(p - w for p, w in zip(phi, weight)))
+    epsilon = tuple([p - w for p, w in zip(phi, weight)])
+    raise_shift = tuple([f - 1 if eps else None for f, eps in zip(follower[1:], epsilon)])
+    return CrystalNode(m, weight, phi, epsilon, raise_shift, tuple(lower[1:]))
 
 
 def kashiwara_rows(cfg: CrystalConfig, m: Monomial, i: int) -> tuple[int | None, int | None]:
@@ -214,31 +231,37 @@ def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> Cry
     """Connected component of seed under all raising and lowering operators.
 
     Breadth-first from the seed; discovery order (and hence node ids) is
-    deterministic.  Nodes are dequeued in id order and raising and lowering
-    invert each other, so each edge is recorded once, from its end with the
-    smaller id.  Raises CapExceeded as soon as more than cap nodes exist.
+    deterministic.  Each node is scanned once, by ``node_stats`` when it is
+    found; its recorded shifts then give, per color, f_i where phi_i > 0
+    and e_i where epsilon_i > 0, each applied as a product with the cached
+    A[s,i] or its inverse.  Nodes are dequeued in id order and raising and
+    lowering invert each other, so each edge is recorded once, from its
+    end with the smaller id.  Raises CapExceeded as soon as more than cap
+    nodes exist.
     """
+    r = cfg.r
     nodes = [node_stats(cfg, seed)]
     index = {seed: 0}
     edges: list[tuple[int, int, int]] = []
     queue = deque([0])
     while queue:
         at = queue.popleft()
-        m = nodes[at].monomial
-        for i in cfg.colors():
-            for step, forward in ((apply_f, True), (apply_e, False)):
-                other = step(cfg, m, i)
-                if other is None:
+        node = nodes[at]
+        m = node.monomial
+        for i, down, up in zip(cfg.colors(), node.lower_shift, node.raise_shift):
+            for shift, half in ((down, 1), (up, 0)):  # half 1 is A[s,i]^-1: lowering
+                if shift is None:
                     continue
-                if other not in index:
-                    index[other] = len(nodes)
+                other = m * _a_pair(r, shift, i)[half]
+                k = index.get(other)
+                if k is None:
+                    k = index[other] = len(nodes)
                     nodes.append(node_stats(cfg, other))
                     if len(nodes) > cap:
                         raise CapExceeded(cap)
-                    queue.append(index[other])
-                k = index[other]
+                    queue.append(k)
                 if k > at:
-                    edges.append((at, i, k) if forward else (k, i, at))
+                    edges.append((at, i, k) if half else (k, i, at))
     return CrystalGraph(cfg.r, tuple(nodes), tuple(edges))
 
 
@@ -264,36 +287,49 @@ def demazure(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> 
     """Demazure subset of the component of spec.seed, in discovery order.
 
     The word is consumed from its last letter to its first; each letter
-    closes the current set under every power of the one-color operator.
-    The result therefore only grows as letters are consumed, and a suffix
-    of the word yields a subset of the full word's result.
+    closes the current set under every power of the one-color operator,
+    walking the letter's string from each member found before it.  The
+    result therefore only grows as letters are consumed, and a suffix of
+    the word yields a subset of the full word's result.
+
+    Each member is scanned once, by ``node_stats`` when it is found, and
+    each step multiplies by the cached A[s,i] or its inverse at the shift
+    recorded there.  A walk stops at a member that this letter has already
+    walked from, since the rest of its string is already in the set; the
+    discovery order is that of full walks.
     """
     for i in spec.word:
         _check_color(cfg, i)
-    stats = node_stats(cfg, spec.seed)
+    seed_stats = node_stats(cfg, spec.seed)
     if spec.sign == "minus":
-        if any(stats.phi):
+        if any(seed_stats.phi):
             raise ValueError("minus-sign seed must have phi = 0 in every color")
-        step = apply_e
+        pick, half = attrgetter("raise_shift"), 0
     else:
-        if any(stats.epsilon):
+        if any(seed_stats.epsilon):
             raise ValueError("plus-sign seed must have epsilon = 0 in every color")
-        step = apply_f
+        pick, half = attrgetter("lower_shift"), 1
+    r = cfg.r
     out = [spec.seed]
-    seen = {spec.seed}
+    shifts = [pick(seed_stats)]
+    index = {spec.seed: 0}
     for i in reversed(spec.word):
-        for m in list(out):
-            cur = m
-            while True:
-                nxt = step(cfg, cur, i)
-                if nxt is None:
+        walked: set[int] = set()
+        for start in range(len(out)):
+            at = start
+            while at not in walked:
+                walked.add(at)
+                shift = shifts[at][i - 1]
+                if shift is None:
                     break
-                if nxt not in seen:
-                    seen.add(nxt)
+                nxt = out[at] * _a_pair(r, shift, i)[half]
+                at = index.get(nxt)
+                if at is None:
+                    at = index[nxt] = len(out)
                     out.append(nxt)
                     if len(out) > cap:
                         raise CapExceeded(cap)
-                cur = nxt
+                    shifts.append(pick(node_stats(cfg, nxt)))
     return tuple(out)
 
 

@@ -36,7 +36,9 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ExponentOverflow, MissingAssignment, ZeroAssignment
@@ -56,6 +58,9 @@ class VarId(NamedTuple):
 
     def __str__(self) -> str:
         return f"Y[{self.s},{self.i}]"
+
+
+_VAR = itemgetter(0)
 
 
 def _check_var(v: VarId) -> VarId:
@@ -134,15 +139,21 @@ class Monomial:
             return self
         if not self._factors:
             return other
-        # both factor tuples are already valid: add exponents, drop zeros
-        acc = dict(self._factors)
-        for v, e in other._factors:
-            e += acc.get(v, 0)
+        # both factor tuples are already sorted and zero-free: merge the
+        # shorter into the longer, each factor placed by binary search
+        short, long = self._factors, other._factors
+        if len(short) > len(long):
+            short, long = long, short
+        out = list(long)
+        lo = 0
+        for v, e in short:
+            lo = bisect_left(out, v, lo, key=_VAR)
+            if lo < len(out) and out[lo][0] == v:
+                e += out.pop(lo)[1]
             if e:
-                acc[v] = e
-            else:
-                del acc[v]
-        return Monomial(tuple(sorted(acc.items())))
+                out.insert(lo, (v, e))
+                lo += 1
+        return Monomial(tuple(out))
 
     def inverse(self) -> "Monomial":
         return Monomial(tuple((v, -e) for v, e in self._factors))

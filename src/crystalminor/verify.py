@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
+from operator import add
 from typing import Callable, Generator, Iterator
 
 from .bruhat import (
@@ -325,38 +326,56 @@ def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]
     pairing, operators defined exactly when the string data is positive,
     weight steps by a Cartan column, string data steps by one, raising
     and lowering invert each other, and neither leaves the component.
+
+    ``apply_e`` and ``apply_f`` are applied once per (node, color), never
+    to a cached result, and each result is recorded by node id (None when
+    undefined, -1 outside the graph); the inverse checks then compare ids.
     """
+    colors = cfg.colors()
+
+    def ids(step: Callable) -> list[list[int | None]]:
+        table = []
+        for node in graph.nodes:
+            row: list[int | None] = []
+            for i in colors:
+                other = step(cfg, node.monomial, i)
+                row.append(None if other is None else graph.index_of(other) if other in graph else -1)
+            table.append(row)
+        return table
+
+    ups, downs = ids(apply_e), ids(apply_f)
+    columns = [tuple(cartan(j, i) for j in colors) for i in colors]
     bad: list[str] = []
-    for node in graph.nodes:
-        for i in cfg.colors():
+    for node, up_row, down_row in zip(graph.nodes, ups, downs):
+        me = graph.index_of(node.monomial)
+        for i, up, down, column in zip(colors, up_row, down_row, columns):
             phi, eps = node.phi[i - 1], node.epsilon[i - 1]
             if phi < 0 or eps < 0:
                 bad.append(f"negative string data at {node.monomial} color {i}")
             if phi - eps != node.weight[i - 1]:
                 bad.append(f"phi - eps != weight at {node.monomial} color {i}")
-            up = apply_e(cfg, node.monomial, i)
             if (up is not None) != (eps > 0):
                 bad.append(f"raising defined iff eps positive fails at {node.monomial} color {i}")
             if up is not None:
-                if up not in graph:
+                if up < 0:
                     bad.append(f"raising leaves component at {node.monomial} color {i}")
                     continue
-                stats = graph.nodes[graph.index_of(up)]
-                for j in cfg.colors():
-                    if stats.weight[j - 1] != node.weight[j - 1] + cartan(j, i):
-                        bad.append(f"weight step at {node.monomial} colors {i},{j}")
+                stats = graph.nodes[up]
+                if stats.weight != tuple(map(add, node.weight, column)):
+                    for j in colors:
+                        if stats.weight[j - 1] != node.weight[j - 1] + column[j - 1]:
+                            bad.append(f"weight step at {node.monomial} colors {i},{j}")
                 if stats.epsilon[i - 1] != eps - 1 or stats.phi[i - 1] != phi + 1:
                     bad.append(f"string step at {node.monomial} color {i}")
-                if apply_f(cfg, up, i) != node.monomial:
+                if downs[up][i - 1] != me:
                     bad.append(f"lowering does not invert raising at {node.monomial} color {i}")
-            down = apply_f(cfg, node.monomial, i)
             if (down is not None) != (phi > 0):
                 bad.append(f"lowering defined iff phi positive fails at {node.monomial} color {i}")
             if down is not None:
-                if down not in graph:
+                if down < 0:
                     bad.append(f"lowering leaves component at {node.monomial} color {i}")
                     continue
-                if apply_e(cfg, down, i) != node.monomial:
+                if ups[down][i - 1] != me:
                     bad.append(f"raising does not invert lowering at {node.monomial} color {i}")
     return bad
 

@@ -498,6 +498,17 @@ def test_node_stats_match_per_color_reference_property(cfg_m):
 
 @PROPERTY
 @given(rank_and_monomial())
+def test_node_stats_shifts_match_kashiwara_rows_property(cfg_m):
+    cfg, m = cfg_m
+    stats = node_stats(cfg, m)
+    assert len(stats.raise_shift) == len(stats.lower_shift) == cfg.r
+    for i in cfg.colors():
+        shifts = (stats.raise_shift[i - 1], stats.lower_shift[i - 1])
+        assert shifts == kashiwara_rows(cfg, m, i) == _reference_rows(m, i)
+
+
+@PROPERTY
+@given(rank_and_monomial())
 def test_operators_invert_and_step_by_one_property(cfg_m):
     cfg, m = cfg_m
     here = node_stats(cfg, m)
@@ -561,3 +572,50 @@ def test_component_edges_come_in_set_deduplicated_bfs_order_property(cfg_m):
         return
     g = component(cfg, seed, cap=300)
     assert ([n.monomial for n in g.nodes], list(g.edges)) == want
+
+
+def _full_walk_demazure(cfg, spec, cap):
+    """Demazure closure that walks every member's string to its end with
+    the per-color operators."""
+    step = apply_e if spec.sign == "minus" else apply_f
+    out, seen = [spec.seed], {spec.seed}
+    for i in reversed(spec.word):
+        for m in list(out):
+            cur = step(cfg, m, i)
+            while cur is not None:
+                if cur not in seen:
+                    seen.add(cur)
+                    out.append(cur)
+                    if len(out) > cap:
+                        raise CapExceeded(cap)
+                cur = step(cfg, cur, i)
+    return tuple(out)
+
+
+@st.composite
+def demazure_specs(draw):
+    """A rank, a word in its colors and an extremal seed: exponents all of
+    one sign make epsilon = 0 (plus) or phi = 0 (minus) in every color."""
+    r = draw(st.integers(1, 4))
+    sign = draw(st.sampled_from(["minus", "plus"]))
+    word = tuple(draw(st.lists(st.integers(1, r), max_size=10)))
+    pairs = draw(st.lists(
+        st.tuples(st.builds(VarId, st.integers(-2, 3), st.integers(1, r + 1)), st.integers(1, 2)),
+        max_size=5,
+    ))
+    if sign == "minus":
+        pairs = [(v, -e) for v, e in pairs]
+    return CrystalConfig(r), DemazureSpec(word, sign, Monomial.of(*pairs))
+
+
+@PROPERTY
+@given(demazure_specs())
+def test_demazure_matches_full_walks_property(cfg_spec):
+    cfg, spec = cfg_spec
+    try:
+        want = _full_walk_demazure(cfg, spec, 300)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            demazure(cfg, spec, cap=300)
+        return
+    assert demazure(cfg, spec, cap=300) == want

@@ -67,3 +67,17 @@ def test_route_imports_sees_every_import_form():
         ("crystal", "ell"), ("crystal", "component"), ("paths", "*"),
         ("bruhat", "det"), ("crystal", "*"), ("bruhat", "delta_L"),
     }
+
+
+def test_verify_takes_only_public_crystal_names():
+    """The axiom checker must not couple to the crystal search's private
+    helpers: it imports public names only, never the whole module, and
+    reads no private attribute (such as ``CrystalGraph._index``)."""
+    source = (Path(crystalminor.__file__).parent / "verify.py").read_text(encoding="utf-8")
+    names = {name for route, name in route_imports(source) if route == "crystal"}
+    assert names and all(name != "*" and not name.startswith("_") for name in names), sorted(names)
+    private = sorted({
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__")
+    })
+    assert private == []

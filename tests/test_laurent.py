@@ -271,6 +271,45 @@ def test_monomial_order_matches_reference(a, b):
     assert (c == 0) == (a == b)
 
 
+@st.composite
+def factor_sets(draw):
+    """Two monomials whose factor sets interleave, lie one below the other,
+    cancel completely, cancel in part, or overlap at random."""
+    kind = draw(st.sampled_from(["interleaved", "disjoint", "cancelling", "partly cancelling",
+                                 "random"]))
+    variables = sorted(draw(st.sets(st.builds(VarId, st.integers(-3, 4), st.integers(1, 4)),
+                                    max_size=10)))
+    exponents = st.integers(-3, 3).filter(bool)
+    factors = [(v, draw(exponents)) for v in variables]
+    if kind == "interleaved":
+        a, b = Monomial.of(*factors[::2]), Monomial.of(*factors[1::2])
+    elif kind == "disjoint":
+        half = draw(st.integers(0, len(factors)))
+        a, b = Monomial.of(*factors[:half]), Monomial.of(*factors[half:])
+    elif kind == "cancelling":
+        a = Monomial.of(*factors)
+        b = a.inverse()
+    elif kind == "partly cancelling":
+        a = Monomial.of(*factors)
+        b = Monomial.of(*((v, -e if draw(st.booleans()) else draw(exponents)) for v, e in factors))
+    else:
+        a, b = draw(monos), draw(monos)
+    return a, b
+
+
+@PROPERTY
+@given(factor_sets())
+def test_monomial_product_matches_accumulated_factors_property(ab):
+    a, b = ab
+    want = Monomial.of(*a.factors, *b.factors)
+    for product in (a * b, b * a):
+        assert product == want and hash(product) == hash(want)
+        assert product.factors == want.factors
+        variables = [v for v, _ in product.factors]
+        assert variables == sorted(set(variables))
+        assert all(e != 0 for _, e in product.factors)
+
+
 @PROPERTY
 @given(term_lists, st.randoms(use_true_random=False))
 def test_equal_polys_hash_equal_whatever_the_term_order(terms, rng):

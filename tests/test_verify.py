@@ -1,12 +1,19 @@
 """The named check layer: results, determinism, swept word specs."""
 
+import dataclasses
 import re
 
 import pytest
 
 from crystalminor import verify
 from crystalminor.bruhat import WordSpec
-from crystalminor.crystal import CrystalConfig, demazure_polynomial, tau_render_poly
+from crystalminor.crystal import (
+    CrystalConfig,
+    CrystalGraph,
+    cartan,
+    demazure_polynomial,
+    tau_render_poly,
+)
 from crystalminor.laurent import LaurentPoly, Monomial, VarId
 from crystalminor.verify import (
     CHECKS,
@@ -113,6 +120,121 @@ def test_axiom_checker_catches_truncation():
         e for e in g.edges if e[0] < 2 and e[1] < 2
     ))
     assert crystal_axiom_failures(cfg, half)
+
+
+def _reference_axiom_failures(cfg, graph):
+    """The axiom checker that applies an operator per check: e_i and f_i at
+    every node, then again at the other end of each edge."""
+    bad = []
+    for node in graph.nodes:
+        for i in cfg.colors():
+            phi, eps = node.phi[i - 1], node.epsilon[i - 1]
+            if phi < 0 or eps < 0:
+                bad.append(f"negative string data at {node.monomial} color {i}")
+            if phi - eps != node.weight[i - 1]:
+                bad.append(f"phi - eps != weight at {node.monomial} color {i}")
+            up = verify.apply_e(cfg, node.monomial, i)
+            if (up is not None) != (eps > 0):
+                bad.append(f"raising defined iff eps positive fails at {node.monomial} color {i}")
+            if up is not None:
+                if up not in graph:
+                    bad.append(f"raising leaves component at {node.monomial} color {i}")
+                    continue
+                stats = graph.nodes[graph.index_of(up)]
+                for j in cfg.colors():
+                    if stats.weight[j - 1] != node.weight[j - 1] + cartan(j, i):
+                        bad.append(f"weight step at {node.monomial} colors {i},{j}")
+                if stats.epsilon[i - 1] != eps - 1 or stats.phi[i - 1] != phi + 1:
+                    bad.append(f"string step at {node.monomial} color {i}")
+                if verify.apply_f(cfg, up, i) != node.monomial:
+                    bad.append(f"lowering does not invert raising at {node.monomial} color {i}")
+            down = verify.apply_f(cfg, node.monomial, i)
+            if (down is not None) != (phi > 0):
+                bad.append(f"lowering defined iff phi positive fails at {node.monomial} color {i}")
+            if down is not None:
+                if down not in graph:
+                    bad.append(f"lowering leaves component at {node.monomial} color {i}")
+                    continue
+                if verify.apply_e(cfg, down, i) != node.monomial:
+                    bad.append(f"raising does not invert lowering at {node.monomial} color {i}")
+    return bad
+
+
+AXIOM_SEEDS = [
+    (3, Monomial.of((VarId(-1, 2), 1))),
+    (3, Monomial.of((VarId(-1, 1), 1), (VarId(-1, 2), 1))),
+    (4, Monomial.of((VarId(-1, 3), 1))),
+    (4, demazure_data(WordSpec(4, 3, 2), 6).seed),
+]
+
+
+def _corrupted(g):
+    """(name, graph) for copies of g with one node dropped, one node's
+    string data or weight altered, two monomials swapped, or one monomial
+    duplicated."""
+    nodes, n = list(g.nodes), g.node_count()
+    picks = sorted({0, 1, n // 2, n - 1})
+
+    def graph(new_nodes):
+        return CrystalGraph(g.r, tuple(new_nodes), g.edges)
+
+    def bumped(values, at, by):
+        return tuple(v + by if j == at else v for j, v in enumerate(values))
+
+    for k in picks:
+        yield f"drop {k}", graph(nodes[:k] + nodes[k + 1:])
+        node = nodes[k]
+        for field in ("phi", "epsilon", "weight"):
+            for i in range(g.r):
+                for by in (1, -1):
+                    altered = dataclasses.replace(node, **{field: bumped(getattr(node, field), i, by)})
+                    yield f"{field}[{i}] {by:+} at {k}", graph(nodes[:k] + [altered] + nodes[k + 1:])
+    for a, b in [(0, 1), (0, n - 1), (1, n // 2)] + [(src, dst) for src, _, dst in g.edges[:3]]:
+        swapped = list(nodes)
+        swapped[a] = dataclasses.replace(nodes[a], monomial=nodes[b].monomial)
+        swapped[b] = dataclasses.replace(nodes[b], monomial=nodes[a].monomial)
+        yield f"swap {a},{b}", graph(swapped)
+        twice = list(nodes)
+        twice[a] = dataclasses.replace(nodes[a], monomial=nodes[b].monomial)
+        yield f"duplicate {b} at {a}", graph(twice)
+
+
+@pytest.mark.parametrize("r, seed", AXIOM_SEEDS)
+def test_axiom_failures_match_the_per_check_reference(r, seed):
+    cfg = CrystalConfig(r)
+    g = component(cfg, seed)
+    assert crystal_axiom_failures(cfg, g) == _reference_axiom_failures(cfg, g) == []
+    flagged = 0
+    for name, broken in _corrupted(g):
+        want = _reference_axiom_failures(cfg, broken)
+        assert crystal_axiom_failures(cfg, broken) == want, name
+        flagged += bool(want)
+    assert flagged > 10
+
+
+@pytest.mark.parametrize("operator", ["apply_e", "apply_f"])
+@pytest.mark.parametrize("result", ["none", "itself", "other node", "outside"])
+def test_axiom_failures_match_the_reference_under_a_faulty_operator(monkeypatch, operator, result):
+    cfg = CrystalConfig(4)
+    g = component(cfg, Monomial.of((VarId(-1, 3), 1)))
+    node = g.nodes[4]
+    target = node.monomial
+    # a color at which the operator is defined there
+    color = 1 + (node.epsilon if operator == "apply_e" else node.phi).index(1)
+    replacement = {
+        "none": None,
+        "itself": target,
+        "other node": g.nodes[7].monomial,
+        "outside": Monomial.of((VarId(9, 1), 1)),
+    }[result]
+    real = getattr(verify, operator)
+
+    def faulty(cfg, m, i):
+        return replacement if m == target and i == color else real(cfg, m, i)
+
+    monkeypatch.setattr(verify, operator, faulty)
+    want = _reference_axiom_failures(cfg, g)
+    assert want and crystal_axiom_failures(cfg, g) == want
 
 
 def test_axioms_detail_counts():
