@@ -8,13 +8,16 @@ letter; these are exactly the variables with a single-index alias.
 
 Substituting the position variables into a product of negative factors, one
 per letter, yields a matrix over Laurent polynomials whose initial minors
-this module extracts (``delta_L``).  A minor never builds that matrix: it
-starts from the d identity rows it needs and applies the word's factors as
-column operations (``apply_word``), then takes the determinant of the first
-d columns.  Numerically the same matrix can be
-scaled by a diagonal with determinant one; ``delta_G`` takes its minors,
-and ``phi_map`` rewrites such coordinates as a diagonal times a product of
-lower elementary factors so both descriptions can be compared entrywise.
+this module extracts (``delta_L``).  No matrix product is ever formed: a
+minor starts from the d identity rows it needs and applies the word's
+factors as column operations (``apply_word``), then takes the determinant of
+the first d columns.  The numeric side is the same routine over rationals.
+The cell matrix is dressed by a diagonal with determinant one, which scales
+its rows; ``delta_G`` takes the minors of that matrix from its d rows, and
+``phi_map`` rewrites such coordinates as a diagonal times a product of lower
+elementary factors, each of them a column operation too
+(``lower_product_value``), so both descriptions can be compared entrywise.
+The dense factors themselves live only in the tests, as references.
 """
 
 from __future__ import annotations
@@ -175,13 +178,6 @@ def _coerce(t):
     return t
 
 
-def _ring(t) -> tuple:
-    """(zero, one) of the ring an entry lives in."""
-    if isinstance(t, LaurentPoly):
-        return LaurentPoly.zero(), LaurentPoly.one()
-    return Fraction(0), Fraction(1)
-
-
 def _inv(t):
     if isinstance(t, LaurentPoly):
         return t.inverse()
@@ -190,65 +186,24 @@ def _inv(t):
     return 1 / Fraction(t)
 
 
-def _identity(size: int, one, zero):
-    return [[one if a == b else zero for b in range(size)] for a in range(size)]
-
-
-def gen_y(r: int, i: int, t):
-    """Lower elementary factor: identity plus t in slot (i+1, i)."""
-    t = _coerce(t)
-    zero, one = _ring(t)
-    mat = _identity(r + 1, one, zero)
-    mat[i][i - 1] = t
-    return mat
-
-
-def gen_xneg(r: int, i: int, t):
-    """Negative-direction factor: the 2x2 block [[1/t, 0], [1, t]] at (i, i+1).
-
-    >>> from crystalminor.laurent import VarId
-    >>> [[str(e) for e in row] for row in gen_xneg(1, 1, VarId(0, 1))]
-    [['Y[0,1]^-1', '0'], ['1', 'Y[0,1]']]
-    """
-    t = _coerce(t)
-    zero, one = _ring(t)
-    mat = _identity(r + 1, one, zero)
-    mat[i - 1][i - 1] = _inv(t)
-    mat[i][i - 1] = one
-    mat[i][i] = t
-    return mat
-
-
-def mat_mul(a, b):
-    size = len(a)
-    out = []
-    for row in range(size):
-        new_row = []
-        for col in range(size):
-            acc = a[row][0] * b[0][col]
-            for k in range(1, size):
-                acc = acc + a[row][k] * b[k][col]
-            new_row.append(acc)
-        out.append(new_row)
-    return out
-
-
 def apply_word(rows, steps):
     """Right-multiply a block of rows by negative factors, one step at a time.
 
-    Step ``(i, t)`` stands for ``gen_xneg(r, i, t)``, which changes only
-    columns i and i+1: ``col_i <- col_i / t + col_{i+1}`` and
+    Step ``(i, t)`` stands for the negative factor at letter i: the identity
+    with the 2x2 block [[1/t, 0], [1, t]] at rows and columns (i, i+1).  It
+    changes only columns i and i+1: ``col_i <- col_i / t + col_{i+1}`` and
     ``col_{i+1} <- col_{i+1} * t``.  So a word of n letters costs O(n) ring
-    operations per row instead of n dense (r+1)^3 products, and zero entries
-    cost nothing.  Works over any ring ``gen_xneg`` accepts (Laurent
-    polynomials or rationals); the input rows are left unchanged.
+    operations per row, and zero entries cost nothing.  Works over Laurent
+    polynomials (a ``VarId`` step is its variable) and over rationals; the
+    input rows are left unchanged.
 
     >>> from fractions import Fraction
     >>> rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
     >>> [str(e) for e in apply_word(rows[1:2], [(1, 2), (2, 3)])[0]]
     ['1', '2/3', '0']
-    >>> apply_word(rows, [(1, 2), (2, 3)]) == mat_mul(gen_xneg(2, 1, 2), gen_xneg(2, 2, 3))
-    True
+    >>> unit = [[LaurentPoly.one(), LaurentPoly.zero()], [LaurentPoly.zero(), LaurentPoly.one()]]
+    >>> [[str(e) for e in row] for row in apply_word(unit, [(1, VarId(0, 1))])]
+    [['Y[0,1]^-1', '0'], ['1', 'Y[0,1]']]
     """
     out = [list(row) for row in rows]
     for i, t in steps:
@@ -269,12 +224,6 @@ def _symbolic_rows(w: WordSpec, rows: Sequence[int]):
     zero, one = LaurentPoly.zero(), LaurentPoly.one()
     identity_rows = [[one if c == a else zero for c in range(1, w.r + 2)] for a in rows]
     return apply_word(identity_rows, zip(w.letters(), w.variables()))
-
-
-def xL_matrix(w: WordSpec):
-    """Symbolic cell matrix: the product of one negative factor per letter,
-    position k carrying the variable Y[s,j] of that position."""
-    return _symbolic_rows(w, range(1, w.r + 2))
 
 
 def det(matrix):
@@ -313,11 +262,6 @@ def det(matrix):
         return acc
 
     return go(frozenset(range(size)))
-
-
-def submatrix(matrix, rows: Sequence[int], cols: Sequence[int]):
-    """Rows and columns are 1-based."""
-    return [[matrix[a - 1][b - 1] for b in cols] for a in rows]
 
 
 @lru_cache(maxsize=4096)
@@ -367,6 +311,7 @@ def _check_torus(a: Sequence[Fraction], r: int) -> tuple[Fraction, ...]:
 
 
 def _check_values(w: WordSpec, t: Mapping[VarId, Fraction]) -> dict[VarId, Fraction]:
+    """The values of w's position variables, as rationals, in word order."""
     out = {}
     for v in w.variables():
         if v not in t:
@@ -378,36 +323,39 @@ def _check_values(w: WordSpec, t: Mapping[VarId, Fraction]) -> dict[VarId, Fract
     return out
 
 
-def diag_matrix(a: Sequence[Fraction]):
-    size = len(a)
-    return [
-        [Fraction(a[row]) if row == col else Fraction(0) for col in range(size)]
-        for row in range(size)
-    ]
+def _diagonal_rows(vec: Sequence[Fraction], rows: Sequence[int]):
+    """Rows (1-based) of diag(vec)."""
+    return [[x if c == row else Fraction(0) for c, x in enumerate(vec, start=1)] for row in rows]
 
 
-def xL_value(w: WordSpec, t: Mapping[VarId, Fraction]):
-    """Numeric cell matrix at explicit position values."""
+def _cell_rows(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction],
+               rows: Sequence[int]):
+    """Rows (1-based) of diag(a) times the numeric cell matrix: the word's
+    factors applied to identity rows, then row i scaled by a_i."""
+    vec = _check_torus(a, w.r)
     vals = _check_values(w, t)
-    acc = None
-    for k in range(1, w.n + 1):
-        factor = gen_xneg(w.r, w.letter(k), vals[w.position_var(k)])
-        acc = factor if acc is None else mat_mul(acc, factor)
-    return acc
+    unit = _diagonal_rows([Fraction(1)] * (w.r + 1), rows)
+    out = apply_word(unit, zip(w.letters(), vals.values()))
+    return [[vec[row - 1] * x for x in line] for row, line in zip(rows, out)]
 
 
 def cell_matrix_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
     """diag(a) times the numeric cell matrix; the matrix delta_G minors."""
-    return mat_mul(diag_matrix(_check_torus(a, w.r)), xL_value(w, t))
+    return _cell_rows(w, a, t, range(1, w.r + 2))
 
 
 def lower_product_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
-    """diag(a) times one lower elementary factor per letter."""
+    """diag(a) times one lower elementary factor per letter.
+
+    The factor at letter i is the identity plus t in slot (i+1, i), so it
+    adds t times column i+1 to column i.
+    """
     vals = _check_values(w, t)
-    acc = diag_matrix(_check_torus(a, w.r))
-    for k in range(1, w.n + 1):
-        acc = mat_mul(acc, gen_y(w.r, w.letter(k), vals[w.position_var(k)]))
-    return acc
+    mat = _diagonal_rows(_check_torus(a, w.r), range(1, w.r + 2))
+    for i, ti in zip(w.letters(), vals.values()):
+        for row in mat:
+            row[i - 1] += ti * row[i]
+    return mat
 
 
 def phi_map(
@@ -464,5 +412,6 @@ def delta_G(spec: MinorSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction])
     the symbolic minor evaluated at t; tests and the command line cross
     check the two routes.
     """
-    mat = cell_matrix_value(spec.word, a, t)
-    return det(submatrix(mat, spec.rows, spec.cols))
+    # only the minor's d rows are built; its columns are the first d
+    rows = _cell_rows(spec.word, a, t, spec.rows)
+    return det([row[: spec.d] for row in rows])

@@ -13,6 +13,7 @@ import argparse
 import functools
 import inspect
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -60,11 +61,29 @@ def _letters(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse word {text!r}: expected comma separated integers")
 
 
+# Python's default int-string digit limit: a rational with a larger decimal
+# exponent could never be printed, and building it can take minutes
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _fractions(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(x) for x in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse {text!r}: expected comma separated rationals")
+    out = []
+    for token in text.split(","):
+        exp = _EXPONENT.search(token)
+        try:
+            huge = exp is not None and abs(int(exp.group(1))) > _MAX_EXPONENT
+            # a huge exponent is parsed as zero, so that a token malformed
+            # elsewhere still reads as malformed
+            value = Fraction(token[: exp.start(1)] + "0" if huge else token)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot parse {text!r}: expected comma separated rationals")
+        if huge:
+            raise ValueError(
+                f"cannot parse {text!r}: exponent {exp.group(1)} exceeds {_MAX_EXPONENT} in magnitude"
+            )
+        out.append(value)
+    return tuple(out)
 
 
 def _word(args) -> WordSpec:

@@ -22,14 +22,8 @@ from crystalminor.bruhat import (
     delta_L,
     delta_L_truncation_check,
     det,
-    gen_xneg,
-    gen_y,
     lower_product_value,
-    mat_mul,
     phi_map,
-    submatrix,
-    xL_matrix,
-    xL_value,
 )
 from crystalminor.crystal import CrystalConfig, tau_render_poly
 from crystalminor.errors import (
@@ -40,6 +34,7 @@ from crystalminor.errors import (
     ZeroAssignment,
 )
 from crystalminor.laurent import LaurentPoly, Monomial, VarId
+from crystalminor.verify import all_word_specs
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +149,74 @@ def test_rows_equal_permuted_interval_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# generators and determinants
+# generators and determinants; the dense factors are the references that the
+# row and column operations of bruhat are checked against
 
 
 def _frac_matrix(mat):
     return [[Fraction(e) for e in row] for row in mat]
+
+
+def _ring(t):
+    """t lifted into its ring (a VarId becomes its Laurent variable), with
+    that ring's zero and one."""
+    if isinstance(t, VarId):
+        t = LaurentPoly.from_monomial(Monomial.of((t, 1)))
+    if isinstance(t, LaurentPoly):
+        return t, LaurentPoly.zero(), LaurentPoly.one()
+    return Fraction(t), Fraction(0), Fraction(1)
+
+
+def _identity(size: int, one, zero):
+    return [[one if a == b else zero for b in range(size)] for a in range(size)]
+
+
+def gen_y(r: int, i: int, t):
+    """Lower elementary factor: identity plus t in slot (i+1, i)."""
+    t, zero, one = _ring(t)
+    mat = _identity(r + 1, one, zero)
+    mat[i][i - 1] = t
+    return mat
+
+
+def gen_xneg(r: int, i: int, t):
+    """Negative-direction factor: the 2x2 block [[1/t, 0], [1, t]] at (i, i+1)."""
+    t, zero, one = _ring(t)
+    mat = _identity(r + 1, one, zero)
+    mat[i - 1][i - 1] = t.inverse() if isinstance(t, LaurentPoly) else 1 / t
+    mat[i][i - 1] = one
+    mat[i][i] = t
+    return mat
+
+
+def diag_matrix(a):
+    return [[Fraction(x) if row == col else Fraction(0) for col in range(len(a))]
+            for row, x in enumerate(a)]
+
+
+def mat_mul(a, b):
+    size = len(a)
+    out = []
+    for row in range(size):
+        new_row = []
+        for col in range(size):
+            acc = a[row][0] * b[0][col]
+            for k in range(1, size):
+                acc = acc + a[row][k] * b[k][col]
+            new_row.append(acc)
+        out.append(new_row)
+    return out
+
+
+def _dense_cell_matrix(w: WordSpec, values):
+    """Reference: the word's factors multiplied out as dense matrices."""
+    factors = [gen_xneg(w.r, i, t) for i, t in zip(w.letters(), values)]
+    return functools.reduce(mat_mul, factors)
+
+
+def submatrix(matrix, rows, cols):
+    """Rows and columns are 1-based."""
+    return [[matrix[a - 1][b - 1] for b in cols] for a in rows]
 
 
 def _gauss_det(matrix) -> Fraction:
@@ -238,7 +296,7 @@ def test_det_matches_gaussian_elimination():
 def test_det_of_cell_matrix_is_one():
     for r in range(1, 4):
         w = WordSpec(r, r, 1)
-        assert det(xL_matrix(w)) == LaurentPoly.one()
+        assert det(_dense_cell_matrix(w, w.variables())) == LaurentPoly.one()
 
 
 def _leibniz_det(matrix) -> LaurentPoly:
@@ -307,7 +365,8 @@ GOLDEN_MINOR = "τ_2/τ_4 + τ_3τ_5/(τ_4τ_6) + τ_5/τ_7 + τ_3/(τ_4τ_8) + 
 
 def test_cell_matrix_rank_four_golden():
     cfg = CrystalConfig(4)
-    mat = xL_matrix(WordSpec(4, 4, 1))
+    w = WordSpec(4, 4, 1)
+    mat = _dense_cell_matrix(w, w.variables())
     for row in range(1, 6):
         for col in range(1, 6):
             want = EXPECTED_CELL.get((row, col), "0")
@@ -326,12 +385,6 @@ def test_delta_L_small_words():
     # a position at the very end of its color's story gives the unit minor
     assert delta_L(MinorSpec(WordSpec(2, 1, 2), 2)) == LaurentPoly.one()
     assert delta_L(MinorSpec(WordSpec(1, 1, 1), 1)) == LaurentPoly.one()
-
-
-def _dense_cell_matrix(w: WordSpec, values):
-    """Reference: the word's factors multiplied out as dense matrices."""
-    factors = [gen_xneg(w.r, i, t) for i, t in zip(w.letters(), values)]
-    return functools.reduce(mat_mul, factors)
 
 
 def test_delta_L_matches_dense_reference_minors():
@@ -442,11 +495,26 @@ def test_value_validation():
     bad_zero = dict(good)
     bad_zero[VarId(0, 1)] = Fraction(0)
     with pytest.raises(ZeroAssignment):
-        xL_value(w, bad_zero)
+        cell_matrix_value(w, a, bad_zero)
     missing = dict(good)
     del missing[VarId(1, 1)]
     with pytest.raises(MissingAssignment):
         cell_matrix_value(w, a, missing)
+
+
+def test_torus_error_precedes_value_error_except_in_lower_product():
+    # with both inputs bad, the dressed cell matrix and its minors report the
+    # torus and the lower product reports the values
+    w = WordSpec(2, 2, 1)
+    bad_a = [Fraction(2)] * 3
+    for bad_t, error in (({v: Fraction(0) for v in w.variables()}, ZeroAssignment),
+                         ({}, MissingAssignment)):
+        with pytest.raises(NotInTorus):
+            delta_G(MinorSpec(w, 1), bad_a, bad_t)
+        with pytest.raises(NotInTorus):
+            cell_matrix_value(w, bad_a, bad_t)
+        with pytest.raises(error):
+            lower_product_value(w, bad_a, bad_t)
 
 
 def test_phi_map_rank_one_golden():
@@ -487,6 +555,26 @@ def test_phi_map_factorizes_the_cell_matrix():
                     assert cell_matrix_value(w, a, t) == lower_product_value(w, moved, tau)
 
 
+def test_numeric_route_matches_dense_reference():
+    # delta_G and delta_L share apply_word, so the torus-factor identity
+    # alone cannot catch a wrong word product; the dense factors can
+    rng = random.Random(1104)
+    for w in all_word_specs(4):
+        for _ in range(3):
+            a = _random_torus(rng, w.r)
+            t = _random_values(rng, w)
+            values = [t[v] for v in w.variables()]
+            cell = mat_mul(diag_matrix(a), _dense_cell_matrix(w, values))
+            assert cell_matrix_value(w, a, t) == cell, w
+            lower = functools.reduce(
+                mat_mul, [gen_y(w.r, i, x) for i, x in zip(w.letters(), values)], diag_matrix(a)
+            )
+            assert lower_product_value(w, a, t) == lower, w
+            for k in range(1, w.n + 1):
+                spec = MinorSpec(w, k)
+                assert delta_G(spec, a, t) == det(submatrix(cell, spec.rows, spec.cols)), (w, k)
+
+
 def test_delta_G_torus_factor_identity():
     rng = random.Random(321)
     for r in range(1, 4):
@@ -509,8 +597,3 @@ def test_delta_G_trivial_diagonal():
     a = [Fraction(1)] * 3
     # tau_1/tau_2 + 1/tau_3 at (2, 3, 5)
     assert delta_G(spec, a, t) == Fraction(2, 3) + Fraction(1, 5)
-
-
-def test_submatrix_is_one_based():
-    mat = [[Fraction(rc) for rc in (1, 2)], [Fraction(rc) for rc in (3, 4)]]
-    assert submatrix(mat, (2,), (1,)) == [[Fraction(3)]]

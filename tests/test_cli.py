@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -77,6 +78,23 @@ def test_minor_numeric_needs_both_flags(capsys):
     code, _, err = run(capsys, base + ["--a", "2,3,1/6"])
     assert code == 2
     assert "--a and --t" in err
+
+
+def test_minor_numeric_huge_exponents_are_refused_at_once(capsys):
+    # built as rationals, these take from seconds to far longer; the smaller
+    # exponent comes first, so a missing guard fails the time bound before
+    # the larger one is tried
+    base = ["minor", "--r", "2", "--word", "1,2,1", "--k", "1", "--a", "1,1,1"]
+    for t in ("1,1,1e10000000", "1,1,1e999999999"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, base + ["--t", t])
+        assert time.perf_counter() - start < 1
+        exponent = t.rsplit("e", 1)[1]
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse {t!r}: exponent {exponent} exceeds 4300 in magnitude\n"
+    code, _, err = run(capsys, base + ["--t", "1,1,1/2e999999999"])
+    assert (code, err) == (2, "error: cannot parse '1,1,1/2e999999999': "
+                              "expected comma separated rationals\n")
 
 
 def test_minor_bad_word(capsys):
