@@ -97,7 +97,10 @@ class WordSpec:
         return VarId(s, j)
 
     def variables(self) -> tuple[VarId, ...]:
-        return tuple(self.position_var(k) for k in range(1, self.n + 1))
+        # tuple() of a list, not of a generator: CPython builds the latter at
+        # a guessed length and resizes it, so each call parks one more tuple
+        # on the free list of the real length (up to 2,000 per length)
+        return tuple([self.position_var(k) for k in range(1, self.n + 1)])
 
     def is_full_longest(self) -> bool:
         return self.m == self.r
@@ -300,7 +303,7 @@ def delta_L_truncation_check(w: WordSpec, k: int) -> bool:
 
 
 def _check_torus(a: Sequence[Fraction], r: int) -> tuple[Fraction, ...]:
-    vec = tuple(Fraction(x) for x in a)
+    vec = tuple([Fraction(x) for x in a])  # list first: see WordSpec.variables
     if len(vec) != r + 1:
         raise NotInTorus(f"diagonal needs {r + 1} entries, got {len(vec)}")
     if any(x == 0 for x in vec):
