@@ -13,9 +13,10 @@ minor starts from the d identity rows it needs and applies the word's
 factors as column operations (``apply_word``), then takes the determinant of
 the first d columns.  The numeric side is the same routine over rationals.
 The cell matrix is dressed by a diagonal with determinant one, which scales
-its rows; ``delta_G`` takes the minors of that matrix from its d rows, and
-``phi_map`` rewrites such coordinates as a diagonal times a product of lower
-elementary factors, each of them a column operation too
+its rows, so the numeric side applies the word to rows of that diagonal
+instead of identity rows; ``delta_G`` takes the minors of that matrix from
+its d rows, and ``phi_map`` rewrites such coordinates as a diagonal times a
+product of lower elementary factors, each of them a column operation too
 (``lower_product_value``), so both descriptions can be compared entrywise.
 The dense factors themselves live only in the tests, as references.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Mapping, Sequence
 
@@ -96,11 +97,16 @@ class WordSpec:
         s, j = self.position(k)
         return VarId(s, j)
 
-    def variables(self) -> tuple[VarId, ...]:
+    @cached_property
+    def _variables(self) -> tuple[VarId, ...]:
         # tuple() of a list, not of a generator: CPython builds the latter at
         # a guessed length and resizes it, so each call parks one more tuple
         # on the free list of the real length (up to 2,000 per length)
         return tuple([self.position_var(k) for k in range(1, self.n + 1)])
+
+    def variables(self) -> tuple[VarId, ...]:
+        """The position variables in word order, built once per word."""
+        return self._variables
 
     def is_full_longest(self) -> bool:
         return self.m == self.r
@@ -334,12 +340,10 @@ def _diagonal_rows(vec: Sequence[Fraction], rows: Sequence[int]):
 def _cell_rows(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction],
                rows: Sequence[int]):
     """Rows (1-based) of diag(a) times the numeric cell matrix: the word's
-    factors applied to identity rows, then row i scaled by a_i."""
+    factors applied to the rows of diag(a)."""
     vec = _check_torus(a, w.r)
     vals = _check_values(w, t)
-    unit = _diagonal_rows([Fraction(1)] * (w.r + 1), rows)
-    out = apply_word(unit, zip(w.letters(), vals.values()))
-    return [[vec[row - 1] * x for x in line] for row, line in zip(rows, out)]
+    return apply_word(_diagonal_rows(vec, rows), zip(w.letters(), vals.values()))
 
 
 def cell_matrix_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):

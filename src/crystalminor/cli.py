@@ -109,7 +109,14 @@ def _run_minor(args) -> int:
         if len(tvals) != w.n:
             raise ValueError(f"--t needs {w.n} values, got {len(tvals)}")
         t = {w.position_var(k): tvals[k - 1] for k in range(1, w.n + 1)}
-        print(delta_G(ms, a, t))
+        value = delta_G(ms, a, t)
+        try:
+            text = str(value)
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            raise ValueError(
+                f"the result has more than {sys.get_int_max_str_digits()} digits, too many to print"
+            ) from None
+        print(text)
         return 0
     print(_render_poly(args.r, delta_L(ms), args.format))
     return 0

@@ -10,11 +10,15 @@ shift grows.
 
 Each operator call is one pass over the monomial's factors that reads only
 color i and builds no lists; A[s,i] and its inverse depend only on
-(r, s, i) and are built once each, in a bounded cache.  The searches
-(``component``, ``demazure``) scan each node once, in ``node_stats``, which
-records the shifts of every color's operators along with the string data;
-each step then multiplies by the cached A[s,i] or its inverse.  Operator
-results are never cached, so every step really applies the operator.
+(r, s, i) and are built once each, in a bounded cache.  ``component`` scans
+each node once, in ``node_stats``, which records the shifts of every
+color's operators along with the string data; each step then multiplies by
+the cached A[s,i] or its inverse.  The Demazure closure is one packed walk:
+a member is a packed int with its factors split by color, a step adds the
+packed A[s,i] or its inverse and rescans only the colors i-1, i and i+1
+that A[s,i] touches, and ``demazure`` and ``demazure_polynomial`` differ only
+in what they build from the members at the end.  Operator results are never
+cached, so every step really applies the operator.
 
 Connected components of this action are finite crystal graphs; closing a
 suitable extremal monomial under one operator along a reduced word, letter by
@@ -32,10 +36,10 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import attrgetter
+from itertools import chain
 
-from .errors import CapExceeded, ColorOutOfRange, NotTauRenderable
-from .laurent import LaurentPoly, Monomial, VarId
+from .errors import CapExceeded, ColorOutOfRange, ExponentOverflow, NotTauRenderable
+from .laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId
 
 DEFAULT_CAP = 100_000
 
@@ -283,6 +287,109 @@ class DemazureSpec:
             raise ValueError(f"sign must be 'minus' or 'plus', got {self.sign!r}")
 
 
+_Pairs = tuple[tuple[VarId, int], ...]
+
+
+def _bump(col: _Pairs, v: VarId, d: int) -> tuple[_Pairs, int]:
+    """col, one color's factors in shift order, with d added to the exponent
+    of v (a factor at zero dropped); and that new exponent."""
+    k = 0
+    for w, e in col:
+        if w >= v:
+            if w != v:
+                return col[:k] + ((v, d),) + col[k:], d
+            e += d
+            return (col[:k] + ((v, e),) + col[k + 1 :] if e else col[:k] + col[k + 1 :]), e
+        k += 1
+    return col + ((v, d),), d
+
+
+def _raise_shift(col: _Pairs) -> int | None:
+    """The raising shift of ``kashiwara_rows`` read from one color's factors."""
+    run = phi = 0
+    follower = None
+    at_max = True
+    for v, e in col:
+        if at_max:
+            follower = v
+        run += e
+        if run > phi:
+            phi = run
+        at_max = run == phi
+    return follower.s - 1 if phi > run else None
+
+
+def _lower_shift(col: _Pairs) -> int | None:
+    """The lowering shift of ``kashiwara_rows`` read from one color's factors."""
+    run = phi = 0
+    lower = None
+    for v, e in col:
+        run += e
+        if run > phi:
+            phi, lower = run, v
+    return None if lower is None else lower.s
+
+
+def _demazure_walk(cfg: CrystalConfig, spec: DemazureSpec, cap: int):
+    """The closure behind ``demazure`` and ``demazure_polynomial``.
+
+    Returns the members' packed ints and color tuples, both in discovery
+    order, and the largest absolute exponent of any member.  Entry c-1 of a
+    member's color tuple holds its factors of color c in shift order; seed
+    factors of color above r, which no step touches, are in the packed ints
+    only.  Exponents have no limit here.
+    """
+    for i in spec.word:
+        _check_color(cfg, i)
+    seed = spec.seed
+    seed_stats = node_stats(cfg, seed)
+    if spec.sign == "minus":
+        if any(seed_stats.phi):
+            raise ValueError("minus-sign seed must have phi = 0 in every color")
+        shifts, half, scan = [seed_stats.raise_shift], 0, _raise_shift
+    else:
+        if any(seed_stats.epsilon):
+            raise ValueError("plus-sign seed must have epsilon = 0 in every color")
+        shifts, half, scan = [seed_stats.lower_shift], 1, _lower_shift
+    r = cfg.r
+    colors = [tuple([tuple([f for f in seed.factors if f[0].i == c]) for c in cfg.colors()])]
+    top = max([abs(e) for _, e in seed.factors], default=0)
+    # every member lies within len(keys) steps of +-1 of the seed, so two
+    # members differ by less than 2**63 in every digit and their packed ints
+    # are equal only when they are: no limit applies to the walk itself
+    keys = [seed.raw_packed()]
+    index = {keys[0]: 0}
+    for i in reversed(spec.word):
+        near = range(max(i - 2, 0), min(i + 1, r))  # colors i-1, i, i+1 that exist
+        walked: set[int] = set()
+        for start in range(len(keys)):
+            at = start
+            while at not in walked:
+                walked.add(at)
+                shift = shifts[at][i - 1]
+                if shift is None:
+                    break
+                a = _a_pair(r, shift, i)[half]
+                nxt = keys[at] + a.packed
+                src, at = at, index.get(nxt)
+                if at is None:
+                    at = index[nxt] = len(keys)
+                    keys.append(nxt)
+                    if len(keys) > cap:
+                        raise CapExceeded(cap)
+                    new = list(colors[src])
+                    for v, e in a.factors:
+                        new[v.i - 1], e = _bump(new[v.i - 1], v, e)
+                        if e > top or -e > top:
+                            top = abs(e)
+                    row = list(shifts[src])
+                    for c in near:
+                        row[c] = scan(new[c])
+                    colors.append(tuple(new))
+                    shifts.append(tuple(row))
+    return keys, colors, top
+
+
 def demazure(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> tuple[Monomial, ...]:
     """Demazure subset of the component of spec.seed, in discovery order.
 
@@ -292,50 +399,35 @@ def demazure(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> 
     result therefore only grows as letters are consumed, and a suffix of
     the word yields a subset of the full word's result.
 
-    Each member is scanned once, by ``node_stats`` when it is found, and
-    each step multiplies by the cached A[s,i] or its inverse at the shift
-    recorded there.  A walk stops at a member that this letter has already
-    walked from, since the rest of its string is already in the set; the
-    discovery order is that of full walks.
+    A member is a packed int with its factors split by color, one tuple
+    per color.  A step adds the packed A[s,i] or its inverse, at the shift
+    recorded for the member, then updates and rescans for their operator
+    shifts only colors i-1, i and i+1, the colors of A[s,i].  A walk stops
+    at a member that this letter has already walked from, since the rest of
+    its string is already in the set; the discovery order is that of full
+    walks.  The Monomials are built from the color tuples, with any seed
+    factors of color above r; exponents have no limit.
     """
-    for i in spec.word:
-        _check_color(cfg, i)
-    seed_stats = node_stats(cfg, spec.seed)
-    if spec.sign == "minus":
-        if any(seed_stats.phi):
-            raise ValueError("minus-sign seed must have phi = 0 in every color")
-        pick, half = attrgetter("raise_shift"), 0
-    else:
-        if any(seed_stats.epsilon):
-            raise ValueError("plus-sign seed must have epsilon = 0 in every color")
-        pick, half = attrgetter("lower_shift"), 1
-    r = cfg.r
-    out = [spec.seed]
-    shifts = [pick(seed_stats)]
-    index = {spec.seed: 0}
-    for i in reversed(spec.word):
-        walked: set[int] = set()
-        for start in range(len(out)):
-            at = start
-            while at not in walked:
-                walked.add(at)
-                shift = shifts[at][i - 1]
-                if shift is None:
-                    break
-                nxt = out[at] * _a_pair(r, shift, i)[half]
-                at = index.get(nxt)
-                if at is None:
-                    at = index[nxt] = len(out)
-                    out.append(nxt)
-                    if len(out) > cap:
-                        raise CapExceeded(cap)
-                    shifts.append(pick(node_stats(cfg, nxt)))
-    return tuple(out)
+    _, colors, _ = _demazure_walk(cfg, spec, cap)
+    extra = [f for f in spec.seed.factors if f[0].i > cfg.r]
+    return tuple([Monomial(tuple(sorted(chain(extra, *cols)))) for cols in colors])
 
 
 def demazure_polynomial(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> LaurentPoly:
-    """Sum of the Demazure subset, each monomial with coefficient one."""
-    return LaurentPoly.from_terms((m, 1) for m in demazure(cfg, spec, cap))
+    """Sum of the Demazure subset, each monomial with coefficient one.
+
+    Runs the walk of ``demazure`` and keeps only the packed ints, with the
+    largest absolute exponent of the members as the polynomial's exponent
+    bound.  A cap that is exceeded wins over an exponent past the limit.
+    """
+    keys, _, top = _demazure_walk(cfg, spec, cap)
+    if top >= EXPONENT_LIMIT:
+        # each member is one +-1 step from an earlier one, so the first
+        # member past the limit is the seed or has the limit itself as its
+        # largest exponent
+        first = max([EXPONENT_LIMIT] + [abs(e) for _, e in spec.seed.factors])
+        raise ExponentOverflow(f"exponent {first} of a polynomial term reaches the limit 2**63")
+    return LaurentPoly.from_packed(dict.fromkeys(keys, 1), top)
 
 
 # ---------------------------------------------------------------------------

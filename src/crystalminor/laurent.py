@@ -167,19 +167,28 @@ class Monomial:
         """(packed int, largest absolute exponent), computed once."""
         packed = self._packed
         if packed is None:
-            key = 0
-            for v, e in self._factors:
-                shift = _SHIFT.get(v)
-                if shift is None:
-                    slot = next(_SLOTS)
-                    _SLOT_VARS[slot] = v
-                    shift = _SHIFT.setdefault(v, _WIDTH * slot)
-                key += e << shift
+            key = self.raw_packed()
             bound = max([abs(e) for _, e in self._factors], default=0)
             if bound >= EXPONENT_LIMIT:
                 raise ExponentOverflow(f"exponent {bound} of a polynomial term reaches the limit 2**63")
             packed = self._packed = (key, bound)
         return packed
+
+    def raw_packed(self) -> int:
+        """The int sum of ``e * 2**(64 * slot)`` over the factors, with no
+        exponent limit.  It equals ``packed`` when every exponent is below the
+        limit.  Past it digits carry, but two monomials whose exponents differ
+        by less than 2**63 in every variable still have equal raw ints only
+        when they are equal."""
+        key = 0
+        for v, e in self._factors:
+            shift = _SHIFT.get(v)
+            if shift is None:
+                slot = next(_SLOTS)
+                _SLOT_VARS[slot] = v
+                shift = _SHIFT.setdefault(v, _WIDTH * slot)
+            key += e << shift
+        return key
 
     @property
     def packed(self) -> int:

@@ -78,6 +78,9 @@ def test_positions_and_variables():
     assert w.position_var(9) == VarId(2, 2)
     assert w.position_var(10) == VarId(3, 1)
     assert w.letter(8) == 1
+    assert w.variables() == tuple(w.position_var(k) for k in range(1, 11))
+    assert w.variables() is w.variables()  # built once per word
+    assert w == WordSpec(4, 4, 1) and hash(w) == hash(WordSpec(4, 4, 1))
     with pytest.raises(IndexOutOfRange):
         w.position(11)
     with pytest.raises(IndexOutOfRange):

@@ -485,6 +485,41 @@ def test_polynomial_exponents_past_the_limit_are_domain_errors(capsys):
     assert (code, out) == (0, f"Y[0,2]^{EXPONENT_LIMIT - 1}\n")
 
 
+def test_demazure_exponent_limit_output_is_pinned(capsys):
+    over = f"Y[-1,1]^{EXPONENT_LIMIT}"
+    base = ["crystal", "polynomial", "--r", "2", "--sign", "plus", "--format", "y"]
+    # the error names the first member, in discovery order, past the limit
+    code, out, err = run(capsys, base + ["--word", "2", "--seed", over])
+    assert (code, out) == (2, "")
+    assert err == "error: exponent 9223372036854775808 of a polynomial term reaches the limit 2**63\n"
+    # an exceeded cap wins over an exponent past the limit
+    code, out, err = run(capsys, base + ["--word", "1", "--cap", "50", "--seed", over])
+    assert (code, out, err) == (2, "", "error: node cap 50 exceeded\n")
+    code, out, err = run(capsys, base + ["--word", "2", "--seed", f"Y[-1,1]^{EXPONENT_LIMIT - 1}"])
+    assert (code, out, err) == (0, "Y[-1,1]^9223372036854775807\n", "")
+    # a member one step past the limit, not the seed, is the first past it
+    seed = f"Y[0,1]^-1Y[-1,2]^-{EXPONENT_LIMIT - 1}"
+    code, out, err = run(capsys, ["crystal", "polynomial", "--r", "2", "--word", "1",
+                                  "--seed", seed, "--format", "y"])
+    assert (code, out) == (2, "")
+    assert err == "error: exponent 9223372036854775808 of a polynomial term reaches the limit 2**63\n"
+    # Monomial-only commands keep unbounded exponents, above rank r too
+    code, out, err = run(capsys, ["crystal", "demazure", "--r", "2", "--word", "2", "--sign", "plus",
+                                  "--seed", f"Y[-1,1]^{2**64}Y[-1,2]Y[0,3]^{2**64}", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [[[-1, 1, 2**64], [-1, 2, 1], [0, 3, 2**64]],
+                               [[-1, 1, 2**64], [0, 1, 1], [0, 2, -1], [0, 3, 2**64]]]
+
+
+def test_numeric_results_past_the_digit_limit_are_domain_errors(capsys):
+    base = ["minor", "--r", "2", "--word", "1,2,1", "--k", "1", "--a", "1,1,1"]
+    for t in ("1,1,1e4300", "1,1,1e-4300"):
+        code, out, err = run(capsys, base + ["--t", t])
+        assert (code, out) == (2, ""), t
+        assert err.startswith("error: ") and err.count("\n") == 1, t
+        assert "digits" in err and "sys." not in err, t
+
+
 def call(argv):
     """(exit code, stdout, stderr) of one in-process cli.main call."""
     out, err = io.StringIO(), io.StringIO()

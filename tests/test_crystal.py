@@ -619,3 +619,16 @@ def test_demazure_matches_full_walks_property(cfg_spec):
             demazure(cfg, spec, cap=300)
         return
     assert demazure(cfg, spec, cap=300) == want
+
+
+@PROPERTY
+@given(demazure_specs())
+def test_demazure_polynomial_matches_full_walks_property(cfg_spec):
+    cfg, spec = cfg_spec
+    try:
+        want = LaurentPoly.from_terms((m, 1) for m in _full_walk_demazure(cfg, spec, 300))
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            demazure_polynomial(cfg, spec, cap=300)
+        return
+    assert demazure_polynomial(cfg, spec, cap=300) == want
