@@ -54,11 +54,11 @@ def _check_positive(args) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} must be positive, got {value}")
 
 
-def _letters(text: str) -> tuple[int, ...]:
+def _letters(text: str, what: str = "word") -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple([int(x) for x in text.split(",")])
     except ValueError:
-        raise ValueError(f"cannot parse word {text!r}: expected comma separated integers")
+        raise ValueError(f"cannot parse {what} {text!r}: expected comma separated integers")
 
 
 # Python's default int-string digit limit: a rational with a larger decimal
@@ -168,8 +168,11 @@ def _run_polynomial(args) -> int:
 
 
 def _path_spec(args) -> PathSpec:
-    """The shape, refused before any walk when it has more than --cap paths."""
+    """The shape, refused before any walk when the rank is below one or
+    the shape has more than --cap paths."""
     spec = PathSpec(args.d, args.m, args.mprime)
+    if args.r < 1:
+        raise ValueError(f"rank must be >= 1, got {args.r}")
     if count_paths(spec) > args.cap:
         raise CapExceeded(args.cap)
     return spec
@@ -227,7 +230,7 @@ def _run_bmatrix(args) -> int:
 
 def _run_mutate(args) -> int:
     sm = seed_matrix(_word(args))
-    for k in _letters(args.k):
+    for k in _letters(args.k, "--k"):
         sm = sm.mutate(k)
     print(sm.to_json() if args.format == "json" else _matrix_text(sm))
     return 0

@@ -24,6 +24,10 @@ from .errors import IndexOutOfRange
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# Tuples here are built from lists, not generators: CPython builds the latter
+# at a guessed length and resizes it, so each call parks one more tuple on
+# the free list of the real length, memory only a full collection returns.
+
 
 def _sgn(x: int) -> int:
     return (x > 0) - (x < 0)
@@ -32,11 +36,7 @@ def _sgn(x: int) -> int:
 def e_set(w: WordSpec) -> tuple[int, ...]:
     """Exchange indices: -1..-r followed by positions with a later repeat."""
     letters = w.letters()
-    later = tuple(
-        k
-        for k in range(1, w.n + 1)
-        if letters[k - 1] in letters[k:]
-    )
+    later = tuple([k for k in range(1, w.n + 1) if letters[k - 1] in letters[k:]])
     return tuple(range(-1, -w.r - 1, -1)) + later
 
 
@@ -69,7 +69,7 @@ class SeedMatrix:
     entries: Matrix
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+        entries = tuple([tuple([int(x) for x in row]) for row in self.entries])
         object.__setattr__(self, "entries", entries)
         if len(entries) != len(self.rows):
             raise ValueError("one entry row per row label")
@@ -83,9 +83,7 @@ class SeedMatrix:
 
     def principal_part(self) -> "SeedMatrix":
         """Square submatrix on the column labels."""
-        sub = tuple(
-            tuple(self.entry(k, l) for l in self.cols) for k in self.cols
-        )
+        sub = tuple([tuple([self.entry(k, l) for l in self.cols]) for k in self.cols])
         return SeedMatrix(self.cols, self.cols, sub)
 
     def is_sign_skew_symmetric(self) -> bool:
@@ -119,12 +117,12 @@ def seed_matrix(w: WordSpec) -> SeedMatrix:
     for k in sorted(rows, reverse=True):
         succ[k] = later.get(abs(signed[k]), w.n + 1)
         later[abs(signed[k])] = k
-    entries = tuple(tuple(_entry(signed, succ, k, l) for l in cols) for k in rows)
+    entries = tuple([tuple([_entry(signed, succ, k, l) for l in cols]) for k in rows])
     return SeedMatrix(rows, cols, entries)
 
 
 def _check_square(matrix: Sequence[Sequence[int]]) -> Matrix:
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    rows = tuple([tuple([int(x) for x in row]) for row in matrix])
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
     return rows
@@ -134,14 +132,14 @@ def _mutate(rows: Matrix, kr: int, kc: int) -> Matrix:
     """Matrix mutation (Fomin-Zelevinsky) in the direction with row index
     kr and column index kc, both 0-based; rows may outnumber columns."""
     pivot = rows[kr]
-    return tuple(
-        tuple(
+    return tuple([
+        tuple([
             -a if i == kr or j == kc
             else a + (abs(row[kc]) * pivot[j] + row[kc] * abs(pivot[j])) // 2
             for j, a in enumerate(row)
-        )
+        ])
         for i, row in enumerate(rows)
-    )
+    ])
 
 
 def mutate(matrix: Sequence[Sequence[int]], k: int) -> Matrix:
@@ -198,70 +196,3 @@ def skew_symmetrizer(matrix: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
                 return None
     return tuple(ints)
 
-
-@dataclass(frozen=True)
-class ExchangeBinomial:
-    """Right-hand side of an exchange relation: two formal products."""
-
-    plus: tuple[tuple[str, int], ...]
-    minus: tuple[tuple[str, int], ...]
-
-    @staticmethod
-    def _side(factors: tuple[tuple[str, int], ...]) -> str:
-        if not factors:
-            return "1"
-        return "".join(t if e == 1 else f"{t}^{e}" for t, e in factors)
-
-    def __str__(self) -> str:
-        return f"{self._side(self.plus)} + {self._side(self.minus)}"
-
-
-@dataclass(frozen=True)
-class ExchangeSeed:
-    """Cluster tags, frozen tags, and a square exchange matrix over both."""
-
-    cluster: tuple[str, ...]
-    frozen: tuple[str, ...]
-    matrix: Matrix
-
-    def __post_init__(self) -> None:
-        matrix = _check_square(self.matrix)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "cluster", tuple(self.cluster))
-        object.__setattr__(self, "frozen", tuple(self.frozen))
-        if len(matrix) != len(self.cluster) + len(self.frozen):
-            raise ValueError("matrix size must match tag count")
-        n = len(self.cluster)
-        principal = [row[:n] for row in matrix[:n]]
-        if not is_sign_skew_symmetric(principal):
-            raise ValueError("principal part must be sign skew symmetric")
-
-    @staticmethod
-    def initial(matrix: Sequence[Sequence[int]], frozen: int = 0) -> "ExchangeSeed":
-        """Seed with tags x1..xn over the given matrix; last `frozen` are frozen."""
-        size = len(matrix)
-        tags = tuple(f"x{i}" for i in range(1, size + 1))
-        return ExchangeSeed(tags[: size - frozen], tags[size - frozen:], tuple(matrix))
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return self.cluster + self.frozen
-
-
-def exchange(seed: ExchangeSeed, k: int) -> tuple[ExchangeBinomial, ExchangeSeed]:
-    """Exchange binomial for direction k and the seed mutated there.
-
-    The new variable stays formal: the k-th cluster tag gains a prime
-    and the relation x_k * x_k' = binomial is returned, not solved.
-    """
-    n = len(seed.cluster)
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(k, what="exchange direction")
-    row = seed.matrix[k - 1]
-    plus = tuple((t, e) for t, e in zip(seed.tags, row) if e > 0)
-    minus = tuple((t, -e) for t, e in zip(seed.tags, row) if e < 0)
-    cluster = tuple(
-        t + "'" if i == k - 1 else t for i, t in enumerate(seed.cluster)
-    )
-    mutated = ExchangeSeed(cluster, seed.frozen, mutate(seed.matrix, k))
-    return ExchangeBinomial(plus, minus), mutated

@@ -448,27 +448,6 @@ def tau_index(r: int, v: VarId) -> int:
     raise NotTauRenderable(v)
 
 
-def tau_var(r: int, k: int) -> VarId:
-    """Inverse of tau_index.
-
-    >>> tau_var(4, 9)
-    VarId(s=2, i=2)
-    >>> tau_var(4, -2)
-    VarId(s=-1, i=3)
-    """
-    if k < 0:
-        if k < -r:
-            raise ValueError(f"no alias tau_{k} at rank {r}")
-        return VarId(-1, r + 1 + k)
-    s = 0
-    while s < r and ell(r, s + 1) < k:
-        s += 1
-    i = k - ell(r, s)
-    if s >= r or not 1 <= i <= r - s:
-        raise ValueError(f"no alias tau_{k} at rank {r}")
-    return VarId(s, i)
-
-
 def _tau_str(k: int, e: int) -> str:
     base = f"τ_{{{k}}}" if k < 0 else f"τ_{k}"
     return base if e == 1 else f"{base}^{e}"

@@ -158,11 +158,6 @@ class Monomial:
     def inverse(self) -> "Monomial":
         return Monomial(tuple((v, -e) for v, e in self._factors))
 
-    def __pow__(self, n: int) -> "Monomial":
-        if n == 0:
-            return _ONE
-        return Monomial(tuple((v, e * n) for v, e in self._factors))
-
     def _pack(self) -> tuple[int, int]:
         """(packed int, largest absolute exponent), computed once."""
         packed = self._packed

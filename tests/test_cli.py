@@ -280,6 +280,12 @@ def test_seed_mutate_bad_direction(capsys):
     )
     assert code == 2
     assert "out of range" in err
+    for k in ("1,,2", ""):
+        code, out, err = run(
+            capsys, ["seed", "mutate", "--r", "2", "--word", "1,2,1", f"--k={k}"]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse --k {k!r}: expected comma separated integers\n"
 
 
 def test_phi_check_pass(capsys):
@@ -347,6 +353,16 @@ def test_nonpositive_bounds_are_usage_errors(capsys):
         assert out == ""
         assert err.startswith("error: --") and "must be positive" in err, argv
         assert err.count("\n") == 1, argv
+    # the rank is refused before any walk, whatever the output format
+    for sub, formats in (
+        ("enum", ("tau", "json", "dot")),
+        ("sum", ("tau", "json", "y")),
+        ("closed-form", ("tau", "json", "y")),
+    ):
+        for form in formats:
+            for r in ("0", "-1"):
+                argv = ["paths", sub, "--d", "1", "--m", "1", "--mprime", "1", "--r", r, "--format", form]
+                assert run(capsys, argv) == (2, "", f"error: rank must be >= 1, got {r}\n"), argv
 
 
 def test_cap_default_is_the_library_default():

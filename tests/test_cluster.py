@@ -7,11 +7,8 @@ import pytest
 
 from crystalminor.bruhat import WordSpec
 from crystalminor.cluster import (
-    ExchangeBinomial,
-    ExchangeSeed,
     SeedMatrix,
     e_set,
-    exchange,
     is_sign_skew_symmetric,
     mutate,
     seed_matrix,
@@ -179,61 +176,3 @@ def test_seed_matrix_json():
         "cols": [-1],
         "entries": [[0], [-1]],
     }
-
-
-def test_exchange_rank_two():
-    seed = ExchangeSeed.initial(((0, 1), (-1, 0)))
-    binom, nxt = exchange(seed, 1)
-    assert str(binom) == "x2 + 1"
-    assert nxt.matrix == ((0, -1), (1, 0))
-    assert nxt.cluster == ("x1'", "x2")
-    again, back = exchange(nxt, 1)
-    assert back.matrix == seed.matrix
-    assert back.cluster == ("x1''", "x2")
-
-
-def test_exchange_zero_row():
-    seed = ExchangeSeed.initial(((0, 0), (0, 0)))
-    binom, _ = exchange(seed, 1)
-    assert binom == ExchangeBinomial((), ())
-    assert str(binom) == "1 + 1"
-
-
-def test_exchange_with_frozen_tags():
-    mat = (
-        (0, 1, -2),
-        (-1, 0, 0),
-        (2, 0, 0),
-    )
-    seed = ExchangeSeed.initial(mat, frozen=1)
-    assert seed.cluster == ("x1", "x2")
-    assert seed.frozen == ("x3",)
-    binom, nxt = exchange(seed, 1)
-    assert str(binom) == "x2 + x3^2"
-    assert nxt.frozen == ("x3",)
-
-
-def test_exchange_bounds():
-    seed = ExchangeSeed.initial(((0, 1), (-1, 0)))
-    with pytest.raises(IndexOutOfRange):
-        exchange(seed, 0)
-    with pytest.raises(IndexOutOfRange):
-        exchange(seed, 3)
-
-
-def test_exchange_seed_validation():
-    with pytest.raises(ValueError):
-        ExchangeSeed(("x1",), (), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        ExchangeSeed.initial(((0, 1), (1, 0)))  # not sign skew symmetric
-
-
-def test_word_seed_exchange_round_trip():
-    # drive a full word seed through an exchange at its first column
-    sm = seed_matrix(WordSpec(2, 2, 1))
-    principal = sm.principal_part().entries
-    seed = ExchangeSeed.initial(principal)
-    binom, nxt = exchange(seed, 1)
-    assert is_sign_skew_symmetric(nxt.matrix)
-    _, back = exchange(nxt, 1)
-    assert back.matrix == principal

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalminor import crystal
+from crystalminor.bruhat import WordSpec
 from crystalminor.errors import CapExceeded, ColorOutOfRange, NotTauRenderable
 from crystalminor.crystal import (
     CrystalConfig,
@@ -29,7 +30,6 @@ from crystalminor.crystal import (
     tau_index,
     tau_render,
     tau_render_poly,
-    tau_var,
 )
 from crystalminor.laurent import LaurentPoly, Monomial, VarId
 
@@ -321,23 +321,18 @@ def test_tau_index_window():
     assert tau_index(4, VarId(-1, 3)) == -2
     assert tau_index(4, VarId(-1, 4)) == -1
     assert tau_index(4, VarId(0, 1)) == 1
+    for r in range(1, 7):
+        w = WordSpec(r, r, 1)
+        for k in range(1, w.n + 1):
+            assert tau_index(r, w.position_var(k)) == k
+        for k in range(-r, 0):
+            assert tau_index(r, VarId(-1, r + 1 + k)) == k
 
 
 def test_tau_index_rejects_outside_window():
     for v in (VarId(3, 2), VarId(-2, 1), VarId(4, 1), VarId(-1, 5)):
         with pytest.raises(NotTauRenderable):
             tau_index(4, v)
-
-
-def test_tau_var_round_trip():
-    for r in range(1, 6):
-        ks = list(range(-r, 0)) + list(range(1, ell(r, r) + 1))
-        for k in ks:
-            assert tau_index(r, tau_var(r, k)) == k
-    with pytest.raises(ValueError):
-        tau_var(2, 4)
-    with pytest.raises(ValueError):
-        tau_var(2, -3)
 
 
 def test_tau_render_forms():
