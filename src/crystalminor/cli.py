@@ -13,6 +13,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -257,8 +258,17 @@ def _run_verify(args) -> int:
     return 0 if res.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as -1,2 or -1/2 as a value, as argparse reads -1:
+    no option of this CLI starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crystalminor",
         description="Exact minors, crystals and lattice paths on staircase words.",
     )
@@ -368,9 +378,14 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         _check_positive(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is met here, not at shutdown
+        return code
     except (CrystalMinorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # the reader is gone: the rest of the output goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

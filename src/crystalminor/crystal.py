@@ -8,16 +8,12 @@ argmax scan over partial sums of the color-i exponents.  The sign convention
 is fixed so that the cyclic color pattern reads 1, 2, ..., r repeating as the
 shift grows.
 
-Each operator call is one pass over the monomial's factors that reads only
-color i and builds no lists; A[s,i] and its inverse depend only on
-(r, s, i) and are built once each, in a bounded cache.  ``component`` scans
-each node once, in ``node_stats``, which records the shifts of every
-color's operators along with the string data; each step then multiplies by
-the cached A[s,i] or its inverse.  The Demazure closure is one packed walk:
-a member is a packed int with its factors split by color, a step adds the
-packed A[s,i] or its inverse and rescans only the colors i-1, i and i+1
-that A[s,i] touches, and ``demazure`` and ``demazure_polynomial`` differ only
-in what they build from the members at the end.  Operator results are never
+``apply_e`` and ``apply_f`` read only color i of a monomial; A[s,i] and its
+inverse are built once per (r, s, i), in a bounded cache.  ``component`` and
+the Demazure closure are one walk: a member is a packed int with its factors
+split by color and each color's weight, phi and operator shifts, and a step
+adds the packed A[s,i] or its inverse at the recorded shift and rescans only
+the colors i-1, i and i+1 that A[s,i] touches.  Operator results are never
 cached, so every step really applies the operator.
 
 Connected components of this action are finite crystal graphs; closing a
@@ -33,7 +29,6 @@ word double as the coordinates tau_1, ..., tau_n of a factorization cell;
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
@@ -42,6 +37,7 @@ from .errors import CapExceeded, ColorOutOfRange, ExponentOverflow, NotTauRender
 from .laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId
 
 DEFAULT_CAP = 100_000
+_Pairs = tuple[tuple[VarId, int], ...]
 
 
 def ell(r: int, s: int) -> int:
@@ -99,6 +95,13 @@ def _a_pair(r: int, s: int, i: int) -> tuple[Monomial, Monomial]:
     return a, a.inverse()
 
 
+@lru_cache(maxsize=2048)
+def _a_step(r: int, s: int, i: int, half: int) -> tuple[int, _Pairs]:
+    """Packed int and factors of A[s,i] (half 0) or its inverse (half 1)."""
+    a = _a_pair(r, s, i)[half]
+    return a.packed, a.factors
+
+
 def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
     """The multiplier monomial A[s,i] of color i at shift s.
 
@@ -121,9 +124,32 @@ class CrystalNode:
     lower_shift: tuple[int | None, ...]
 
 
+def _color_scan(col: _Pairs) -> tuple:
+    """(weight, phi, raising shift, lowering shift) of one color, read from
+    its factors in shift order: the shifts are those of ``kashiwara_rows``."""
+    run = phi = 0
+    lower = follower = None
+    for v, e in col:
+        if run == phi:  # the partial sum before v attains phi so far
+            follower = v
+        run += e
+        if run > phi:
+            phi, lower = run, v
+    return run, phi, follower.s - 1 if phi > run else None, None if lower is None else lower.s
+
+
+def _split(r: int, m: Monomial) -> list[_Pairs]:
+    """m's factors of each color 1..r, in shift order."""
+    return [tuple([f for f in m.factors if f[0].i == c]) for c in range(1, r + 1)]
+
+
+def _node(m: Monomial, scans: tuple) -> CrystalNode:
+    weight, phi, up, down = zip(*scans)
+    return CrystalNode(m, weight, phi, tuple([p - w for p, w in zip(phi, weight)]), up, down)
+
+
 def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
-    """Weight, string data and operator shifts of m in all colors, in one
-    pass over m.
+    """Weight, string data and operator shifts of m in all colors.
 
     weight[i-1] is the exponent sum of color i; phi[i-1] is the max over
     shifts n of the partial exponent sum of color i up to n (at least 0);
@@ -132,24 +158,7 @@ def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
     returns, None where the operator is undefined.  Colors above r are
     ignored.
     """
-    r = cfg.r
-    run = [0] * (r + 1)
-    top = [0] * (r + 1)
-    follower: list[int | None] = [None] * (r + 1)
-    lower: list[int | None] = [None] * (r + 1)
-    for (s, c), e in m.factors:
-        if c <= r:
-            total, best = run[c], top[c]
-            if total == best:  # the partial sum before this factor attains phi
-                follower[c] = s
-            total += e
-            run[c] = total
-            if total > best:
-                top[c], lower[c] = total, s
-    weight, phi = tuple(run[1:]), tuple(top[1:])
-    epsilon = tuple([p - w for p, w in zip(phi, weight)])
-    raise_shift = tuple([f - 1 if eps else None for f, eps in zip(follower[1:], epsilon)])
-    return CrystalNode(m, weight, phi, epsilon, raise_shift, tuple(lower[1:]))
+    return _node(m, tuple([_color_scan(col) for col in _split(cfg.r, m)]))
 
 
 def kashiwara_rows(cfg: CrystalConfig, m: Monomial, i: int) -> tuple[int | None, int | None]:
@@ -231,41 +240,94 @@ class CrystalGraph:
         return [n for n in self.nodes if not any(n.phi)]
 
 
+def _bump(col: _Pairs, v: VarId, d: int) -> tuple[_Pairs, int]:
+    """col, one color's factors in shift order, with d added to the exponent
+    of v (a factor at zero dropped); and that new exponent."""
+    k = 0
+    for w, e in col:
+        if w >= v:
+            if w != v:
+                return col[:k] + ((v, d),) + col[k:], d
+            e += d
+            return (col[:k] + ((v, e),) + col[k + 1 :] if e else col[:k] + col[k + 1 :]), e
+        k += 1
+    return col + ((v, d),), d
+
+
+class _Walk:
+    """The members a crystal search has found, in discovery order.
+
+    Member k is the packed int keys[k] (``index`` maps it back to k), its
+    factors of each color 1..r in shift order, cols[k], and each color's
+    ``_color_scan``, scans[k].  Seed factors of color above r, which no step
+    touches, are in the packed ints and ``extra`` only.  top is the largest
+    absolute exponent of any member.
+    """
+
+    __slots__ = ("r", "cap", "near", "extra", "keys", "index", "cols", "scans", "top")
+
+    def __init__(self, cfg: CrystalConfig, seed: Monomial, cap: int):
+        cols = _split(cfg.r, seed)
+        self.r, self.cap = cfg.r, cap
+        self.near = [range(max(i - 2, 0), min(i + 1, cfg.r)) for i in range(cfg.r + 1)]
+        self.extra = [f for f in seed.factors if f[0].i > cfg.r]
+        # every member lies within len(keys) steps of +-1 of the seed, so two
+        # members differ by less than 2**63 in every digit and their packed ints
+        # are equal only when they are: no limit applies to the walk itself
+        self.keys = [seed.raw_packed()]
+        self.index = {self.keys[0]: 0}
+        self.cols = [tuple(cols)]
+        self.scans = [tuple([_color_scan(col) for col in cols])]
+        self.top = max([abs(e) for _, e in seed.factors], default=0)
+
+    def step(self, at: int, shift: int, i: int, half: int) -> int:
+        """Id of member at times A[shift,i] (half 0) or its inverse (half 1),
+        added as a member if it is new, with only colors i-1, i and i+1
+        updated and rescanned; CapExceeded once there are more than cap."""
+        packed, factors = _a_step(self.r, shift, i, half)
+        key = self.keys[at] + packed
+        k = self.index.get(key)
+        if k is None:
+            k = self.index[key] = len(self.keys)
+            self.keys.append(key)
+            if k >= self.cap:
+                raise CapExceeded(self.cap)
+            cols = list(self.cols[at])
+            top = self.top
+            for v, e in factors:
+                cols[v.i - 1], e = _bump(cols[v.i - 1], v, e)
+                if e > top or -e > top:
+                    top = abs(e)
+            self.top = top
+            scans = list(self.scans[at])
+            for c in self.near[i]:
+                scans[c] = _color_scan(cols[c])
+            self.cols.append(tuple(cols))
+            self.scans.append(tuple(scans))
+        return k
+
+    def monomial(self, k: int) -> Monomial:
+        return Monomial(tuple(sorted(chain(self.extra, *self.cols[k]))))
+
+
 def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> CrystalGraph:
     """Connected component of seed under all raising and lowering operators.
 
-    Breadth-first from the seed; discovery order (and hence node ids) is
-    deterministic.  Each node is scanned once, by ``node_stats`` when it is
-    found; its recorded shifts then give, per color, f_i where phi_i > 0
-    and e_i where epsilon_i > 0, each applied as a product with the cached
-    A[s,i] or its inverse.  Nodes are dequeued in id order and raising and
-    lowering invert each other, so each edge is recorded once, from its
-    end with the smaller id.  Raises CapExceeded as soon as more than cap
-    nodes exist.
+    Breadth-first from the seed, so node ids are deterministic: members are
+    visited in id order and, per color, take the step of f_i where phi_i > 0,
+    then that of e_i where epsilon_i > 0.  Raising and lowering invert each
+    other, so each edge is recorded once, from its end with the smaller id.
+    Raises CapExceeded as soon as more than cap nodes exist.
     """
-    r = cfg.r
-    nodes = [node_stats(cfg, seed)]
-    index = {seed: 0}
+    walk = _Walk(cfg, seed, cap)
+    scans, step = walk.scans, walk.step
     edges: list[tuple[int, int, int]] = []
-    queue = deque([0])
-    while queue:
-        at = queue.popleft()
-        node = nodes[at]
-        m = node.monomial
-        for i, down, up in zip(cfg.colors(), node.lower_shift, node.raise_shift):
+    for at, row in enumerate(scans):  # the list grows as members are found
+        for i, (_, _, up, down) in enumerate(row, 1):
             for shift, half in ((down, 1), (up, 0)):  # half 1 is A[s,i]^-1: lowering
-                if shift is None:
-                    continue
-                other = m * _a_pair(r, shift, i)[half]
-                k = index.get(other)
-                if k is None:
-                    k = index[other] = len(nodes)
-                    nodes.append(node_stats(cfg, other))
-                    if len(nodes) > cap:
-                        raise CapExceeded(cap)
-                    queue.append(k)
-                if k > at:
+                if shift is not None and (k := step(at, shift, i, half)) > at:
                     edges.append((at, i, k) if half else (k, i, at))
+    nodes = [_node(walk.monomial(k), row) for k, row in enumerate(scans)]
     return CrystalGraph(cfg.r, tuple(nodes), tuple(edges))
 
 
@@ -287,107 +349,30 @@ class DemazureSpec:
             raise ValueError(f"sign must be 'minus' or 'plus', got {self.sign!r}")
 
 
-_Pairs = tuple[tuple[VarId, int], ...]
-
-
-def _bump(col: _Pairs, v: VarId, d: int) -> tuple[_Pairs, int]:
-    """col, one color's factors in shift order, with d added to the exponent
-    of v (a factor at zero dropped); and that new exponent."""
-    k = 0
-    for w, e in col:
-        if w >= v:
-            if w != v:
-                return col[:k] + ((v, d),) + col[k:], d
-            e += d
-            return (col[:k] + ((v, e),) + col[k + 1 :] if e else col[:k] + col[k + 1 :]), e
-        k += 1
-    return col + ((v, d),), d
-
-
-def _raise_shift(col: _Pairs) -> int | None:
-    """The raising shift of ``kashiwara_rows`` read from one color's factors."""
-    run = phi = 0
-    follower = None
-    at_max = True
-    for v, e in col:
-        if at_max:
-            follower = v
-        run += e
-        if run > phi:
-            phi = run
-        at_max = run == phi
-    return follower.s - 1 if phi > run else None
-
-
-def _lower_shift(col: _Pairs) -> int | None:
-    """The lowering shift of ``kashiwara_rows`` read from one color's factors."""
-    run = phi = 0
-    lower = None
-    for v, e in col:
-        run += e
-        if run > phi:
-            phi, lower = run, v
-    return None if lower is None else lower.s
-
-
-def _demazure_walk(cfg: CrystalConfig, spec: DemazureSpec, cap: int):
-    """The closure behind ``demazure`` and ``demazure_polynomial``.
-
-    Returns the members' packed ints and color tuples, both in discovery
-    order, and the largest absolute exponent of any member.  Entry c-1 of a
-    member's color tuple holds its factors of color c in shift order; seed
-    factors of color above r, which no step touches, are in the packed ints
-    only.  Exponents have no limit here.
-    """
+def _demazure_walk(cfg: CrystalConfig, spec: DemazureSpec, cap: int) -> _Walk:
+    """The closure behind ``demazure`` and ``demazure_polynomial``."""
     for i in spec.word:
         _check_color(cfg, i)
-    seed = spec.seed
-    seed_stats = node_stats(cfg, seed)
-    if spec.sign == "minus":
-        if any(seed_stats.phi):
-            raise ValueError("minus-sign seed must have phi = 0 in every color")
-        shifts, half, scan = [seed_stats.raise_shift], 0, _raise_shift
-    else:
-        if any(seed_stats.epsilon):
-            raise ValueError("plus-sign seed must have epsilon = 0 in every color")
-        shifts, half, scan = [seed_stats.lower_shift], 1, _lower_shift
-    r = cfg.r
-    colors = [tuple([tuple([f for f in seed.factors if f[0].i == c]) for c in cfg.colors()])]
-    top = max([abs(e) for _, e in seed.factors], default=0)
-    # every member lies within len(keys) steps of +-1 of the seed, so two
-    # members differ by less than 2**63 in every digit and their packed ints
-    # are equal only when they are: no limit applies to the walk itself
-    keys = [seed.raw_packed()]
-    index = {keys[0]: 0}
+    walk = _Walk(cfg, spec.seed, cap)
+    seed = _node(spec.seed, walk.scans[0])
+    if spec.sign == "minus" and any(seed.phi):
+        raise ValueError("minus-sign seed must have phi = 0 in every color")
+    if spec.sign == "plus" and any(seed.epsilon):
+        raise ValueError("plus-sign seed must have epsilon = 0 in every color")
+    # raise by A[s,i] at the raising shift, or lower by its inverse at the lowering one
+    half, field = (0, 2) if spec.sign == "minus" else (1, 3)
+    scans, step = walk.scans, walk.step
     for i in reversed(spec.word):
-        near = range(max(i - 2, 0), min(i + 1, r))  # colors i-1, i, i+1 that exist
         walked: set[int] = set()
-        for start in range(len(keys)):
+        for start in range(len(scans)):
             at = start
             while at not in walked:
                 walked.add(at)
-                shift = shifts[at][i - 1]
+                shift = scans[at][i - 1][field]
                 if shift is None:
                     break
-                a = _a_pair(r, shift, i)[half]
-                nxt = keys[at] + a.packed
-                src, at = at, index.get(nxt)
-                if at is None:
-                    at = index[nxt] = len(keys)
-                    keys.append(nxt)
-                    if len(keys) > cap:
-                        raise CapExceeded(cap)
-                    new = list(colors[src])
-                    for v, e in a.factors:
-                        new[v.i - 1], e = _bump(new[v.i - 1], v, e)
-                        if e > top or -e > top:
-                            top = abs(e)
-                    row = list(shifts[src])
-                    for c in near:
-                        row[c] = scan(new[c])
-                    colors.append(tuple(new))
-                    shifts.append(tuple(row))
-    return keys, colors, top
+                at = step(at, shift, i, half)
+    return walk
 
 
 def demazure(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> tuple[Monomial, ...]:
@@ -399,18 +384,12 @@ def demazure(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> 
     result therefore only grows as letters are consumed, and a suffix of
     the word yields a subset of the full word's result.
 
-    A member is a packed int with its factors split by color, one tuple
-    per color.  A step adds the packed A[s,i] or its inverse, at the shift
-    recorded for the member, then updates and rescans for their operator
-    shifts only colors i-1, i and i+1, the colors of A[s,i].  A walk stops
-    at a member that this letter has already walked from, since the rest of
-    its string is already in the set; the discovery order is that of full
-    walks.  The Monomials are built from the color tuples, with any seed
-    factors of color above r; exponents have no limit.
+    A walk stops at a member that this letter has already walked from,
+    since the rest of its string is already in the set; the discovery order
+    is that of full walks.  Exponents have no limit.
     """
-    _, colors, _ = _demazure_walk(cfg, spec, cap)
-    extra = [f for f in spec.seed.factors if f[0].i > cfg.r]
-    return tuple([Monomial(tuple(sorted(chain(extra, *cols)))) for cols in colors])
+    walk = _demazure_walk(cfg, spec, cap)
+    return tuple([walk.monomial(k) for k in range(len(walk.keys))])
 
 
 def demazure_polynomial(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> LaurentPoly:
@@ -420,14 +399,14 @@ def demazure_polynomial(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAU
     largest absolute exponent of the members as the polynomial's exponent
     bound.  A cap that is exceeded wins over an exponent past the limit.
     """
-    keys, _, top = _demazure_walk(cfg, spec, cap)
-    if top >= EXPONENT_LIMIT:
+    walk = _demazure_walk(cfg, spec, cap)
+    if walk.top >= EXPONENT_LIMIT:
         # each member is one +-1 step from an earlier one, so the first
         # member past the limit is the seed or has the limit itself as its
         # largest exponent
         first = max([EXPONENT_LIMIT] + [abs(e) for _, e in spec.seed.factors])
         raise ExponentOverflow(f"exponent {first} of a polynomial term reaches the limit 2**63")
-    return LaurentPoly.from_packed(dict.fromkeys(keys, 1), top)
+    return LaurentPoly.from_packed(dict.fromkeys(walk.keys, 1), walk.top)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,20 @@ def test_minor_numeric(capsys):
     assert out == "5/2\n"
 
 
+def test_minor_t_may_start_with_a_minus_sign(capsys):
+    argv = ["minor", "--r", "2", "--word", "1,2,1", "--k", "1", "--a", "2,3,1/6"]
+    code, out, err = run(capsys, argv + ["--t", "-1,2,3"])
+    assert (code, out, err) == (0, "-1/2\n", "")
+    assert run(capsys, argv + ["--t=-1,2,3"]) == (code, out, err)
+
+
+def test_minor_a_may_start_with_a_minus_sign(capsys):
+    argv = ["minor", "--r", "2", "--word", "1,2,1", "--k", "1", "--t", "1,2,3"]
+    code, out, err = run(capsys, argv + ["--a", "-2,-3,1/6"])
+    assert (code, err) == (0, "") and out.strip()
+    assert run(capsys, argv + ["--a=-2,-3,1/6"]) == (code, out, err)
+
+
 def test_minor_numeric_needs_both_flags(capsys):
     base = ["minor", "--r", "2", "--word", "1,2,1", "--k", "1"]
     code, _, err = run(capsys, base + ["--a", "2,3,1/6"])
@@ -274,6 +288,13 @@ def test_seed_mutate_negative_direction(capsys):
     assert out.splitlines()[0] == "rows -1,-2,1,2,3"
 
 
+def test_seed_mutate_k_may_start_with_a_minus_sign(capsys):
+    argv = ["seed", "mutate", "--r", "2", "--word", "1,2,1"]
+    code, out, err = run(capsys, argv + ["--k", "-1,1"])
+    assert (code, err) == (0, "") and out.startswith("rows -1,-2,1,2,3\n")
+    assert run(capsys, argv + ["--k=-1,1"]) == (code, out, err)
+
+
 def test_seed_mutate_bad_direction(capsys):
     code, _, err = run(
         capsys, ["seed", "mutate", "--r", "2", "--word", "1,2,1", "--k", "3"]
@@ -430,6 +451,23 @@ def test_byte_identical_repeats(capsys):
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second, argv
+
+
+def test_a_closed_stdout_ends_with_exit_2_and_no_traceback():
+    src = str(Path(crystalminor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, code in ((["verify", "thm5-5", "--max-r", "4"], 2),
+                       (["crystal", "component", "--r", "4", "--seed", "Y[-1,2]"], 2),
+                       (["seed", "mutate", "--r", "2", "--word", "1,2,1", "--k", "-1,1"], 2),
+                       (["--help"], 0)):  # argparse drops help that cannot be written
+        read, write = os.pipe()
+        os.close(read)  # before the child starts: its first write meets a closed pipe
+        try:
+            child = subprocess.run([sys.executable, "-m", "crystalminor.cli", *argv], env=env,
+                                   stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (code, b""), argv
 
 
 def test_usage_errors(capsys):
@@ -651,6 +689,12 @@ def _assert_exit_contract(argv, code, err):
 NUMBERS = ["1", "2", "-1", "1/2", "-3/4", "0", "1/0", "x", "", "2.5"]
 
 
+def _flag(draw, name, value):
+    """--name=value as one token, or --name and value as two: a value that
+    starts with a minus sign must read as a value either way."""
+    return draw(st.sampled_from([[f"--{name}={value}"], [f"--{name}", value]]))
+
+
 def _mostly(draw, good, bad):
     """good in about seven draws of eight, else one of bad."""
     return good if draw(st.integers(0, 7)) else draw(st.sampled_from(bad))
@@ -671,14 +715,15 @@ def other_command_argv(draw):
                 "--format", draw(st.sampled_from(["tau", "json", "y"]))]
         numeric = draw(st.sampled_from(["none", "both", "both", "a", "t"]))
         torus = _mostly(draw, ",".join(["2"] + ["1"] * (w.r - 1) + ["1/2"]),
-                        ["1,1", "1,1,1,1,1", "0," + "1," * w.r + "1", "2," * w.r + "2", "x"])
+                        ["1,1", "1,1,1,1,1", "0," + "1," * w.r + "1", "2," * w.r + "2", "x",
+                         "-2,-1/2" + ",1" * (w.r - 1), "-1," * w.r + "-1", "-x"])
         good = ",".join(str(draw(st.integers(1, 3))) for _ in range(w.n))
         bad = draw(st.lists(st.sampled_from(NUMBERS), min_size=w.n - 1, max_size=w.n + 1))
         values = _mostly(draw, good, [",".join(bad)])
         if numeric in ("both", "a"):
-            argv.append(f"--a={torus}")
+            argv += _flag(draw, "a", torus)
         if numeric in ("both", "t"):
-            argv.append(f"--t={values}")
+            argv += _flag(draw, "t", values)
         return argv
     if command in ("bmatrix", "mutate"):
         argv = ["seed", command, "--r", str(r), f"--word={word}",
@@ -687,7 +732,7 @@ def other_command_argv(draw):
             label = st.one_of(st.sampled_from(seed_matrix(w).cols), st.integers(-w.r - 2, w.n + 2))
             labels = draw(st.lists(label, min_size=1, max_size=4))
             labels += labels[:draw(st.integers(0, 2))]
-            argv.append(f"--k={_mostly(draw, ','.join(map(str, labels)), ['a', '', '1,,2'])}")
+            argv += _flag(draw, "k", _mostly(draw, ",".join(map(str, labels)), ["a", "", "1,,2", "-1,,2"]))
         return argv
     if command == "phi":
         return ["phi", "check", "--r", str(r), f"--word={word}",

@@ -567,6 +567,8 @@ def test_component_edges_come_in_set_deduplicated_bfs_order_property(cfg_m):
         return
     g = component(cfg, seed, cap=300)
     assert ([n.monomial for n in g.nodes], list(g.edges)) == want
+    # the walk rescans only the colors a step touches; a full scan agrees
+    assert list(g.nodes) == [node_stats(cfg, n.monomial) for n in g.nodes]
 
 
 def _full_walk_demazure(cfg, spec, cap):
