@@ -260,11 +260,17 @@ def _run_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reads a token such as -1,2 or -1/2 as a value, as argparse reads -1:
-    no option of this CLI starts with a digit."""
+    no option of this CLI starts with a digit.  Help that meets a closed
+    pipe raises BrokenPipeError, which main reports as for any output;
+    some argparse releases drop such a failed write silently."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,12 +379,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
-        _check_positive(args)
-        code = args.func(args)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as e:  # help printed, or a usage error on stderr
+            code = int(e.code or 0)
+        else:
+            _check_positive(args)
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe is met here, not at shutdown
         return code
     except (CrystalMinorError, ValueError) as e:

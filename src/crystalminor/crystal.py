@@ -95,13 +95,6 @@ def _a_pair(r: int, s: int, i: int) -> tuple[Monomial, Monomial]:
     return a, a.inverse()
 
 
-@lru_cache(maxsize=2048)
-def _a_step(r: int, s: int, i: int, half: int) -> tuple[int, _Pairs]:
-    """Packed int and factors of A[s,i] (half 0) or its inverse (half 1)."""
-    a = _a_pair(r, s, i)[half]
-    return a.packed, a.factors
-
-
 def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
     """The multiplier monomial A[s,i] of color i at shift s.
 
@@ -284,8 +277,8 @@ class _Walk:
         """Id of member at times A[shift,i] (half 0) or its inverse (half 1),
         added as a member if it is new, with only colors i-1, i and i+1
         updated and rescanned; CapExceeded once there are more than cap."""
-        packed, factors = _a_step(self.r, shift, i, half)
-        key = self.keys[at] + packed
+        a = _a_pair(self.r, shift, i)[half]
+        key = self.keys[at] + a.packed
         k = self.index.get(key)
         if k is None:
             k = self.index[key] = len(self.keys)
@@ -294,7 +287,7 @@ class _Walk:
                 raise CapExceeded(self.cap)
             cols = list(self.cols[at])
             top = self.top
-            for v, e in factors:
+            for v, e in a.factors:
                 cols[v.i - 1], e = _bump(cols[v.i - 1], v, e)
                 if e > top or -e > top:
                     top = abs(e)
