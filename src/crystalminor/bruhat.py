@@ -1,10 +1,12 @@
 """Staircase reduced words, unipotent matrices and generalized minors.
 
-A word spec fixes the rank ``r`` and a reduced word of the staircase shape
-(1, 2, ..., r, 1, 2, ..., r-1, ..., 1, ..., i_n): ``m`` descending cycles
-with the last one cut off at ``i_n``.  Position ``k`` of such a word carries
-the variable ``Y[s,j]`` where ``s`` counts completed cycles and ``j`` is the
-letter; these are exactly the variables with a single-index alias.
+A word spec fixes the rank ``r`` and a prefix of the staircase reduced word
+of the longest element, (1, 2, ..., r, 1, 2, ..., r-1, ..., 1): ``m``
+cycles, the last one cut off at the letter ``last``.  Position ``k`` of such
+a word carries the variable ``Y[s,j]`` where ``s`` counts completed cycles
+and ``j`` is the letter; these are exactly the variables with a
+single-index alias.  One table of these variables, built from the cycles,
+answers every position question: letters, variables, (s, j) of a position.
 
 Substituting the position variables into a product of negative factors, one
 per letter, yields a matrix over Laurent polynomials whose initial minors
@@ -29,7 +31,6 @@ from functools import cached_property, lru_cache
 from math import prod
 from typing import Mapping, Sequence
 
-from .crystal import ell
 from .errors import (
     IndexOutOfRange,
     InvalidExtension,
@@ -67,46 +68,39 @@ class WordSpec:
 
     @property
     def n(self) -> int:
-        return ell(self.r, self.m - 1) + self.last
-
-    def cycle_length(self, c: int) -> int:
-        """Length of cycle c, counted from 1."""
-        if not 1 <= c <= self.m:
-            raise IndexOutOfRange(c, "cycle")
-        return self.last if c == self.m else self.r - c + 1
-
-    def letters(self) -> tuple[int, ...]:
-        out = []
-        for c in range(1, self.m + 1):
-            out.extend(range(1, self.cycle_length(c) + 1))
-        return tuple(out)
-
-    def position(self, k: int) -> tuple[int, int]:
-        """(completed cycles s, letter j) of position k; k = ell(r,s) + j."""
-        if not 1 <= k <= self.n:
-            raise IndexOutOfRange(k, "word position")
-        s = 0
-        while ell(self.r, s + 1) < k:
-            s += 1
-        return s, k - ell(self.r, s)
-
-    def letter(self, k: int) -> int:
-        return self.position(k)[1]
-
-    def position_var(self, k: int) -> VarId:
-        s, j = self.position(k)
-        return VarId(s, j)
+        # the full cycles r, r-1, ..., r-m+2, then the last one
+        return (self.m - 1) * (2 * self.r - self.m + 2) // 2 + self.last
 
     @cached_property
-    def _variables(self) -> tuple[VarId, ...]:
-        # tuple() of a list, not of a generator: CPython builds the latter at
-        # a guessed length and resizes it, so each call parks one more tuple
-        # on the free list of the real length (up to 2,000 per length)
-        return tuple([self.position_var(k) for k in range(1, self.n + 1)])
+    def _table(self) -> tuple[VarId, ...]:
+        # the position variables Y[s,j], cycle by cycle; tuple() of a list,
+        # not of a generator: CPython builds the latter at a guessed length
+        # and resizes it, so each call parks one more tuple on the free list
+        # of the real length (up to 2,000 per length)
+        return tuple([
+            VarId(s, j)
+            for s in range(self.m)
+            for j in range(1, (self.last if s == self.m - 1 else self.r - s) + 1)
+        ])
 
     def variables(self) -> tuple[VarId, ...]:
         """The position variables in word order, built once per word."""
-        return self._variables
+        return self._table
+
+    def letters(self) -> tuple[int, ...]:
+        return tuple([v.i for v in self._table])
+
+    def position(self, k: int) -> tuple[int, int]:
+        """(completed cycles s, letter j) of position k, as its variable."""
+        return self.position_var(k)
+
+    def letter(self, k: int) -> int:
+        return self.position_var(k).i
+
+    def position_var(self, k: int) -> VarId:
+        if not 1 <= k <= self.n:
+            raise IndexOutOfRange(k, "word position")
+        return self._table[k - 1]
 
     def is_full_longest(self) -> bool:
         return self.m == self.r
@@ -121,27 +115,19 @@ class WordSpec:
 
     @staticmethod
     def from_letters(r: int, letters: Sequence[int]) -> "WordSpec":
-        """Parse an explicit letter list, insisting on the staircase shape."""
+        """The staircase word whose letters these are: a prefix of the
+        longest word's (1, ..., r, 1, ..., r-1, ..., 1)."""
         if not letters:
             raise ValueError("empty word")
-        m = 1
-        last = 0
-        expect = 1
+        if r < 1:
+            raise ValueError(f"rank must be >= 1, got {r}")
+        longest = (j for c in range(r, 0, -1) for j in range(1, c + 1))
         for pos, letter in enumerate(letters, start=1):
-            if letter == expect:
-                last = letter
-                expect += 1
-            elif letter == 1 and last == r - m + 1 and m < r:
-                m += 1
-                last = 1
-                expect = 2
-            else:
+            if letter != next(longest, None):
                 raise ValueError(
                     f"letter {letter} at position {pos} breaks the staircase shape"
                 )
-        spec = WordSpec(r, m, last)
-        assert spec.letters() == tuple(letters)
-        return spec
+        return WordSpec(r, letters.count(1), letters[-1])
 
 
 @dataclass(frozen=True)
@@ -385,14 +371,12 @@ def phi_map(
     vals = _check_values(w, t)
 
     def t_at(cycle: int, x: int) -> Fraction:
-        # cycle counted from 1; positions outside the cycle contribute 1
-        if 1 <= x <= w.cycle_length(cycle):
-            return vals[VarId(cycle - 1, x)]
-        return Fraction(1)
+        # cycle counted from 1; positions outside the word contribute 1
+        return vals.get(VarId(cycle - 1, x), 1)
 
     tau: dict[VarId, Fraction] = {}
-    for k in range(1, w.n + 1):
-        s, j = w.position(k)
+    for v in w.variables():
+        s, j = v
         num = Fraction(1)
         for cycle in range(s + 2, w.m + 1):
             num *= t_at(cycle, j - 1)
@@ -401,12 +385,10 @@ def phi_map(
         den = t_at(s + 1, j)
         for cycle in range(s + 2, w.m + 1):
             den *= t_at(cycle, j) ** 2
-        tau[VarId(s, j)] = num / den
+        tau[v] = num / den
 
     moved = list(vec)
-    for k in range(1, w.n + 1):
-        i = w.letter(k)
-        tk = vals[w.position_var(k)]
+    for i, tk in zip(w.letters(), vals.values()):
         moved[i - 1] /= tk
         moved[i] *= tk
     return tuple(moved), tau

@@ -109,7 +109,7 @@ def _run_minor(args) -> int:
         tvals = _fractions(args.t)
         if len(tvals) != w.n:
             raise ValueError(f"--t needs {w.n} values, got {len(tvals)}")
-        t = {w.position_var(k): tvals[k - 1] for k in range(1, w.n + 1)}
+        t = dict(zip(w.variables(), tvals))
         value = delta_G(ms, a, t)
         try:
             text = str(value)

@@ -147,9 +147,8 @@ def _path_walk(spec: PathSpec, table: dict):
 
     Yields (levels, label) per path: levels is the walk's own list of rows
     (copy it to keep it), label is the sum of the table's edge values along
-    the path.  An edge value that is an exception is raised when the walk
-    first crosses the edge, so the error is the first path's.  The stack
-    holds one iterator per level, over the children of that level's row.
+    the path.  The stack holds one iterator per level, over the children of
+    that level's row.
     """
     m = spec.m
     levels = [spec.source()] * (m + 1)
@@ -162,8 +161,6 @@ def _path_walk(spec: PathSpec, table: dict):
             stack.pop()
             continue
         nxt, delta = step
-        if isinstance(delta, Exception):
-            raise delta
         levels[s] = nxt
         labels[s] = labels[s - 1] + delta
         if s < m:
@@ -202,9 +199,11 @@ def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
 def _slot(r: int, c: int, j: int) -> VarId | None:
     """Variable in slot j of cycle c, or None when the slot is a unit.
 
-    Slots 0 and r+1 are the boundary units; slots 1..r-c exist; anything
-    else does not fit into rank r.
+    A rank below 1 has no slots.  Slots 0 and r+1 are the boundary units;
+    slots 1..r-c exist; anything else does not fit into rank r.
     """
+    if r < 1:
+        raise RankTooSmall(f"rank must be >= 1, got {r}")
     if j == 0 or j == r + 1:
         return None
     if 0 <= c and 1 <= j <= r - c:
@@ -244,19 +243,15 @@ def label(spec: PathSpec, p: Path, r: int) -> Monomial:
     return Monomial.of(*chain.from_iterable(steps))
 
 
-def _caught(make, *args):
-    """make(*args) packed, or the RankTooSmall it raises; a walk raises it
-    when it first reaches the value, so the error is the one met first."""
-    try:
-        return make(*args).packed
-    except RankTooSmall as e:
-        return e
-
-
 def _label_table(spec: PathSpec, r: int) -> dict:
-    """The path table with every edge label built and packed once."""
+    """The path table with every edge label built and packed once.
+
+    A label that does not fit into rank r raises while the table is built:
+    the first one built, the first edge of the first path, raises whenever
+    any does, so the error is the first path's.
+    """
     m = spec.m
-    return _path_table(spec, lambda s, cur, nxt: _caught(edge_label, r, m, s, cur, nxt))
+    return _path_table(spec, lambda s, cur, nxt: edge_label(r, m, s, cur, nxt).packed)
 
 
 def path_sum(spec: PathSpec, r: int) -> LaurentPoly:
@@ -338,9 +333,8 @@ def _array_walk(spec: PathSpec, rows: list, deltas: list):
 
     Yields (arr, label) per array: arr is the walk's own list of rows (copy
     it to keep it), label is the sum of deltas[j0][t] over its rows rows[t]
-    at depths j0.  A delta that is an exception is raised when the walk
-    first reaches it.  The stack holds one iterator per depth, over the
-    rows at or above the row of the depth before it.
+    at depths j0.  The stack holds one iterator per depth, over the rows at
+    or above the row of the depth before it.
     """
     depth = spec.depth
     if not depth:
@@ -358,11 +352,8 @@ def _array_walk(spec: PathSpec, rows: list, deltas: list):
         if t is None:
             stack.pop()
             continue
-        delta = deltas[j0][t]
-        if isinstance(delta, Exception):
-            raise delta
         arr[j0] = rows[t]
-        labels[j0 + 1] = labels[j0] + delta
+        labels[j0 + 1] = labels[j0] + deltas[j0][t]
         if j0 + 1 < depth:
             stack.append(iter(above[t]))
         else:
@@ -404,7 +395,7 @@ def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
     """
     m = spec.m
     rows = _array_rows(spec)
-    cells = [[_caught(_row_term, r, m, j0, row) for row in rows] for j0 in range(spec.depth)]
+    cells = [[_row_term(r, m, j0, row).packed for row in rows] for j0 in range(spec.depth)]
     counts = Counter(label for _, label in _array_walk(spec, rows, cells))
     return LaurentPoly.from_packed(counts, 2 * m * spec.d)
 
@@ -475,8 +466,6 @@ def paths_dot(spec: PathSpec, r: int) -> str:
             stack.pop()
             continue
         nxt, packed = step
-        if isinstance(packed, Exception):
-            raise packed
         dst = (src[0] + 1, nxt)
         if dst not in names:
             names[dst] = _vertex(m, *dst)

@@ -332,6 +332,7 @@ def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]
     undefined, -1 outside the graph); the inverse checks then compare ids.
     """
     colors = cfg.colors()
+    index = {node.monomial: k for k, node in enumerate(graph.nodes)}
 
     def ids(step: Callable) -> list[list[int | None]]:
         table = []
@@ -339,7 +340,7 @@ def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]
             row: list[int | None] = []
             for i in colors:
                 other = step(cfg, node.monomial, i)
-                row.append(None if other is None else graph.index_of(other) if other in graph else -1)
+                row.append(None if other is None else index.get(other, -1))
             table.append(row)
         return table
 
@@ -347,7 +348,7 @@ def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]
     columns = [tuple(cartan(j, i) for j in colors) for i in colors]
     bad: list[str] = []
     for node, up_row, down_row in zip(graph.nodes, ups, downs):
-        me = graph.index_of(node.monomial)
+        me = index[node.monomial]
         for i, up, down, column in zip(colors, up_row, down_row, columns):
             phi, eps = node.phi[i - 1], node.epsilon[i - 1]
             if phi < 0 or eps < 0:

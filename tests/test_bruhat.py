@@ -70,6 +70,76 @@ def test_from_letters_rejects_non_staircase():
             WordSpec.from_letters(r, bad)
 
 
+def longest_word(r: int) -> list[int]:
+    """Letters of the staircase word of the longest element at rank r."""
+    return [j for c in range(r, 0, -1) for j in range(1, c + 1)]
+
+
+def from_letters_reference(r: int, letters) -> WordSpec | str:
+    """The spec whose letters these are, found among all specs of rank r,
+    or the message of the refusal: the empty word, a rank below 1, or the
+    first letter that does not follow the longest word."""
+    if not letters:
+        return "empty word"
+    if r < 1:
+        return f"rank must be >= 1, got {r}"
+    for spec in all_word_specs(r, min_r=r):
+        if spec.letters() == tuple(letters):
+            return spec
+    longest = longest_word(r)
+    pos = next(p for p in range(1, len(letters) + 1)
+               if p > len(longest) or letters[p - 1] != longest[p - 1])
+    return f"letter {letters[pos - 1]} at position {pos} breaks the staircase shape"
+
+
+@st.composite
+def near_staircase_words(draw):
+    """A rank from -1 to 6 and a list of letters: a prefix of the longest
+    word with a letter changed, inserted, dropped or appended, or any list
+    of small letters."""
+    r = draw(st.integers(-1, 6))
+    longest = longest_word(max(r, 1))
+    letters = longest[: draw(st.integers(0, len(longest)))]
+    edit = draw(st.sampled_from(["none", "change", "insert", "drop", "append", "any"]))
+    letter = st.integers(0, max(r, 1) + 2)
+    if edit == "any":
+        letters = draw(st.lists(letter, max_size=len(longest) + 2))
+    elif edit == "append":
+        letters += draw(st.lists(letter, min_size=1, max_size=3))
+    elif edit != "none" and letters:
+        at = draw(st.integers(0, len(letters) - 1))
+        if edit == "change":
+            letters[at] = draw(letter)
+        elif edit == "insert":
+            letters.insert(at, draw(letter))
+        else:
+            del letters[at]
+    return r, letters
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(near_staircase_words())
+def test_from_letters_matches_prefix_reference_property(case):
+    r, letters = case
+    want = from_letters_reference(r, letters)
+    try:
+        got = WordSpec.from_letters(r, letters)
+    except ValueError as e:
+        got = str(e)
+    assert got == want
+
+
+def test_from_letters_names_the_letter_that_overruns_its_cycle():
+    with pytest.raises(ValueError, match="^letter 4 at position 4 breaks the staircase shape$"):
+        WordSpec.from_letters(3, [1, 2, 3, 4, 1])
+    with pytest.raises(ValueError, match="^letter 4 at position 4 breaks the staircase shape$"):
+        WordSpec.from_letters(3, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="^letter 3 at position 6 breaks the staircase shape$"):
+        WordSpec.from_letters(3, [1, 2, 3, 1, 2, 3])
+    with pytest.raises(ValueError, match="^rank must be >= 1, got 0$"):
+        WordSpec.from_letters(0, [2])
+
+
 def test_positions_and_variables():
     w = WordSpec(4, 4, 1)
     assert w.n == 10

@@ -117,6 +117,21 @@ def test_minor_bad_word(capsys):
     assert "staircase" in err
 
 
+def test_minor_rank_below_one_is_named(capsys):
+    for r in ("0", "-1"):
+        for word in ("1", "2", "1,2,1"):
+            got = run(capsys, ["minor", "--r", r, "--word", word, "--k", "1"])
+            assert got == (2, "", f"error: rank must be >= 1, got {r}\n")
+
+
+def test_minor_letter_past_its_cycle_is_named(capsys):
+    for word in ("1,2,3,4,1", "1,2,3,4"):
+        got = run(capsys, ["minor", "--r", "3", "--word", word, "--k", "1"])
+        assert got == (2, "", "error: letter 4 at position 4 breaks the staircase shape\n")
+    got = run(capsys, ["seed", "bmatrix", "--r", "2", "--word", "1,2,1,2"])
+    assert got == (2, "", "error: letter 2 at position 4 breaks the staircase shape\n")
+
+
 def test_minor_bad_position(capsys):
     code, _, err = run(capsys, ["minor", "--r", "2", "--word", "1,2,1", "--k", "9"])
     assert code == 2
@@ -706,8 +721,12 @@ def other_command_argv(draw):
     formed, with wrong counts, zeros, bad labels and inapplicable flags
     mixed in."""
     w = draw(st.sampled_from(list(all_word_specs(3))))
-    r = _mostly(draw, w.r, [w.r + 1, 0, -1])
-    word = _mostly(draw, ",".join(map(str, w.letters())), ["1,,2", "a", "", "0,1", "1,3"])
+    r = _mostly(draw, w.r, [w.r + 1, 0, -1, -2])
+    # the bad words include letters past their cycle: one more letter than
+    # the first cycle holds, and the final letter's successor appended
+    word = _mostly(draw, ",".join(map(str, w.letters())),
+                   ["1,,2", "a", "", "0,1", "1,3", ",".join(map(str, range(1, w.r + 2))),
+                    ",".join(map(str, w.letters() + (w.last + 1,)))])
     command = draw(st.sampled_from(["minor", "bmatrix", "mutate", "phi", "verify"]))
     if command == "minor":
         k = _mostly(draw, draw(st.integers(1, w.n)), [-1, 0, w.n + 1])

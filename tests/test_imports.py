@@ -3,8 +3,8 @@
 The minor (``bruhat``), the crystal sum (``crystal``) and the path and
 closed-form sums (``paths``) check one another, so no route may borrow
 another's computation.  These tests parse the imports of the three route
-modules and fail if one takes from another anything beyond the indexing
-and rendering helpers listed in ALLOWED.
+modules and fail if one takes from another anything beyond the rendering
+helpers listed in ALLOWED.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import crystalminor
 ROUTES = ("crystal", "bruhat", "paths")
 ALLOWED = {
     "crystal": set(),
-    "bruhat": {("crystal", "ell")},
+    "bruhat": set(),
     "paths": {("crystal", "CrystalConfig"), ("crystal", "tau_render")},
 }
 

@@ -200,6 +200,10 @@ def test_rank_too_small():
         closed_form_sum(SPEC232, 2)
     with pytest.raises(RankTooSmall):
         d1_closed_form(3, 2, 2)
+    for r in (0, -1):
+        for compute in (path_sum, closed_form_sum):
+            with pytest.raises(RankTooSmall, match=f"^rank must be >= 1, got {r}$"):
+                compute(SPEC232, r)
 
 
 def test_cbar_slots():
@@ -443,9 +447,10 @@ SHAPE_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_ex
 def shapes_and_ranks(draw):
     """A shape and any rank from -1 to d + m, so that some are too small.
 
-    At rank 0 slot 1 is the unit slot r + 1, so the first missing slot a
-    path meets is not always the first one level by level; the sums must
-    still raise the error of the first path in order.
+    A rank below 1 is refused by every label.  From rank 1 up, a shape
+    with a missing slot anywhere misses one on the first edge of its first
+    path, so the tables built in full must raise the error of the first
+    path in order.
     """
     spec = draw(st.one_of(st.sampled_from(SMALL_SHAPES), st.sampled_from(LONG_SHAPES)))
     return spec, draw(st.integers(-1, spec.d + spec.m))
