@@ -13,7 +13,9 @@ per letter, yields a matrix over Laurent polynomials whose initial minors
 this module extracts (``delta_L``).  No matrix product is ever formed: a
 minor starts from the d identity rows it needs and applies the word's
 factors as column operations (``apply_word``), then takes the determinant of
-the first d columns.  The numeric side is the same routine over rationals.
+the first d columns.  The caller hands ``apply_word`` each factor's entry
+and its inverse, so the routine knows neither ring: the symbolic side passes
+one-term polynomials, the numeric side rationals.
 The cell matrix is dressed by a diagonal with determinant one, which scales
 its rows, so the numeric side applies the word to rows of that diagonal
 instead of identity rows; ``delta_G`` takes the minors of that matrix from
@@ -90,10 +92,6 @@ class WordSpec:
     def letters(self) -> tuple[int, ...]:
         return tuple([v.i for v in self._table])
 
-    def position(self, k: int) -> tuple[int, int]:
-        """(completed cycles s, letter j) of position k, as its variable."""
-        return self.position_var(k)
-
     def letter(self, k: int) -> int:
         return self.position_var(k).i
 
@@ -149,7 +147,7 @@ class MinorSpec:
     @property
     def mprime(self) -> int:
         """The cycle containing position k, counted from 1."""
-        return self.word.position(self.k)[0] + 1
+        return self.word.position_var(self.k).s + 1
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -165,45 +163,29 @@ class MinorSpec:
 # matrices over a ring (Laurent polynomials or rationals)
 
 
-def _coerce(t):
-    if isinstance(t, VarId):
-        return LaurentPoly.from_monomial(Monomial.of((t, 1)))
-    if isinstance(t, int):
-        return Fraction(t)
-    return t
-
-
-def _inv(t):
-    if isinstance(t, LaurentPoly):
-        return t.inverse()
-    if t == 0:
-        raise ZeroDivisionError("cannot invert zero")
-    return 1 / Fraction(t)
-
-
 def apply_word(rows, steps):
     """Right-multiply a block of rows by negative factors, one step at a time.
 
-    Step ``(i, t)`` stands for the negative factor at letter i: the identity
-    with the 2x2 block [[1/t, 0], [1, t]] at rows and columns (i, i+1).  It
-    changes only columns i and i+1: ``col_i <- col_i / t + col_{i+1}`` and
-    ``col_{i+1} <- col_{i+1} * t``.  So a word of n letters costs O(n) ring
-    operations per row, and zero entries cost nothing.  Works over Laurent
-    polynomials (a ``VarId`` step is its variable) and over rationals; the
+    Step ``(i, t, t_inv)`` stands for the negative factor at letter i: the
+    identity with the 2x2 block [[1/t, 0], [1, t]] at rows and columns
+    (i, i+1), where the caller passes t and its inverse t_inv in the ring of
+    the rows.  It changes only columns i and i+1: ``col_i <- col_i * t_inv +
+    col_{i+1}`` and ``col_{i+1} <- col_{i+1} * t``.  So a word of n letters
+    costs O(n) ring operations per row, and zero entries cost nothing.  The
     input rows are left unchanged.
 
     >>> from fractions import Fraction
     >>> rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
-    >>> [str(e) for e in apply_word(rows[1:2], [(1, 2), (2, 3)])[0]]
+    >>> steps = [(1, Fraction(2), Fraction(1, 2)), (2, Fraction(3), Fraction(1, 3))]
+    >>> [str(e) for e in apply_word(rows[1:2], steps)[0]]
     ['1', '2/3', '0']
+    >>> y = LaurentPoly.from_monomial(Monomial.of((VarId(0, 1), 1)))
     >>> unit = [[LaurentPoly.one(), LaurentPoly.zero()], [LaurentPoly.zero(), LaurentPoly.one()]]
-    >>> [[str(e) for e in row] for row in apply_word(unit, [(1, VarId(0, 1))])]
+    >>> [[str(e) for e in row] for row in apply_word(unit, [(1, y, y.inverse())])]
     [['Y[0,1]^-1', '0'], ['1', 'Y[0,1]']]
     """
     out = [list(row) for row in rows]
-    for i, t in steps:
-        t = _coerce(t)
-        t_inv = _inv(t)
+    for i, t, t_inv in steps:
         for row in out:
             a, b = row[i - 1], row[i]
             if b:
@@ -218,7 +200,11 @@ def _symbolic_rows(w: WordSpec, rows: Sequence[int]):
     """Rows (1-based) of the symbolic cell matrix, by column operations."""
     zero, one = LaurentPoly.zero(), LaurentPoly.one()
     identity_rows = [[one if c == a else zero for c in range(1, w.r + 2)] for a in rows]
-    return apply_word(identity_rows, zip(w.letters(), w.variables()))
+    steps = []
+    for v in w.variables():
+        t = LaurentPoly.from_monomial(Monomial.of((v, 1)))
+        steps.append((v.i, t, t.inverse()))
+    return apply_word(identity_rows, steps)
 
 
 def det(matrix):
@@ -328,8 +314,8 @@ def _cell_rows(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction],
     """Rows (1-based) of diag(a) times the numeric cell matrix: the word's
     factors applied to the rows of diag(a)."""
     vec = _check_torus(a, w.r)
-    vals = _check_values(w, t)
-    return apply_word(_diagonal_rows(vec, rows), zip(w.letters(), vals.values()))
+    steps = [(v.i, x, 1 / x) for v, x in _check_values(w, t).items()]
+    return apply_word(_diagonal_rows(vec, rows), steps)
 
 
 def cell_matrix_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):

@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     except (CrystalMinorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:  # a request too large to allocate, like an input error
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except BrokenPipeError:  # the reader is gone: the rest of the output goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2

@@ -107,14 +107,12 @@ def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
 
 @dataclass(frozen=True)
 class CrystalNode:
-    """A monomial with its cached weight, string data and operator shifts."""
+    """A monomial with its weight and string data in every color."""
 
     monomial: Monomial
     weight: tuple[int, ...]
     phi: tuple[int, ...]
     epsilon: tuple[int, ...]
-    raise_shift: tuple[int | None, ...]
-    lower_shift: tuple[int | None, ...]
 
 
 def _color_scan(col: _Pairs) -> tuple:
@@ -137,19 +135,18 @@ def _split(r: int, m: Monomial) -> list[_Pairs]:
 
 
 def _node(m: Monomial, scans: tuple) -> CrystalNode:
-    weight, phi, up, down = zip(*scans)
-    return CrystalNode(m, weight, phi, tuple([p - w for p, w in zip(phi, weight)]), up, down)
+    weight, phi, _, _ = zip(*scans)
+    return CrystalNode(m, weight, phi, tuple([p - w for p, w in zip(phi, weight)]))
 
 
 def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
-    """Weight, string data and operator shifts of m in all colors.
+    """Weight and string data of m in all colors.
 
     weight[i-1] is the exponent sum of color i; phi[i-1] is the max over
     shifts n of the partial exponent sum of color i up to n (at least 0);
-    epsilon[i-1] = phi[i-1] - weight[i-1].  raise_shift[i-1] and
-    lower_shift[i-1] are the shifts that ``kashiwara_rows(cfg, m, i)``
-    returns, None where the operator is undefined.  Colors above r are
-    ignored.
+    epsilon[i-1] = phi[i-1] - weight[i-1].  Colors above r are ignored.
+    The crystal walk reads the operator shifts from the same per-color
+    scan (``_color_scan``).
     """
     return _node(m, tuple([_color_scan(col) for col in _split(cfg.r, m)]))
 
@@ -227,10 +224,6 @@ class CrystalGraph:
     def sources(self) -> list[CrystalNode]:
         """Nodes with no raising operator in any color."""
         return [n for n in self.nodes if not any(n.epsilon)]
-
-    def sinks(self) -> list[CrystalNode]:
-        """Nodes with no lowering operator in any color."""
-        return [n for n in self.nodes if not any(n.phi)]
 
 
 def _bump(col: _Pairs, v: VarId, d: int) -> tuple[_Pairs, int]:
@@ -457,12 +450,12 @@ def monomial_text(cfg: CrystalConfig, m: Monomial, form: str) -> str:
 # export
 
 
-def graph_to_dot(g: CrystalGraph, form: str = "tau") -> str:
-    """DOT text: nodes by discovery id, arrows in the lowering direction."""
+def graph_to_dot(g: CrystalGraph) -> str:
+    """DOT text: tau-rendered nodes by id, arrows in the lowering direction."""
     cfg = CrystalConfig(g.r)
     lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=plaintext];']
     for k, node in enumerate(g.nodes):
-        lines.append(f'  n{k} [label="{monomial_text(cfg, node.monomial, form)}"];')
+        lines.append(f'  n{k} [label="{tau_render(cfg, node.monomial)}"];')
     for src, color, dst in g.edges:
         lines.append(f'  n{src} -> n{dst} [label="{color}"];')
     lines.append("}")

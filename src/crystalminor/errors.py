@@ -17,8 +17,6 @@ class ColorOutOfRange(CrystalMinorError):
 
     def __init__(self, i: int, r: int):
         super().__init__(f"color {i} out of range [1, {r}]")
-        self.i = i
-        self.r = r
 
 
 class CapExceeded(CrystalMinorError):
@@ -26,7 +24,6 @@ class CapExceeded(CrystalMinorError):
 
     def __init__(self, cap: int):
         super().__init__(f"node cap {cap} exceeded")
-        self.cap = cap
 
 
 class NotTauRenderable(CrystalMinorError):
@@ -34,7 +31,6 @@ class NotTauRenderable(CrystalMinorError):
 
     def __init__(self, var):
         super().__init__(f"{var} has no tau alias")
-        self.var = var
 
 
 class MissingAssignment(CrystalMinorError):
@@ -42,7 +38,6 @@ class MissingAssignment(CrystalMinorError):
 
     def __init__(self, var):
         super().__init__(f"no value assigned to {var}")
-        self.var = var
 
 
 class ZeroAssignment(CrystalMinorError):
@@ -50,22 +45,17 @@ class ZeroAssignment(CrystalMinorError):
 
     def __init__(self, var):
         super().__init__(f"{var} assigned zero; all values must be invertible")
-        self.var = var
 
 
 class NotInTorus(CrystalMinorError):
     """A diagonal vector failed the torus constraint (product must be 1)."""
 
-    def __init__(self, msg: str = "diagonal entries must be nonzero with product 1"):
-        super().__init__(msg)
-
 
 class IndexOutOfRange(CrystalMinorError):
     """A word position or mutation direction was not valid."""
 
-    def __init__(self, k, what: str = "index"):
+    def __init__(self, k, what: str):
         super().__init__(f"{what} {k} out of range")
-        self.k = k
 
 
 class InvalidExtension(CrystalMinorError):
@@ -78,6 +68,3 @@ class ExponentOverflow(CrystalMinorError, OverflowError):
 
 class RankTooSmall(CrystalMinorError):
     """A path label needs variables that do not exist at this rank."""
-
-    def __init__(self, msg: str):
-        super().__init__(msg)

@@ -82,20 +82,16 @@ class Monomial:
     Factors are kept sorted by variable with zero exponents dropped, so
     equal monomials are equal objects in the dict/set sense.
 
-    >>> m = Monomial.of((VarId(1, 2), 3))
-    >>> m.exponent(VarId(1, 2))
-    3
-    >>> m.exponent(VarId(0, 1))
-    0
+    >>> Monomial.of((VarId(1, 2), 3), (VarId(0, 1), 1), (VarId(0, 1), -1)).factors
+    ((VarId(s=1, i=2), 3),)
     """
 
-    __slots__ = ("_factors", "_hash", "_key", "_packed")
+    __slots__ = ("_factors", "_hash", "_packed")
 
     def __init__(self, factors: tuple[tuple[VarId, int], ...]):
         # internal: factors must already be sorted, deduplicated, zero-free
         self._factors = factors
         self._hash = hash(factors)
-        self._key = None
         self._packed = None
 
     @staticmethod
@@ -118,12 +114,6 @@ class Monomial:
     def factors(self) -> tuple[tuple[VarId, int], ...]:
         """Sorted (variable, exponent) pairs, exponents nonzero."""
         return self._factors
-
-    def exponent(self, v: VarId) -> int:
-        for w, e in self._factors:
-            if w == v:
-                return e
-        return 0
 
     def variables(self) -> Iterator[VarId]:
         for v, _ in self._factors:
@@ -213,7 +203,7 @@ class Monomial:
         return out
 
     def _sort_key(self) -> tuple[int, ...]:
-        """Key of the canonical term order, computed once and cached.
+        """Key of the canonical term order.
 
         Monomials compare at the highest variable where their exponents
         differ (absent variables count as exponent zero), and the larger
@@ -227,26 +217,17 @@ class Monomial:
         >>> Monomial.of((VarId(0, 2), 1), (VarId(1, 1), -3))._sort_key()
         (2, 1, 1, 3, 0, 0, -2, -1, 1)
         """
-        key = self._key
-        if key is None:
-            out: list[int] = []
-            for (s, i), e in reversed(self._factors):
-                out += (0, -s, -i, -e) if e > 0 else (2, s, i, -e)
-            out.append(1)
-            key = self._key = tuple(out)
-        return key
+        out: list[int] = []
+        for (s, i), e in reversed(self._factors):
+            out += (0, -s, -i, -e) if e > 0 else (2, s, i, -e)
+        out.append(1)
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._factors == other._factors
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self._sort_key() < other._sort_key()
-
-    def __le__(self, other: "Monomial") -> bool:
-        return self._sort_key() <= other._sort_key()
 
     def __str__(self) -> str:
         if not self._factors:
@@ -325,9 +306,6 @@ class LaurentPoly:
             terms = self._terms = tuple(items)
         return terms
 
-    def coefficient(self, m: Monomial) -> int:
-        return self._coeffs.get(m.packed, 0)
-
     def monomials(self) -> Iterator[Monomial]:
         for m, _ in self.terms:
             yield m
@@ -374,9 +352,7 @@ class LaurentPoly:
             if not other:
                 return _ZERO
             return LaurentPoly({key: c * other for key, c in self._coeffs.items()}, self._bound)
-        if isinstance(other, Monomial):
-            other = LaurentPoly.from_monomial(other)
-        elif not isinstance(other, LaurentPoly):
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
@@ -463,22 +439,11 @@ def mono_to_json(m: Monomial) -> list[list[int]]:
     return [[v.s, v.i, e] for v, e in m.factors]
 
 
-def mono_from_json(data: Iterable[Iterable[int]]) -> Monomial:
-    return Monomial.of(*((VarId(int(s), int(i)), int(e)) for s, i, e in data))
-
-
 def poly_to_json(p: LaurentPoly) -> str:
     """Canonical JSON text: a list of {coeff, vars} in term order."""
     return json.dumps(
         [{"coeff": c, "vars": mono_to_json(m)} for m, c in p.terms],
         separators=(",", ":"),
-    )
-
-
-def poly_from_json(text: str) -> LaurentPoly:
-    data = json.loads(text)
-    return LaurentPoly.from_terms(
-        (mono_from_json(t["vars"]), int(t["coeff"])) for t in data
     )
 
 

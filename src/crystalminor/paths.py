@@ -321,11 +321,10 @@ def cbar(r: int, c: int, j: int) -> Monomial:
 
 
 def _array_rows(spec: PathSpec) -> list[tuple[int, ...]]:
-    """Rows an array may use, lexicographically: strictly increasing, the
-    entry in column i+1 at most mprime + i + 1."""
-    mp, d = spec.mprime, spec.d
-    return [c for c in combinations(range(1, mp + d + 1), d)
-            if all(c[i] <= mp + i + 1 for i in range(d))]
+    """Rows an array may use, lexicographically: the strictly increasing
+    d-tuples from 1..mprime + d, so the entry in column i+1 is at most
+    mprime + i + 1."""
+    return list(combinations(range(1, spec.mprime + spec.d + 1), spec.d))
 
 
 def _array_walk(spec: PathSpec, rows: list, deltas: list):
@@ -391,10 +390,11 @@ def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
     One walk over the arrays carries each term packed: the product over one
     row at one depth is built and packed once, and an array's term is the
     sum of its rows' packed terms.  An array has at most md entries, each
-    moving two exponents by one, so 2md bounds the sum.
+    moving two exponents by one, so 2md bounds the sum.  At depth 0 the one
+    array is empty, and no rows are built.
     """
     m = spec.m
-    rows = _array_rows(spec)
+    rows = _array_rows(spec) if spec.depth else []
     cells = [[_row_term(r, m, j0, row).packed for row in rows] for j0 in range(spec.depth)]
     counts = Counter(label for _, label in _array_walk(spec, rows, cells))
     return LaurentPoly.from_packed(counts, 2 * m * spec.d)

@@ -143,8 +143,7 @@ def test_from_letters_names_the_letter_that_overruns_its_cycle():
 def test_positions_and_variables():
     w = WordSpec(4, 4, 1)
     assert w.n == 10
-    assert w.position(6) == (1, 2)
-    assert w.position_var(6) == VarId(1, 2)
+    assert w.position_var(6) == VarId(1, 2) == (1, 2)
     assert w.position_var(9) == VarId(2, 2)
     assert w.position_var(10) == VarId(3, 1)
     assert w.letter(8) == 1
@@ -152,9 +151,9 @@ def test_positions_and_variables():
     assert w.variables() is w.variables()  # built once per word
     assert w == WordSpec(4, 4, 1) and hash(w) == hash(WordSpec(4, 4, 1))
     with pytest.raises(IndexOutOfRange):
-        w.position(11)
+        w.position_var(11)
     with pytest.raises(IndexOutOfRange):
-        w.position(0)
+        w.position_var(0)
 
 
 def test_extension_chain():
@@ -486,7 +485,8 @@ def test_apply_word_on_rationals_matches_dense_product():
                 rows = sorted(rng.sample(range(r + 1), rng.randint(1, r + 1)))
                 start = [[Fraction(int(a == b)) for b in range(r + 1)] for a in rows]
                 untouched = [list(row) for row in start]
-                assert apply_word(start, zip(w.letters(), values)) == [dense[a] for a in rows]
+                steps = [(i, t, 1 / t) for i, t in zip(w.letters(), values)]
+                assert apply_word(start, steps) == [dense[a] for a in rows]
                 assert start == untouched
 
 

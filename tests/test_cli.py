@@ -19,7 +19,7 @@ from crystalminor import cli
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.cluster import seed_matrix
 from crystalminor.crystal import DEFAULT_CAP
-from crystalminor.laurent import EXPONENT_LIMIT, Monomial, VarId, poly_from_json
+from crystalminor.laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId
 from crystalminor.paths import PathSpec, paths_dot, paths_json
 from crystalminor.verify import (
     CHECKS,
@@ -52,6 +52,12 @@ def test_minor_explicit_tau_matches_default(capsys):
     _, default, _ = run(capsys, MINOR_ARGS)
     _, explicit, _ = run(capsys, MINOR_ARGS + ["--format", "tau"])
     assert explicit == default
+
+
+def poly_from_json(text):
+    """The polynomial that the JSON format spells, read back."""
+    return LaurentPoly.from_terms(
+        (Monomial.of(*((VarId(s, i), e) for s, i, e in t["vars"])), t["coeff"]) for t in json.loads(text))
 
 
 def test_minor_json_round_trip(capsys):
@@ -263,6 +269,12 @@ def test_paths_rank_too_small(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_a_request_too_large_to_allocate_is_an_input_error(capsys):
+    # a source row of 2^61 entries is refused at once, before any memory is touched
+    argv = ["paths", "enum", "--d", str(2**61), "--m", "1", "--mprime", "1", "--r", "3"]
+    assert run(capsys, argv) == (2, "", "error: out of memory\n")
 
 
 def test_seed_bmatrix_text(capsys):

@@ -318,6 +318,17 @@ def test_closed_form_forced():
     assert closed_form_sum(PathSpec(2, 3, 3), 4) == LaurentPoly.one()
 
 
+def test_closed_form_at_depth_zero_builds_no_array_rows(monkeypatch):
+    # PathSpec(40, 5, 5) has C(45, 40) = 1,221,759 possible array rows and
+    # one path, whose array is empty
+    def refuse(spec):
+        raise AssertionError("array rows built at depth 0")
+
+    monkeypatch.setattr("crystalminor.paths._array_rows", refuse)
+    assert closed_form_sum(PathSpec(40, 5, 5), 50) == LaurentPoly.one()
+    assert closed_form_sum(PathSpec(2, 3, 3), 4) == LaurentPoly.one()
+
+
 def test_d1_closed_form_matches_path_sum():
     for m in range(1, 6):
         for mp in range(1, m + 1):
