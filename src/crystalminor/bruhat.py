@@ -35,7 +35,6 @@ from typing import Mapping, Sequence
 
 from .errors import (
     IndexOutOfRange,
-    InvalidExtension,
     MissingAssignment,
     NotInTorus,
     ZeroAssignment,
@@ -154,10 +153,6 @@ class MinorSpec:
         mp = self.mprime
         return tuple(range(mp + 1, mp + self.d + 1))
 
-    @property
-    def cols(self) -> tuple[int, ...]:
-        return tuple(range(1, self.d + 1))
-
 
 # ---------------------------------------------------------------------------
 # matrices over a ring (Laurent polynomials or rationals)
@@ -255,25 +250,6 @@ def _delta_L_cached(word: WordSpec, k: int) -> LaurentPoly:
 def delta_L(spec: MinorSpec) -> LaurentPoly:
     """The minor of the symbolic cell matrix marked by position k."""
     return _delta_L_cached(spec.word, spec.k)
-
-
-def delta_L_truncation_check(w: WordSpec, k: int) -> bool:
-    """Does the position-k minor survive the one-letter word extension?
-
-    True when the extended word yields the identical polynomial and the new
-    position's variable stays out of it.  Raises InvalidExtension when no
-    extension exists or when the appended letter repeats the letter at k.
-    """
-    base = delta_L(MinorSpec(w, k))
-    ext = w.extension()
-    if ext is None:
-        raise InvalidExtension("the full longest word has no extension")
-    if ext.letter(ext.n) == w.letter(k):
-        raise InvalidExtension(
-            f"appended letter {ext.letter(ext.n)} repeats the letter at position {k}"
-        )
-    extended = delta_L(MinorSpec(ext, k))
-    return extended == base and ext.position_var(ext.n) not in extended.variables()
 
 
 # ---------------------------------------------------------------------------

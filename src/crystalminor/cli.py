@@ -172,8 +172,7 @@ def _path_spec(args) -> PathSpec:
     """The shape, refused before any walk when the rank is below one or
     the shape has more than --cap paths."""
     spec = PathSpec(args.d, args.m, args.mprime)
-    if args.r < 1:
-        raise ValueError(f"rank must be >= 1, got {args.r}")
+    CrystalConfig(args.r)
     if count_paths(spec) > args.cap:
         raise CapExceeded(args.cap)
     return spec

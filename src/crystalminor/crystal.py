@@ -40,17 +40,6 @@ DEFAULT_CAP = 100_000
 _Pairs = tuple[tuple[VarId, int], ...]
 
 
-def ell(r: int, s: int) -> int:
-    """Number of word positions in the first s cycles: sum of r, r-1, ...
-
-    >>> [ell(4, s) for s in range(5)]
-    [0, 4, 7, 9, 10]
-    """
-    if s < 0 or s > r:
-        raise ValueError(f"cycle count {s} out of range [0, {r}]")
-    return s * r - s * (s - 1) // 2
-
-
 def cartan(i: int, j: int) -> int:
     """Entry (i, j) of the type-A Cartan matrix.
 
@@ -402,12 +391,16 @@ def demazure_polynomial(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAU
 def tau_index(r: int, v: VarId) -> int:
     """Single-index alias of Y[s,i] at rank r.
 
-    Shifts 0 <= s < r map into positions of the staircase word
-    (cycle s holds indices ell(r,s)+1 ... ell(r,s+1)); shift -1 maps to the
-    negative aliases -r, ..., -1.  Everything else has no alias.
+    Shifts 0 <= s < r map into positions of the staircase word: cycle s
+    starts after the s*r - s*(s-1)/2 positions of the cycles before it, of
+    lengths r, r-1, ..., r-s+1.  Shift -1 maps to the negative aliases
+    -r, ..., -1.  Everything else has no alias.
+
+    >>> [tau_index(4, VarId(s, 1)) for s in range(4)]
+    [1, 5, 8, 10]
     """
     if v.s >= 0 and v.s < r and 1 <= v.i <= r - v.s:
-        return ell(r, v.s) + v.i
+        return v.s * r - v.s * (v.s - 1) // 2 + v.i
     if v.s == -1 and 1 <= v.i <= r:
         return -(r + 1 - v.i)
     raise NotTauRenderable(v)

@@ -58,10 +58,6 @@ class IndexOutOfRange(CrystalMinorError):
         super().__init__(f"{what} {k} out of range")
 
 
-class InvalidExtension(CrystalMinorError):
-    """A word cannot be extended the way a truncation check requires."""
-
-
 class ExponentOverflow(CrystalMinorError, OverflowError):
     """A polynomial exponent, or a bound on one, reached the packed limit 2**63."""
 

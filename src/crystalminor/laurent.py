@@ -43,8 +43,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ExponentOverflow, MissingAssignment, ZeroAssignment
 
-Rational = Fraction
-
 _WIDTH = 64
 EXPONENT_LIMIT = 1 << (_WIDTH - 1)
 _HALF_DIGIT = EXPONENT_LIMIT.to_bytes(_WIDTH // 8, sys.byteorder)
@@ -275,8 +273,8 @@ class LaurentPoly:
         return _POLY_ONE
 
     @staticmethod
-    def from_monomial(m: Monomial, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly.from_terms([(m, coeff)])
+    def from_monomial(m: Monomial) -> "LaurentPoly":
+        return LaurentPoly.from_terms([(m, 1)])
 
     @staticmethod
     def from_terms(terms: Iterable[tuple[Monomial, int]]) -> "LaurentPoly":

@@ -104,15 +104,6 @@ class Path:
     def mprime(self) -> int:
         return self.rows[-1][0] - 1
 
-    def column(self, i: int) -> tuple[int, ...]:
-        """Entry i (1-based) at every level, top to bottom."""
-        return tuple(row[i - 1] for row in self.rows)
-
-
-def _check_path(spec: PathSpec, p: Path) -> None:
-    if (p.d, p.m, p.mprime) != (spec.d, spec.m, spec.mprime):
-        raise ValueError(f"path of shape ({p.d},{p.m},{p.mprime}) does not fit {spec}")
-
 
 def _path_table(spec: PathSpec, edge) -> dict:
     """Children of every vertex a path passes, keyed by (level, row).
@@ -237,7 +228,8 @@ def edge_label(r: int, m: int, s: int, src: Iterable[int], dst: Iterable[int]) -
 
 def label(spec: PathSpec, p: Path, r: int) -> Monomial:
     """Product of the edge labels along p, built as one monomial."""
-    _check_path(spec, p)
+    if (p.d, p.m, p.mprime) != (spec.d, spec.m, spec.mprime):
+        raise ValueError(f"path of shape ({p.d},{p.m},{p.mprime}) does not fit {spec}")
     rows = p.rows
     steps = (_edge_pairs(r, spec.m, s, rows[s], rows[s + 1]) for s in range(spec.m))
     return Monomial.of(*chain.from_iterable(steps))

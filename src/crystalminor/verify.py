@@ -24,7 +24,6 @@ from .bruhat import (
     cell_matrix_value,
     delta_G,
     delta_L,
-    delta_L_truncation_check,
     lower_product_value,
     phi_map,
 )
@@ -95,15 +94,15 @@ def _sweep(name: str) -> Callable[[Callable[..., Sweep]], Callable[..., CheckRes
     return register
 
 
-def _difference(left: str, p: LaurentPoly, right: str, q: LaurentPoly, shown: int = 3) -> str:
-    """Terms found on one side only, up to ``shown`` per side, each side
+def _difference(left: str, p: LaurentPoly, right: str, q: LaurentPoly) -> str:
+    """Terms found on one side only, up to three per side, each side
     printed like a polynomial; a coefficient change shows on both sides."""
 
     def only(a: LaurentPoly, b: LaurentPoly) -> str:
         other = set(b.terms)
         diff = [t for t in a.terms if t not in other]
-        text = str(LaurentPoly.from_terms(diff[:shown]))
-        return text + (f" (+{len(diff) - shown} more)" if len(diff) > shown else "")
+        text = str(LaurentPoly.from_terms(diff[:3]))
+        return text + (f" (+{len(diff) - 3} more)" if len(diff) > 3 else "")
 
     return f"only in {left}: {only(p, q)}; only in {right}: {only(q, p)}"
 
@@ -307,11 +306,13 @@ def check_truncation(max_r: int = 4) -> Sweep:
         if ext is None:
             continue
         appended = ext.letter(ext.n)
+        fresh = ext.position_var(ext.n)
         checked = 0
         for k in range(1, w.n + 1):
             if w.letter(k) == appended:
                 continue
-            if not delta_L_truncation_check(w, k):
+            extended = delta_L(MinorSpec(ext, k))
+            if extended != delta_L(MinorSpec(w, k)) or fresh in extended.variables():
                 yield f"{_tag(w)} k={k} changed", f"changed at {_tag(w)} k={k}"
             checked += 1
         yield f"{_tag(w)} positions={checked}", None

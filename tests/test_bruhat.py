@@ -20,7 +20,6 @@ from crystalminor.bruhat import (
     cell_matrix_value,
     delta_G,
     delta_L,
-    delta_L_truncation_check,
     det,
     lower_product_value,
     phi_map,
@@ -28,7 +27,6 @@ from crystalminor.bruhat import (
 from crystalminor.crystal import CrystalConfig, tau_render_poly
 from crystalminor.errors import (
     IndexOutOfRange,
-    InvalidExtension,
     MissingAssignment,
     NotInTorus,
     ZeroAssignment,
@@ -171,7 +169,6 @@ def test_minor_spec_intro_position():
     assert spec.d == 2
     assert spec.mprime == 2
     assert spec.rows == (3, 4)
-    assert spec.cols == (1, 2)
 
 
 def test_minor_spec_edges():
@@ -467,7 +464,7 @@ def test_delta_L_matches_dense_reference_minors():
                 dense = _dense_cell_matrix(w, w.variables())
                 for k in range(1, w.n + 1):
                     spec = MinorSpec(w, k)
-                    want = det(submatrix(dense, spec.rows, spec.cols))
+                    want = det(submatrix(dense, spec.rows, range(1, spec.d + 1)))
                     assert delta_L(spec) == want, (w, k)
 
 
@@ -495,31 +492,8 @@ def test_delta_L_memo_is_bounded():
     assert _delta_L_cached.cache_info().maxsize == 4096
 
 
-def test_truncation_check_holds_when_letters_differ():
-    for r in range(1, 5):
-        for m in range(1, r + 1):
-            for last in range(1, r - m + 2):
-                w = WordSpec(r, m, last)
-                ext = w.extension()
-                if ext is None:
-                    continue
-                appended = ext.letter(ext.n)
-                for k in range(1, w.n + 1):
-                    if w.letter(k) == appended:
-                        continue
-                    assert delta_L_truncation_check(w, k)
-
-
-def test_truncation_check_raises():
-    with pytest.raises(InvalidExtension):
-        delta_L_truncation_check(WordSpec(2, 2, 1), 1)  # already the full word
-    # appending letter 1 to (1, 2) repeats the letter at position 1
-    with pytest.raises(InvalidExtension):
-        delta_L_truncation_check(WordSpec(2, 1, 2), 1)
-
-
 def test_minor_changes_when_same_letter_returns():
-    # the guard in the truncation check is not vacuous: position 1 of (1, 2)
+    # the same-letter skip in check_truncation is not vacuous: position 1 of (1, 2)
     # picks up a new term once the word grows to (1, 2, 1)
     before = delta_L(MinorSpec(WordSpec(2, 1, 2), 1))
     after = delta_L(MinorSpec(WordSpec(2, 2, 1), 1))
@@ -645,7 +619,8 @@ def test_numeric_route_matches_dense_reference():
             assert lower_product_value(w, a, t) == lower, w
             for k in range(1, w.n + 1):
                 spec = MinorSpec(w, k)
-                assert delta_G(spec, a, t) == det(submatrix(cell, spec.rows, spec.cols)), (w, k)
+                want = det(submatrix(cell, spec.rows, range(1, spec.d + 1)))
+                assert delta_G(spec, a, t) == want, (w, k)
 
 
 def test_delta_G_torus_factor_identity():

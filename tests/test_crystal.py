@@ -22,7 +22,6 @@ from crystalminor.crystal import (
     component,
     demazure,
     demazure_polynomial,
-    ell,
     graph_to_dot,
     graph_to_json,
     kashiwara_rows,
@@ -36,13 +35,6 @@ from crystalminor.laurent import LaurentPoly, Monomial, VarId
 
 def _m(*pairs):
     return Monomial.of(*((VarId(s, i), e) for s, i, e in pairs))
-
-
-def test_ell_staircase():
-    assert [ell(4, s) for s in range(5)] == [0, 4, 7, 9, 10]
-    assert ell(1, 1) == 1
-    with pytest.raises(ValueError):
-        ell(3, 4)
 
 
 def test_a_monomial_interior_and_edges():
@@ -378,10 +370,10 @@ def test_constant_term_prints_its_coefficient(const, text):
 ])
 def test_coefficient_takes_the_place_of_an_empty_tau_numerator(coeff, y_text, tau_text):
     cfg = CrystalConfig(4)
-    poly = LaurentPoly.from_monomial(_m((2, 2, -1)), coeff)
+    poly = LaurentPoly.from_terms([(_m((2, 2, -1)), coeff)])
     assert str(poly) == y_text
     assert tau_render_poly(cfg, poly) == tau_text
-    both = poly + LaurentPoly.from_monomial(_m((1, 1, 1), (1, 3, -1)), coeff)
+    both = poly + LaurentPoly.from_terms([(_m((1, 1, 1), (1, 3, -1)), coeff)])
     assert tau_render_poly(cfg, both) == f"{coeff}τ_5/τ_7 + {tau_text}".replace("-1τ", "-τ")
 
 

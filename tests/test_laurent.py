@@ -64,8 +64,8 @@ def test_color_index_must_be_positive():
 
 
 def test_poly_add_cancellation():
-    p = LaurentPoly.from_monomial(_m((0, 1, 1)), 2)
-    q = LaurentPoly.from_monomial(_m((0, 1, 1)), -2)
+    p = LaurentPoly.from_terms([(_m((0, 1, 1)), 2)])
+    q = LaurentPoly.from_terms([(_m((0, 1, 1)), -2)])
     assert (p + q).is_zero()
     assert str(p + q) == "0"
 
@@ -324,7 +324,7 @@ def test_equal_polys_hash_equal_whatever_the_term_order(terms, rng):
     p, q = LaurentPoly.from_terms(terms), LaurentPoly.from_terms(shuffled)
     summed = LaurentPoly.zero()
     for m, c in shuffled:
-        summed = summed + LaurentPoly.from_monomial(m, c)
+        summed = summed + LaurentPoly.from_terms([(m, c)])
     assert p == q == summed
     assert hash(p) == hash(q) == hash(summed)
     assert str(p) == str(q) == str(summed)
@@ -403,7 +403,7 @@ def test_codec_refuses_exponents_past_the_bound():
         for sign in (1, -1):
             at_bound = Monomial.of((v, 1), (w, sign * e))
             assert Monomial.unpack(at_bound.packed) == at_bound
-            assert LaurentPoly.from_monomial(at_bound, 2).terms == ((at_bound, 2),)
+            assert LaurentPoly.from_terms([(at_bound, 2)]).terms == ((at_bound, 2),)
     for sign in (1, -1):
         past = Monomial.of((w, sign * LIMIT))
         with pytest.raises(ExponentOverflow):

@@ -105,8 +105,8 @@ def test_path_validation():
         Path(((1, 2),))
     p = Path(GOLDEN_ROWS[3])
     assert (p.d, p.m, p.mprime) == (2, 3, 2)
-    assert p.column(1) == (1, 2, 2, 3)
-    assert p.column(2) == (2, 3, 3, 4)
+    assert [row[0] for row in p.rows] == [1, 2, 2, 3]
+    assert [row[1] for row in p.rows] == [2, 3, 3, 4]
 
 
 def test_enumeration_golden():
@@ -251,7 +251,7 @@ def test_stats_count_stationary_random():
         paths = enumerate_paths(spec)
         p = paths[rng.randrange(len(paths))]
         for i in range(1, spec.d + 1):
-            seq = p.column(i)
+            seq = [row[i - 1] for row in p.rows]
             flat = sum(1 for a, b in zip(seq, seq[1:]) if a == b)
             assert flat == spec.depth
 

@@ -87,6 +87,22 @@ def test_truncation_check():
     assert "extensions" in res.detail
 
 
+@pytest.mark.parametrize("fault", ["extended minor differs", "minor names the new variable"])
+def test_truncation_check_fails_on_a_faulty_minor(monkeypatch, fault):
+    real = verify.delta_L
+    if fault == "extended minor differs":
+        # a constant that grows with the word, so no extension keeps its minor
+        faulty = lambda spec: real(spec) + LaurentPoly.from_terms([(Monomial.one(), spec.word.n)])
+    else:
+        # at r=2 the word (1) extends by Y[0,2]
+        faulty = lambda spec: LaurentPoly.from_monomial(Monomial.of((VarId(0, 2), 1)))
+    monkeypatch.setattr(verify, "delta_L", faulty)
+    res = check_truncation(3)
+    assert not res.passed
+    assert res.summary() == "FAIL lemma5-4: changed at r=2 word=1 k=1"
+    assert res.lines == ("FAIL lemma5-4 r=2 word=1 k=1 changed",)
+
+
 def test_truncation_check_is_registered():
     assert CHECKS["lemma5-4"] is check_truncation
 
