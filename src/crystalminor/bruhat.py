@@ -15,7 +15,10 @@ minor starts from the d identity rows it needs and applies the word's
 factors as column operations (``apply_word``), then takes the determinant of
 the first d columns.  The caller hands ``apply_word`` each factor's entry
 and its inverse, so the routine knows neither ring: the symbolic side passes
-one-term polynomials, the numeric side rationals.
+one-term polynomials, the numeric side rationals.  ``det`` knows neither
+ring either: the caller supplies the fold that sums signed products of
+entries and cofactors, ``LaurentPoly.signed_dot`` on the symbolic side and
+``rational_dot`` on the numeric side.
 The cell matrix is dressed by a diagonal with determinant one, which scales
 its rows, so the numeric side applies the word to rows of that diagonal
 instead of identity rows; ``delta_G`` takes the minors of that matrix from
@@ -39,7 +42,7 @@ from .errors import (
     NotInTorus,
     ZeroAssignment,
 )
-from .laurent import LaurentPoly, Monomial, VarId
+from .laurent import LaurentPoly, VarId, pack
 
 # ---------------------------------------------------------------------------
 # words and positions
@@ -174,9 +177,10 @@ def apply_word(rows, steps):
     >>> steps = [(1, Fraction(2), Fraction(1, 2)), (2, Fraction(3), Fraction(1, 3))]
     >>> [str(e) for e in apply_word(rows[1:2], steps)[0]]
     ['1', '2/3', '0']
-    >>> y = LaurentPoly.from_monomial(Monomial.of((VarId(0, 1), 1)))
+    >>> key = pack([(VarId(0, 1), 1)])
+    >>> y, y_inv = LaurentPoly.from_packed({key: 1}, 1), LaurentPoly.from_packed({-key: 1}, 1)
     >>> unit = [[LaurentPoly.one(), LaurentPoly.zero()], [LaurentPoly.zero(), LaurentPoly.one()]]
-    >>> [[str(e) for e in row] for row in apply_word(unit, [(1, y, y.inverse())])]
+    >>> [[str(e) for e in row] for row in apply_word(unit, [(1, y, y_inv)])]
     [['Y[0,1]^-1', '0'], ['1', 'Y[0,1]']]
     """
     out = [list(row) for row in rows]
@@ -197,18 +201,24 @@ def _symbolic_rows(w: WordSpec, rows: Sequence[int]):
     identity_rows = [[one if c == a else zero for c in range(1, w.r + 2)] for a in rows]
     steps = []
     for v in w.variables():
-        t = LaurentPoly.from_monomial(Monomial.of((v, 1)))
-        steps.append((v.i, t, t.inverse()))
+        key = pack([(v, 1)])
+        t, t_inv = LaurentPoly.from_packed({key: 1}, 1), LaurentPoly.from_packed({-key: 1}, 1)
+        steps.append((v.i, t, t_inv))
     return apply_word(identity_rows, steps)
 
 
-def det(matrix):
+def det(matrix, fold):
     """Determinant by cofactor expansion along the rows in their given
     order, memoized by the set of columns left.
 
-    The expansion at a column set uses row size - len(cols).  Zero entries
-    are skipped, and a row with no nonzero entry left gives the ring's zero.
-    Works over any commutative ring whose elements support +, *, unary -.
+    The expansion at a column set uses row size - len(cols).  The caller
+    supplies the ring's sum of products: ``fold`` takes a list of (sign,
+    entry, cofactor) triples, sign ±1, and returns the sum of sign * entry
+    * cofactor, the ring's zero for an empty list.  Zero entries are
+    skipped, so a row with no nonzero entry left gives that zero.
+
+    >>> det([[Fraction(2), Fraction(1)], [Fraction(3), Fraction(4)]], rational_dot)
+    Fraction(5, 1)
     """
     size = len(matrix)
     if size == 0:
@@ -222,29 +232,31 @@ def det(matrix):
             return row[col]
         if cols in memo:
             return memo[cols]
-        cols_list = sorted(cols)
-        acc = None
-        for pos, col in enumerate(cols_list):
+        triples = []
+        for pos, col in enumerate(sorted(cols)):
             entry = row[col]
-            if not entry:
-                continue
-            term = entry * go(cols - {col})
-            if pos % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = row[cols_list[0]] * 0
-        memo[cols] = acc
+            if entry:
+                triples.append((-1 if pos % 2 else 1, entry, go(cols - {col})))
+        memo[cols] = acc = fold(triples)
         return acc
 
     return go(frozenset(range(size)))
+
+
+def rational_dot(triples) -> Fraction:
+    """The sum of sign * a * b over (sign, a, b) triples of rationals: the
+    fold ``det`` takes over Q."""
+    total = Fraction(0)
+    for sign, a, b in triples:
+        total = total - a * b if sign < 0 else total + a * b
+    return total
 
 
 @lru_cache(maxsize=4096)
 def _delta_L_cached(word: WordSpec, k: int) -> LaurentPoly:
     # only the minor's d rows are built; its columns are the first d
     spec = MinorSpec(word, k)
-    return det([row[: spec.d] for row in _symbolic_rows(word, spec.rows)])
+    return det([row[: spec.d] for row in _symbolic_rows(word, spec.rows)], LaurentPoly.signed_dot)
 
 
 def delta_L(spec: MinorSpec) -> LaurentPoly:
@@ -365,4 +377,4 @@ def delta_G(spec: MinorSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction])
     """
     # only the minor's d rows are built; its columns are the first d
     rows = _cell_rows(spec.word, a, t, spec.rows)
-    return det([row[: spec.d] for row in rows])
+    return det([row[: spec.d] for row in rows], rational_dot)

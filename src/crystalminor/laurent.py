@@ -6,12 +6,13 @@ is a finite product of integer powers of such generators and a LaurentPoly
 is a finite sum of integer multiples of monomials.  All arithmetic is exact;
 coefficients stay in Z and evaluation produces ``fractions.Fraction``.
 
-There is no general division: only monomials and one-term polynomials
-with coefficient ±1 have an ``inverse()``.
+There is no general division: only monomials have an ``inverse()``.
 
 A polynomial is a dict from a packed monomial to a nonzero coefficient.
 A variable gets the next slot of one process-wide table when first packed;
-a monomial packs as the int sum of ``e * 2**(64 * slot)`` over its factors
+``pack`` is the one loop that assigns slots, and it packs any product of
+generator powers, a Monomial's factors or (variable, exponent) pairs from
+a caller that builds no Monomial, as the int sum of ``e * 2**(64 * slot)``
 (signed 64-bit digits), so the unit is 0, a product is int addition, an
 inverse is negation, and a growing table touches no key.  Exponents of
 terms must stay below ``EXPONENT_LIMIT`` = 2**63 in absolute value: each
@@ -72,6 +73,30 @@ def _check_var(v: VarId) -> VarId:
 _SLOTS = itertools.count()
 _SHIFT: dict[VarId, int] = {}
 _SLOT_VARS: dict[int, VarId] = {}
+
+
+def pack(pairs: Iterable[tuple[VarId, int]]) -> int:
+    """The packed int of the product of ``v**e`` over (variable, exponent)
+    pairs: the int sum of ``e * 2**(64 * slot)``, with no exponent limit and
+    no Monomial built.  Repeated variables add, so cancelling ones vanish.
+
+    The one loop that assigns slots: a variable gets the next slot on first
+    use, and one with color < 1 is refused then, as ``Monomial.of`` does.
+
+    >>> y = VarId(0, 1)
+    >>> pack([(y, 2), (VarId(0, 2), 1), (y, -2)]) == Monomial.of((VarId(0, 2), 1)).packed
+    True
+    """
+    key = 0
+    for v, e in pairs:
+        shift = _SHIFT.get(v)
+        if shift is None:
+            _check_var(v)
+            slot = next(_SLOTS)
+            _SLOT_VARS[slot] = v
+            shift = _SHIFT.setdefault(v, _WIDTH * slot)
+        key += e << shift
+    return key
 
 
 class Monomial:
@@ -158,20 +183,11 @@ class Monomial:
         return packed
 
     def raw_packed(self) -> int:
-        """The int sum of ``e * 2**(64 * slot)`` over the factors, with no
-        exponent limit.  It equals ``packed`` when every exponent is below the
-        limit.  Past it digits carry, but two monomials whose exponents differ
-        by less than 2**63 in every variable still have equal raw ints only
-        when they are equal."""
-        key = 0
-        for v, e in self._factors:
-            shift = _SHIFT.get(v)
-            if shift is None:
-                slot = next(_SLOTS)
-                _SLOT_VARS[slot] = v
-                shift = _SHIFT.setdefault(v, _WIDTH * slot)
-            key += e << shift
-        return key
+        """``pack`` of the factors, with no exponent limit.  It equals
+        ``packed`` when every exponent is below the limit.  Past it digits
+        carry, but two monomials whose exponents differ by less than 2**63 in
+        every variable still have equal raw ints only when they are equal."""
+        return pack(self._factors)
 
     @property
     def packed(self) -> int:
@@ -248,7 +264,7 @@ class LaurentPoly:
     A dict from packed monomial to nonzero coefficient, with a proven
     bound on every exponent's absolute value (see the module docstring).
 
-    >>> p = LaurentPoly.from_monomial(Monomial.of((VarId(0, 1), 1)))
+    >>> p = LaurentPoly.from_terms([(Monomial.of((VarId(0, 1), 1)), 1)])
     >>> q = p + LaurentPoly.one()
     >>> str(q)
     'Y[0,1] + 1'
@@ -271,10 +287,6 @@ class LaurentPoly:
     @staticmethod
     def one() -> "LaurentPoly":
         return _POLY_ONE
-
-    @staticmethod
-    def from_monomial(m: Monomial) -> "LaurentPoly":
-        return LaurentPoly.from_terms([(m, 1)])
 
     @staticmethod
     def from_terms(terms: Iterable[tuple[Monomial, int]]) -> "LaurentPoly":
@@ -345,11 +357,7 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            if not other:
-                return _ZERO
-            return LaurentPoly({key: c * other for key, c in self._coeffs.items()}, self._bound)
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -365,15 +373,29 @@ class LaurentPoly:
         # keys past the limit may have carried; the bound check refuses them
         return LaurentPoly.from_packed(acc, self._bound + other._bound)
 
-    __rmul__ = __mul__
+    @staticmethod
+    def signed_dot(triples: Iterable[tuple[int, "LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
+        """The sum of ``sign * a * b`` over (sign, a, b) triples, sign ±1.
 
-    def inverse(self) -> "LaurentPoly":
-        """The reciprocal of a unit: one term with coefficient ±1."""
-        if len(self._coeffs) == 1:
-            ((key, c),) = self._coeffs.items()
-            if c in (1, -1):
-                return LaurentPoly({-key: c}, self._bound)
-        raise ValueError(f"cannot invert non-unit {self}")
+        Every term product is folded into one dict, zeros are filtered once at
+        the end, and the bound is the largest of the products' bounds; no
+        product or partial sum is built as a polynomial of its own.  No
+        triples give zero.
+        """
+        acc: dict[int, int] = {}
+        get = acc.get
+        bound = 0
+        for sign, a, b in triples:
+            if not a._coeffs or not b._coeffs:
+                continue
+            bound = max(bound, a._bound + b._bound)
+            right = b._coeffs.items()
+            for ka, ca in a._coeffs.items():
+                ca *= sign
+                for kb, cb in right:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
+        return LaurentPoly.from_packed(acc, bound)
 
     def evaluate(self, assignment: Mapping[VarId, Fraction]) -> Fraction:
         """Exact value at nonzero rationals, in canonical term order.
@@ -400,7 +422,7 @@ class LaurentPoly:
         >>> p = LaurentPoly.from_terms([(Monomial.one(), 2), (Monomial.of((VarId(0, 1), -1)), -1)])
         >>> p.render()
         '2 + -Y[0,1]^-1'
-        >>> (p * 3).render(lambda m: "1/y")
+        >>> (p + p + p).render(lambda m: "1/y")
         '6 + -3/y'
         """
         if not self._coeffs:

@@ -11,12 +11,13 @@ to d = 1.
 The path sum and the array closed form are each one depth-first walk,
 over paths and over arrays respectively: an explicit stack of one
 iterator per level, over a prefix kept in place and never copied.
-Every edge (or row at a given depth) is labelled and packed once by the
-Laurent kernel (``Monomial.packed``); a label is the int sum along the
-walk, and the sums pass their label counts to ``LaurentPoly.from_packed``
-unpacked.  The exporters unpack one label per path (the DOT export one
-per edge), so nothing relabels a path from its rows; ``label`` stays as
-the reference.  The two walks share no code, so each checks the other.
+Every edge (or row at a given depth) is packed once by the Laurent kernel
+(``pack``), straight from its (variable, exponent) pairs with no Monomial
+built; a label is the int sum along the walk, and the sums pass their label
+counts to ``LaurentPoly.from_packed`` unpacked.  The exporters unpack one
+label per path (the DOT export one per edge), so nothing relabels a path
+from its rows; ``label`` and ``edge_label`` stay as the references.  The
+two walks share no code, so each checks the other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator
 
 from .crystal import CrystalConfig, tau_render
 from .errors import RankTooSmall
-from .laurent import LaurentPoly, Monomial, VarId
+from .laurent import LaurentPoly, Monomial, VarId, pack
 
 
 @dataclass(frozen=True)
@@ -236,14 +237,14 @@ def label(spec: PathSpec, p: Path, r: int) -> Monomial:
 
 
 def _label_table(spec: PathSpec, r: int) -> dict:
-    """The path table with every edge label built and packed once.
+    """The path table with every edge label packed once.
 
     A label that does not fit into rank r raises while the table is built:
     the first one built, the first edge of the first path, raises whenever
     any does, so the error is the first path's.
     """
     m = spec.m
-    return _path_table(spec, lambda s, cur, nxt: edge_label(r, m, s, cur, nxt).packed)
+    return _path_table(spec, lambda s, cur, nxt: pack(_edge_pairs(r, m, s, cur, nxt)))
 
 
 def path_sum(spec: PathSpec, r: int) -> LaurentPoly:
@@ -364,30 +365,31 @@ def k_arrays(spec: PathSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield tuple(arr)
 
 
-def _row_term(r: int, m: int, j0: int, row: tuple[int, ...]) -> Monomial:
-    """Product of cbar(r, m - k - j0 + i0, k) over the entries k of one row
-    at depth j0, built as one monomial."""
-    return Monomial.of(
-        *chain.from_iterable(
-            _ratio_pairs(r, m - k - j0 + i0, k - 1, k) for i0, k in enumerate(row)
-        )
-    )
-
-
 def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
     """Path sum written directly over stationary-value arrays: each array
     contributes the product of cbar(r, m - k - j0 + i0, k) over its entries
     k.
 
     One walk over the arrays carries each term packed: the product over one
-    row at one depth is built and packed once, and an array's term is the
-    sum of its rows' packed terms.  An array has at most md entries, each
-    moving two exponents by one, so 2md bounds the sum.  At depth 0 the one
-    array is empty, and no rows are built.
+    row at one depth is packed once, and an array's term is the sum of its
+    rows' packed terms.  An array has at most md entries, each moving two
+    exponents by one, so 2md bounds the sum.  At depth 0 the one array is
+    empty, and no rows are built; the one path raises every entry at every
+    step, so its term is 1, but the slots its steps pass must still fit rank
+    r, as the path sum requires.
     """
     m = spec.m
+    if not spec.depth:
+        for s in range(m):
+            for a in range(s + 1, s + spec.d + 1):
+                _slot(r, m - s - 1, a)
     rows = _array_rows(spec) if spec.depth else []
-    cells = [[_row_term(r, m, j0, row).packed for row in rows] for j0 in range(spec.depth)]
+    cells = [
+        [pack(chain.from_iterable(
+            _ratio_pairs(r, m - k - j0 + i0, k - 1, k) for i0, k in enumerate(row)
+        )) for row in rows]
+        for j0 in range(spec.depth)
+    ]
     counts = Counter(label for _, label in _array_walk(spec, rows, cells))
     return LaurentPoly.from_packed(counts, 2 * m * spec.d)
 

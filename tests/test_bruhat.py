@@ -23,6 +23,7 @@ from crystalminor.bruhat import (
     det,
     lower_product_value,
     phi_map,
+    rational_dot,
 )
 from crystalminor.crystal import CrystalConfig, tau_render_poly
 from crystalminor.errors import (
@@ -230,7 +231,7 @@ def _ring(t):
     """t lifted into its ring (a VarId becomes its Laurent variable), with
     that ring's zero and one."""
     if isinstance(t, VarId):
-        t = LaurentPoly.from_monomial(Monomial.of((t, 1)))
+        t = LaurentPoly.from_terms([(Monomial.of((t, 1)), 1)])
     if isinstance(t, LaurentPoly):
         return t, LaurentPoly.zero(), LaurentPoly.one()
     return Fraction(t), Fraction(0), Fraction(1)
@@ -252,7 +253,12 @@ def gen_xneg(r: int, i: int, t):
     """Negative-direction factor: the 2x2 block [[1/t, 0], [1, t]] at (i, i+1)."""
     t, zero, one = _ring(t)
     mat = _identity(r + 1, one, zero)
-    mat[i - 1][i - 1] = t.inverse() if isinstance(t, LaurentPoly) else 1 / t
+    if isinstance(t, LaurentPoly):
+        # a Laurent t is one position variable, a unit
+        ((m, c),) = t.terms
+        mat[i - 1][i - 1] = LaurentPoly.from_terms([(m.inverse(), c)])
+    else:
+        mat[i - 1][i - 1] = 1 / t
     mat[i][i - 1] = one
     mat[i][i] = t
     return mat
@@ -359,13 +365,13 @@ def test_det_matches_gaussian_elimination():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
             for _ in range(size)
         ]
-        assert det(mat) == _gauss_det(mat)
+        assert det(mat, rational_dot) == _gauss_det(mat)
 
 
 def test_det_of_cell_matrix_is_one():
     for r in range(1, 4):
         w = WordSpec(r, r, 1)
-        assert det(_dense_cell_matrix(w, w.variables())) == LaurentPoly.one()
+        assert det(_dense_cell_matrix(w, w.variables()), LaurentPoly.signed_dot) == LaurentPoly.one()
 
 
 def _leibniz_det(matrix) -> LaurentPoly:
@@ -405,7 +411,7 @@ def laurent_matrices(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(laurent_matrices())
 def test_det_matches_leibniz_expansion_over_laurent_entries(matrix):
-    assert det(matrix) == _leibniz_det(matrix)
+    assert det(matrix, LaurentPoly.signed_dot) == _leibniz_det(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +470,7 @@ def test_delta_L_matches_dense_reference_minors():
                 dense = _dense_cell_matrix(w, w.variables())
                 for k in range(1, w.n + 1):
                     spec = MinorSpec(w, k)
-                    want = det(submatrix(dense, spec.rows, range(1, spec.d + 1)))
+                    want = det(submatrix(dense, spec.rows, range(1, spec.d + 1)), LaurentPoly.signed_dot)
                     assert delta_L(spec) == want, (w, k)
 
 
@@ -619,7 +625,7 @@ def test_numeric_route_matches_dense_reference():
             assert lower_product_value(w, a, t) == lower, w
             for k in range(1, w.n + 1):
                 spec = MinorSpec(w, k)
-                want = det(submatrix(cell, spec.rows, range(1, spec.d + 1)))
+                want = det(submatrix(cell, spec.rows, range(1, spec.d + 1)), rational_dot)
                 assert delta_G(spec, a, t) == want, (w, k)
 
 

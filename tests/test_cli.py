@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import os
 import shlex
@@ -438,6 +439,21 @@ def test_paths_family_over_the_cap_is_refused_before_any_walk(capsys):
     for sub in ("enum", "sum", "closed-form"):
         assert run(capsys, ["paths", sub, *small, "--cap", "6"]) == run(capsys, ["paths", sub, *small])
         assert run(capsys, ["paths", sub, *small, "--cap", "5"]) == (2, "", "error: node cap 5 exceeded\n")
+
+
+def test_paths_closed_form_refuses_what_paths_sum_refuses(capsys):
+    # depth 0 (mprime = m) has one path and an empty array, whose slots must
+    # still fit the rank: --d 5 --m 1 --mprime 1 --r 3 needs slot 5 of cycle 0
+    for r, d, m in itertools.product(range(1, 5), range(1, 6), range(1, 5)):
+        for mprime in range(1, m + 1):
+            shape = ["--d", str(d), "--m", str(m), "--mprime", str(mprime), "--r", str(r)]
+            code, out, err = run(capsys, ["paths", "closed-form", *shape])
+            want_code, want_out, want_err = run(capsys, ["paths", "sum", *shape])
+            assert (code, err) == (want_code, want_err), shape
+            if code == 0:
+                assert out == want_out, shape
+    assert run(capsys, ["paths", "closed-form", "--d", "5", "--m", "1", "--mprime", "1", "--r", "3"]) == (
+        2, "", "error: slot 5 of cycle 0 does not exist at rank 3\n")
 
 
 def test_phi_samples_default_is_the_library_default():

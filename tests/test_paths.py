@@ -494,7 +494,14 @@ def test_path_sum_matches_label_sum_property(case):
 
 
 def cbar_sum(spec: PathSpec, r: int) -> LaurentPoly:
-    """Closed form by hand: one cbar product per stationary-value array."""
+    """Closed form by hand: one cbar product per stationary-value array.
+
+    At depth 0 the one array is empty and its term is 1, but the one path
+    must still fit rank r: its reference label refuses a rank too small.
+    """
+    if not spec.depth:
+        (p,) = enumerate_paths(spec)
+        label(spec, p, r)
     terms = []
     for arr in k_arrays(spec):
         mono = Monomial.one()

@@ -95,7 +95,7 @@ def test_truncation_check_fails_on_a_faulty_minor(monkeypatch, fault):
         faulty = lambda spec: real(spec) + LaurentPoly.from_terms([(Monomial.one(), spec.word.n)])
     else:
         # at r=2 the word (1) extends by Y[0,2]
-        faulty = lambda spec: LaurentPoly.from_monomial(Monomial.of((VarId(0, 2), 1)))
+        faulty = lambda spec: LaurentPoly.from_terms([(Monomial.of((VarId(0, 2), 1)), 1)])
     monkeypatch.setattr(verify, "delta_L", faulty)
     res = check_truncation(3)
     assert not res.passed
