@@ -87,6 +87,16 @@ class WordSpec:
             for j in range(1, (self.last if s == self.m - 1 else self.r - s) + 1)
         ])
 
+    @cached_property
+    def _steps(self) -> tuple[tuple[int, LaurentPoly, LaurentPoly], ...]:
+        # apply_word's (letter, t, t_inv) per position variable, shared by
+        # every symbolic minor of this word
+        steps = []
+        for v in self._table:
+            key = pack([(v, 1)])
+            steps.append((v.i, LaurentPoly.from_packed({key: 1}, 1), LaurentPoly.from_packed({-key: 1}, 1)))
+        return tuple(steps)
+
     def variables(self) -> tuple[VarId, ...]:
         """The position variables in word order, built once per word."""
         return self._table
@@ -199,12 +209,7 @@ def _symbolic_rows(w: WordSpec, rows: Sequence[int]):
     """Rows (1-based) of the symbolic cell matrix, by column operations."""
     zero, one = LaurentPoly.zero(), LaurentPoly.one()
     identity_rows = [[one if c == a else zero for c in range(1, w.r + 2)] for a in rows]
-    steps = []
-    for v in w.variables():
-        key = pack([(v, 1)])
-        t, t_inv = LaurentPoly.from_packed({key: 1}, 1), LaurentPoly.from_packed({-key: 1}, 1)
-        steps.append((v.i, t, t_inv))
-    return apply_word(identity_rows, steps)
+    return apply_word(identity_rows, w._steps)
 
 
 def det(matrix, fold):

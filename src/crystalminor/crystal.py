@@ -243,12 +243,14 @@ class _Walk:
 
     def __init__(self, cfg: CrystalConfig, seed: Monomial, cap: int):
         cols = _split(cfg.r, seed)
-        self.r, self.cap = cfg.r, cap
+        # every member lies within cap steps of +-1 of the seed, and the cap
+        # stays below EXPONENT_LIMIT, so two members differ by less than
+        # 2 * EXPONENT_LIMIT, one packed digit's range, in every variable and
+        # their packed ints are equal only when they are: no limit applies to
+        # the members' own exponents
+        self.r, self.cap = cfg.r, min(cap, EXPONENT_LIMIT - 1)
         self.near = [range(max(i - 2, 0), min(i + 1, cfg.r)) for i in range(cfg.r + 1)]
         self.extra = [f for f in seed.factors if f[0].i > cfg.r]
-        # every member lies within len(keys) steps of +-1 of the seed, so two
-        # members differ by less than 2**63 in every digit and their packed ints
-        # are equal only when they are: no limit applies to the walk itself
         self.keys = [seed.raw_packed()]
         self.index = {self.keys[0]: 0}
         self.cols = [tuple(cols)]
@@ -380,7 +382,7 @@ def demazure_polynomial(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAU
         # member past the limit is the seed or has the limit itself as its
         # largest exponent
         first = max([EXPONENT_LIMIT] + [abs(e) for _, e in spec.seed.factors])
-        raise ExponentOverflow(f"exponent {first} of a polynomial term reaches the limit 2**63")
+        raise ExponentOverflow(f"exponent {first} of a polynomial term", EXPONENT_LIMIT)
     return LaurentPoly.from_packed(dict.fromkeys(walk.keys, 1), walk.top)
 
 

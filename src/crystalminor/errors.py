@@ -59,7 +59,11 @@ class IndexOutOfRange(CrystalMinorError):
 
 
 class ExponentOverflow(CrystalMinorError, OverflowError):
-    """A polynomial exponent, or a bound on one, reached the packed limit 2**63."""
+    """A polynomial exponent, or a bound on one, reached the packed limit
+    (``laurent.EXPONENT_LIMIT``, 2**31: half of a 32-bit packed digit)."""
+
+    def __init__(self, what: str, limit: int):
+        super().__init__(f"{what} reaches the limit 2**{limit.bit_length() - 1}")
 
 
 class RankTooSmall(CrystalMinorError):

@@ -12,16 +12,17 @@ A polynomial is a dict from a packed monomial to a nonzero coefficient.
 A variable gets the next slot of one process-wide table when first packed;
 ``pack`` is the one loop that assigns slots, and it packs any product of
 generator powers, a Monomial's factors or (variable, exponent) pairs from
-a caller that builds no Monomial, as the int sum of ``e * 2**(64 * slot)``
-(signed 64-bit digits), so the unit is 0, a product is int addition, an
-inverse is negation, and a growing table touches no key.  Exponents of
-terms must stay below ``EXPONENT_LIMIT`` = 2**63 in absolute value: each
-polynomial carries a proven exponent bound (the max under ``+``, the sum
-under ``*``), and one that reaches the limit raises ``ExponentOverflow``
-instead of wrapping.  A Monomial alone has no limit, and caches its
-packed int on first use.  The first use of ``.terms``, ``str``, JSON or
-``evaluate`` unpacks each key once and sorts the terms in canonical order
-(``Monomial._sort_key``), independent of the order of the slots.
+a caller that builds no Monomial, as the int sum of ``e * 2**(32 * slot)``
+(signed digits of ``_WIDTH`` = 32 bits), so the unit is 0, a product is int
+addition, an inverse is negation, and a growing table touches no key.
+Exponents of terms must stay below ``EXPONENT_LIMIT`` = 2**31 in absolute
+value: each polynomial carries a proven exponent bound (the max under
+``+``, the sum under ``*``), and one that reaches the limit raises
+``ExponentOverflow`` instead of wrapping.  A Monomial alone has no limit,
+and caches its packed int on first use.  The first use of ``.terms``,
+``str``, JSON or ``evaluate`` unpacks each key once and sorts the terms in
+canonical order (``Monomial._sort_key``), independent of the order of the
+slots.
 
 >>> a = Monomial.of((VarId(0, 1), 1), (VarId(0, 2), -1))
 >>> str(a)
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import struct
 import sys
 from bisect import bisect_left
 from fractions import Fraction
@@ -44,9 +46,11 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ExponentOverflow, MissingAssignment, ZeroAssignment
 
-_WIDTH = 64
+_WIDTH = 32
 EXPONENT_LIMIT = 1 << (_WIDTH - 1)
 _HALF_DIGIT = EXPONENT_LIMIT.to_bytes(_WIDTH // 8, sys.byteorder)
+# the unsigned memoryview format of one digit; no match stops the import
+_DIGIT = next(f for f in "BHIQ" if struct.calcsize(f) == _WIDTH // 8)
 
 
 class VarId(NamedTuple):
@@ -68,7 +72,7 @@ def _check_var(v: VarId) -> VarId:
     return v
 
 
-# process-wide slot table (variable -> 64 * slot, slot -> variable); each
+# process-wide slot table (variable -> _WIDTH * slot, slot -> variable); each
 # update is one atomic call, so threads that meet a new variable agree
 _SLOTS = itertools.count()
 _SHIFT: dict[VarId, int] = {}
@@ -77,8 +81,8 @@ _SLOT_VARS: dict[int, VarId] = {}
 
 def pack(pairs: Iterable[tuple[VarId, int]]) -> int:
     """The packed int of the product of ``v**e`` over (variable, exponent)
-    pairs: the int sum of ``e * 2**(64 * slot)``, with no exponent limit and
-    no Monomial built.  Repeated variables add, so cancelling ones vanish.
+    pairs: the int sum of ``e * 2**(_WIDTH * slot)``, with no exponent limit
+    and no Monomial built.  Repeated variables add, so cancelling ones vanish.
 
     The one loop that assigns slots: a variable gets the next slot on first
     use, and one with color < 1 is refused then, as ``Monomial.of`` does.
@@ -178,15 +182,17 @@ class Monomial:
             key = self.raw_packed()
             bound = max([abs(e) for _, e in self._factors], default=0)
             if bound >= EXPONENT_LIMIT:
-                raise ExponentOverflow(f"exponent {bound} of a polynomial term reaches the limit 2**63")
+                raise ExponentOverflow(f"exponent {bound} of a polynomial term", EXPONENT_LIMIT)
             packed = self._packed = (key, bound)
         return packed
 
     def raw_packed(self) -> int:
         """``pack`` of the factors, with no exponent limit.  It equals
         ``packed`` when every exponent is below the limit.  Past it digits
-        carry, but two monomials whose exponents differ by less than 2**63 in
-        every variable still have equal raw ints only when they are equal."""
+        carry, but two monomials whose exponents differ by less than
+        2**_WIDTH in every variable still have equal raw ints only when they
+        are equal: the lowest differing digit would have to be a multiple of
+        2**_WIDTH."""
         return pack(self._factors)
 
     @property
@@ -198,10 +204,11 @@ class Monomial:
     @staticmethod
     def unpack(key: int) -> "Monomial":
         """The monomial packed as key, factors in canonical order.  The bias
-        makes each digit its exponent plus 2**63, an unsigned 64-bit word."""
+        makes each digit its exponent plus EXPONENT_LIMIT, an unsigned
+        _WIDTH-bit word."""
         n = key.bit_length() // _WIDTH + 1
         biased = key + int.from_bytes(_HALF_DIGIT * n, sys.byteorder)
-        digits = memoryview(biased.to_bytes(n * _WIDTH // 8, sys.byteorder)).cast("Q")
+        digits = memoryview(biased.to_bytes(n * _WIDTH // 8, sys.byteorder)).cast(_DIGIT)
         factors = [(_SLOT_VARS[j], d - EXPONENT_LIMIT) for j, d in enumerate(digits) if d != EXPONENT_LIMIT]
         return Monomial(tuple(sorted(factors)))
 
@@ -303,7 +310,7 @@ class LaurentPoly:
         """The polynomial with coefficient counts[key] at each packed key; the
         caller proves that no exponent exceeds bound in absolute value."""
         if bound >= EXPONENT_LIMIT:
-            raise ExponentOverflow(f"exponent bound {bound} reaches the limit 2**63")
+            raise ExponentOverflow(f"exponent bound {bound}", EXPONENT_LIMIT)
         return LaurentPoly({key: c for key, c in counts.items() if c}, bound)
 
     @property

@@ -573,7 +573,7 @@ def test_polynomial_exponents_past_the_limit_are_domain_errors(capsys):
     seed = ["--r", "1", "--seed", f"Y[0,2]^{EXPONENT_LIMIT}"]
     code, out, err = run(capsys, ["crystal", "polynomial", *seed, "--word", "1"])
     assert (code, out) == (2, "")
-    assert err == f"error: exponent {EXPONENT_LIMIT} of a polynomial term reaches the limit 2**63\n"
+    assert err == f"error: exponent {EXPONENT_LIMIT} of a polynomial term reaches the limit 2**31\n"
     # a component is a set of monomials, which keep unbounded exponents
     code, out, err = run(capsys, ["crystal", "component", *seed, "--format", "y"])
     assert (code, err) == (0, "") and f"Y[0,2]^{EXPONENT_LIMIT}" in out
@@ -588,24 +588,36 @@ def test_demazure_exponent_limit_output_is_pinned(capsys):
     # the error names the first member, in discovery order, past the limit
     code, out, err = run(capsys, base + ["--word", "2", "--seed", over])
     assert (code, out) == (2, "")
-    assert err == "error: exponent 9223372036854775808 of a polynomial term reaches the limit 2**63\n"
+    assert err == "error: exponent 2147483648 of a polynomial term reaches the limit 2**31\n"
     # an exceeded cap wins over an exponent past the limit
     code, out, err = run(capsys, base + ["--word", "1", "--cap", "50", "--seed", over])
     assert (code, out, err) == (2, "", "error: node cap 50 exceeded\n")
     code, out, err = run(capsys, base + ["--word", "2", "--seed", f"Y[-1,1]^{EXPONENT_LIMIT - 1}"])
-    assert (code, out, err) == (0, "Y[-1,1]^9223372036854775807\n", "")
+    assert (code, out, err) == (0, "Y[-1,1]^2147483647\n", "")
     # a member one step past the limit, not the seed, is the first past it
     seed = f"Y[0,1]^-1Y[-1,2]^-{EXPONENT_LIMIT - 1}"
     code, out, err = run(capsys, ["crystal", "polynomial", "--r", "2", "--word", "1",
                                   "--seed", seed, "--format", "y"])
     assert (code, out) == (2, "")
-    assert err == "error: exponent 9223372036854775808 of a polynomial term reaches the limit 2**63\n"
+    assert err == "error: exponent 2147483648 of a polynomial term reaches the limit 2**31\n"
     # Monomial-only commands keep unbounded exponents, above rank r too
     code, out, err = run(capsys, ["crystal", "demazure", "--r", "2", "--word", "2", "--sign", "plus",
                                   "--seed", f"Y[-1,1]^{2**64}Y[-1,2]Y[0,3]^{2**64}", "--format", "json"])
     assert (code, err) == (0, "")
     assert json.loads(out) == [[[-1, 1, 2**64], [-1, 2, 1], [0, 3, 2**64]],
                                [[-1, 1, 2**64], [0, 1, 1], [0, 2, -1], [0, 3, 2**64]]]
+
+
+def test_a_seed_exponent_of_2_31_is_a_one_line_error(capsys):
+    # 2**31 is the packed limit, one past what a signed 32-bit digit holds
+    base = ["crystal", "polynomial", "--r", "2", "--word", "2,1", "--sign", "plus", "--format", "y", "--seed"]
+    code, out, err = run(capsys, base + ["Y[-1,1]Y[0,3]^2147483648"])
+    assert (code, out) == (2, "")
+    assert err == "error: exponent 2147483648 of a polynomial term reaches the limit 2**31\n"
+    code, out, err = run(capsys, base + ["Y[-1,1]Y[0,3]^2147483647"])
+    assert (code, err) == (0, "")
+    assert out == ("Y[-1,1]Y[0,3]^2147483647 + Y[-1,2]Y[0,1]^-1Y[0,3]^2147483647"
+                   " + Y[0,2]^-1Y[0,3]^2147483647\n")
 
 
 def test_numeric_results_past_the_digit_limit_are_domain_errors(capsys):
