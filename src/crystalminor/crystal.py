@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 from itertools import chain
 
 from .errors import CapExceeded, ColorOutOfRange, ExponentOverflow, NotTauRenderable
-from .laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId
+from .laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId, pack
 
 DEFAULT_CAP = 100_000
 _Pairs = tuple[tuple[VarId, int], ...]
@@ -73,15 +73,17 @@ def _check_color(cfg: CrystalConfig, i: int) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _a_pair(r: int, s: int, i: int) -> tuple[Monomial, Monomial]:
-    """A[s,i] at rank r and its inverse, each built once per (r, s, i)."""
+def _a_pair(r: int, s: int, i: int) -> tuple[tuple[Monomial, int], tuple[Monomial, int]]:
+    """A[s,i] at rank r and its inverse, each with its packed int, built
+    once per (r, s, i)."""
     pairs = [(VarId(s, i), 1), (VarId(s + 1, i), 1)]
     if i > 1:
         pairs.append((VarId(s + 1, i - 1), -1))
     if i < r:
         pairs.append((VarId(s, i + 1), -1))
     a = Monomial.of(*pairs)
-    return a, a.inverse()
+    key = pack(a.factors)
+    return (a, key), (a.inverse(), -key)
 
 
 def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
@@ -91,7 +93,7 @@ def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
     'Y[0,1]Y[0,2]^-1Y[1,1]'
     """
     _check_color(cfg, i)
-    return _a_pair(cfg.r, s, i)[0]
+    return _a_pair(cfg.r, s, i)[0][0]
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def apply_e(cfg: CrystalConfig, m: Monomial, i: int) -> Monomial | None:
     row, _ = kashiwara_rows(cfg, m, i)
     if row is None:
         return None
-    return m * _a_pair(cfg.r, row, i)[0]
+    return m * _a_pair(cfg.r, row, i)[0][0]
 
 
 def apply_f(cfg: CrystalConfig, m: Monomial, i: int) -> Monomial | None:
@@ -181,7 +183,7 @@ def apply_f(cfg: CrystalConfig, m: Monomial, i: int) -> Monomial | None:
     _, row = kashiwara_rows(cfg, m, i)
     if row is None:
         return None
-    return m * _a_pair(cfg.r, row, i)[1]
+    return m * _a_pair(cfg.r, row, i)[1][0]
 
 
 class CrystalGraph:
@@ -246,12 +248,12 @@ class _Walk:
         # every member lies within cap steps of +-1 of the seed, and the cap
         # stays below EXPONENT_LIMIT, so two members differ by less than
         # 2 * EXPONENT_LIMIT, one packed digit's range, in every variable and
-        # their packed ints are equal only when they are: no limit applies to
-        # the members' own exponents
+        # their packed ints are equal only when they are (see ``pack``): no
+        # limit applies to the members' own exponents
         self.r, self.cap = cfg.r, min(cap, EXPONENT_LIMIT - 1)
         self.near = [range(max(i - 2, 0), min(i + 1, cfg.r)) for i in range(cfg.r + 1)]
         self.extra = [f for f in seed.factors if f[0].i > cfg.r]
-        self.keys = [seed.raw_packed()]
+        self.keys = [pack(seed.factors)]
         self.index = {self.keys[0]: 0}
         self.cols = [tuple(cols)]
         self.scans = [tuple([_color_scan(col) for col in cols])]
@@ -261,8 +263,8 @@ class _Walk:
         """Id of member at times A[shift,i] (half 0) or its inverse (half 1),
         added as a member if it is new, with only colors i-1, i and i+1
         updated and rescanned; CapExceeded once there are more than cap."""
-        a = _a_pair(self.r, shift, i)[half]
-        key = self.keys[at] + a.packed
+        a, packed = _a_pair(self.r, shift, i)[half]
+        key = self.keys[at] + packed
         k = self.index.get(key)
         if k is None:
             k = self.index[key] = len(self.keys)

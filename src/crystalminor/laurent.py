@@ -18,18 +18,17 @@ addition, an inverse is negation, and a growing table touches no key.
 Exponents of terms must stay below ``EXPONENT_LIMIT`` = 2**31 in absolute
 value: each polynomial carries a proven exponent bound (the max under
 ``+``, the sum under ``*``), and one that reaches the limit raises
-``ExponentOverflow`` instead of wrapping.  A Monomial alone has no limit,
-and caches its packed int on first use.  The first use of ``.terms``,
-``str``, JSON or ``evaluate`` unpacks each key once and sorts the terms in
-canonical order (``Monomial._sort_key``), independent of the order of the
-slots.
+``ExponentOverflow`` instead of wrapping.  A Monomial alone has no limit
+and keeps only its factors.  The first use of ``.terms``, ``str``, JSON or
+``evaluate`` unpacks each key once and sorts the terms in canonical order
+(``Monomial._sort_key``), independent of the order of the slots.
 
 >>> a = Monomial.of((VarId(0, 1), 1), (VarId(0, 2), -1))
 >>> str(a)
 'Y[0,1]Y[0,2]^-1'
 >>> str(a * a.inverse())
 '1'
->>> Monomial.unpack(a.packed + a.packed) == a * a
+>>> Monomial.unpack(pack(a.factors) + pack(a.factors)) == a * a
 True
 """
 
@@ -87,8 +86,13 @@ def pack(pairs: Iterable[tuple[VarId, int]]) -> int:
     The one loop that assigns slots: a variable gets the next slot on first
     use, and one with color < 1 is refused then, as ``Monomial.of`` does.
 
+    Below the limit each digit is its exponent.  Past it digits carry, but
+    two products whose exponents differ by less than 2**_WIDTH in every
+    variable still pack to equal ints only when they are equal: the lowest
+    differing digit would have to be a multiple of 2**_WIDTH.
+
     >>> y = VarId(0, 1)
-    >>> pack([(y, 2), (VarId(0, 2), 1), (y, -2)]) == Monomial.of((VarId(0, 2), 1)).packed
+    >>> pack([(y, 2), (VarId(0, 2), 1), (y, -2)]) == pack([(VarId(0, 2), 1)])
     True
     """
     key = 0
@@ -113,13 +117,12 @@ class Monomial:
     ((VarId(s=1, i=2), 3),)
     """
 
-    __slots__ = ("_factors", "_hash", "_packed")
+    __slots__ = ("_factors", "_hash")
 
     def __init__(self, factors: tuple[tuple[VarId, int], ...]):
         # internal: factors must already be sorted, deduplicated, zero-free
         self._factors = factors
         self._hash = hash(factors)
-        self._packed = None
 
     @staticmethod
     def one() -> "Monomial":
@@ -141,10 +144,6 @@ class Monomial:
     def factors(self) -> tuple[tuple[VarId, int], ...]:
         """Sorted (variable, exponent) pairs, exponents nonzero."""
         return self._factors
-
-    def variables(self) -> Iterator[VarId]:
-        for v, _ in self._factors:
-            yield v
 
     def is_one(self) -> bool:
         return not self._factors
@@ -174,32 +173,6 @@ class Monomial:
 
     def inverse(self) -> "Monomial":
         return Monomial(tuple((v, -e) for v, e in self._factors))
-
-    def _pack(self) -> tuple[int, int]:
-        """(packed int, largest absolute exponent), computed once."""
-        packed = self._packed
-        if packed is None:
-            key = self.raw_packed()
-            bound = max([abs(e) for _, e in self._factors], default=0)
-            if bound >= EXPONENT_LIMIT:
-                raise ExponentOverflow(f"exponent {bound} of a polynomial term", EXPONENT_LIMIT)
-            packed = self._packed = (key, bound)
-        return packed
-
-    def raw_packed(self) -> int:
-        """``pack`` of the factors, with no exponent limit.  It equals
-        ``packed`` when every exponent is below the limit.  Past it digits
-        carry, but two monomials whose exponents differ by less than
-        2**_WIDTH in every variable still have equal raw ints only when they
-        are equal: the lowest differing digit would have to be a multiple of
-        2**_WIDTH."""
-        return pack(self._factors)
-
-    @property
-    def packed(self) -> int:
-        """This monomial as one int (see the module docstring); raises
-        ExponentOverflow when an exponent reaches EXPONENT_LIMIT."""
-        return self._pack()[0]
 
     @staticmethod
     def unpack(key: int) -> "Monomial":
@@ -300,8 +273,11 @@ class LaurentPoly:
         acc: dict[int, int] = {}
         bound = 0
         for m, c in terms:
-            key, b = m._pack()
+            b = max([abs(e) for _, e in m.factors], default=0)
+            if b >= EXPONENT_LIMIT:
+                raise ExponentOverflow(f"exponent {b} of a polynomial term", EXPONENT_LIMIT)
             bound = max(bound, b)
+            key = pack(m.factors)
             acc[key] = acc.get(key, 0) + int(c)
         return LaurentPoly.from_packed(acc, bound)
 
@@ -328,7 +304,7 @@ class LaurentPoly:
             yield m
 
     def variables(self) -> set[VarId]:
-        return {v for m, _ in self.terms for v in m.variables()}
+        return {v for m, _ in self.terms for v, _ in m.factors}
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -367,27 +343,18 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return _ZERO
-        acc: dict[int, int] = {}
-        get = acc.get
-        right = b.items()
-        for ka, ca in a.items():
-            for kb, cb in right:
-                key = ka + kb
-                acc[key] = get(key, 0) + ca * cb
-        # keys past the limit may have carried; the bound check refuses them
-        return LaurentPoly.from_packed(acc, self._bound + other._bound)
+        return LaurentPoly.signed_dot(((1, self, other),))
 
     @staticmethod
     def signed_dot(triples: Iterable[tuple[int, "LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
         """The sum of ``sign * a * b`` over (sign, a, b) triples, sign ±1.
 
-        Every term product is folded into one dict, zeros are filtered once at
-        the end, and the bound is the largest of the products' bounds; no
-        product or partial sum is built as a polynomial of its own.  No
-        triples give zero.
+        The one coefficient-product loop of the kernel (``*`` is one
+        triple): every term product is folded into one dict, zeros are
+        filtered once at the end, and the bound is the largest of the
+        products' bounds; no product or partial sum is built as a polynomial
+        of its own.  No triples give zero.  Keys past the limit may have
+        carried; the bound check refuses them.
         """
         acc: dict[int, int] = {}
         get = acc.get
@@ -395,10 +362,13 @@ class LaurentPoly:
         for sign, a, b in triples:
             if not a._coeffs or not b._coeffs:
                 continue
-            bound = max(bound, a._bound + b._bound)
-            right = b._coeffs.items()
-            for ka, ca in a._coeffs.items():
-                ca *= sign
+            top = a._bound + b._bound
+            if top > bound:
+                bound = top
+            left, right = a._coeffs.items(), b._coeffs.items()
+            if sign < 0:
+                left = [(ka, -ca) for ka, ca in left]
+            for ka, ca in left:
                 for kb, cb in right:
                     key = ka + kb
                     acc[key] = get(key, 0) + ca * cb

@@ -37,6 +37,7 @@ from .crystal import (
     component,
     demazure_polynomial,
 )
+from .errors import CapExceeded
 from .laurent import LaurentPoly, Monomial, VarId
 from .paths import PathSpec, closed_form_sum, d1_closed_form, path_sum
 
@@ -137,7 +138,12 @@ def demazure_data(w: WordSpec, k: int) -> DemazureSpec:
 
 @_sweep("thm5-5")
 def check_minor_chain(max_r: int = 5) -> Sweep:
-    """Four-way equality: Demazure sum, minor, path sum, closed form."""
+    """Four-way equality: Demazure sum, minor, path sum, closed form.
+
+    Every coefficient of the minor is 1, so a Demazure closure equal to it
+    has one member per term: the closure's cap is the minor's term count,
+    and a closure past it fails the position.
+    """
     words = 0
     positions = 0
     for w in all_word_specs(max_r, min_r=2):
@@ -148,8 +154,14 @@ def check_minor_chain(max_r: int = 5) -> Sweep:
             spec = PathSpec(ms.d, w.m, ms.mprime)
             minor = delta_L(ms)
             tag = f"{_tag(w)} k={k}"
+            try:
+                closure = demazure_polynomial(cfg, demazure_data(w, k), cap=len(minor))
+            except CapExceeded:
+                yield (f"{tag} demazure cap {len(minor)} exceeded",
+                       f"demazure closure at {tag} exceeds cap {len(minor)}, the minor's term count")
+                continue
             routes = (
-                ("demazure", demazure_polynomial(cfg, demazure_data(w, k))),
+                ("demazure", closure),
                 ("path sum", path_sum(spec, w.r)),
                 ("closed form", closed_form_sum(spec, w.r)),
             )
@@ -216,8 +228,9 @@ def check_d1(max_r: int = 5) -> Sweep:
             if poly != minor:
                 diff = _difference("closed form", poly, "minor", minor)
                 yield f"{tag} mismatch", f"mismatch at {tag}; {diff}"
-            if len(poly) != comb(w.m, ms.mprime):
-                yield f"{tag} term count", f"term count at {tag}"
+            want = comb(w.m, ms.mprime)
+            if len(poly) != want:
+                yield f"{tag} term count", f"term count at {tag}: {len(poly)}, expected {want}"
             yield f"{tag} terms={len(poly)}", None
             count += 1
     return f"{count} width-one positions, r <= {max_r}", count
@@ -311,9 +324,13 @@ def check_truncation(max_r: int = 4) -> Sweep:
         for k in range(1, w.n + 1):
             if w.letter(k) == appended:
                 continue
-            extended = delta_L(MinorSpec(ext, k))
-            if extended != delta_L(MinorSpec(w, k)) or fresh in extended.variables():
-                yield f"{_tag(w)} k={k} changed", f"changed at {_tag(w)} k={k}"
+            tag = f"{_tag(w)} k={k}"
+            extended, minor = delta_L(MinorSpec(ext, k)), delta_L(MinorSpec(w, k))
+            if extended != minor:
+                diff = _difference("extended", extended, "original", minor)
+                yield f"{tag} changed", f"changed at {tag}; {diff}"
+            elif fresh in extended.variables():
+                yield f"{tag} changed", f"changed at {tag}; fresh variable {fresh} in the extended minor"
             checked += 1
         yield f"{_tag(w)} positions={checked}", None
         count += checked

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystalminor
-from crystalminor import cli
+from crystalminor import cli, verify
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.cluster import seed_matrix
 from crystalminor.crystal import DEFAULT_CAP
@@ -473,6 +473,18 @@ def test_verify_failure_exit(capsys, monkeypatch):
     assert out.splitlines() == ["FAIL thm5-6 forced", "FAIL thm5-6: forced"]
 
 
+def test_demazure_closure_past_the_minor_term_count_fails_the_position(capsys, monkeypatch):
+    # a one-term minor caps the closure at one member; the first position
+    # whose closure has two is r=2 word=1,2,1 k=1
+    monkeypatch.setattr(verify, "delta_L", lambda spec: LaurentPoly.one())
+    code, out, err = run(capsys, ["verify", "thm5-5", "--max-r", "3"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [
+        "FAIL thm5-5 r=2 word=1,2,1 k=1 demazure cap 1 exceeded",
+        "FAIL thm5-5: demazure closure at r=2 word=1,2,1 k=1 exceeds cap 1, the minor's term count",
+    ]
+
+
 def test_verify_rejects_inapplicable_flag(capsys):
     code, _, err = run(capsys, ["verify", "thm5-5", "--max-dim", "3"])
     assert code == 2
@@ -695,13 +707,13 @@ def test_paths_commands_never_raise(argv):
 INTERN_THEN_RUN = """
 import contextlib, io, sys
 from crystalminor import cli, verify
-from crystalminor.laurent import Monomial, VarId
+from crystalminor.laurent import Monomial, VarId, pack
 variables = [VarId(s, i) for s in range(-1, 6) for i in range(1, 7)]
 if sys.argv[1] == "reversed":
     variables.reverse()
 for v in variables:
-    Monomial.of((v, 1)).packed
-print(Monomial.of((VarId(0, 1), 1)).packed)
+    pack(Monomial.of((v, 1)).factors)
+print(pack(Monomial.of((VarId(0, 1), 1)).factors))
 argvs = [["verify", "thm5-5", "--max-r", "5"]] + [
     ["minor", "--r", str(w.r), "--word", ",".join(map(str, w.letters())), "--k", str(k),
      "--format", "json"]

@@ -91,16 +91,27 @@ def test_truncation_check():
 def test_truncation_check_fails_on_a_faulty_minor(monkeypatch, fault):
     real = verify.delta_L
     if fault == "extended minor differs":
-        # a constant that grows with the word, so no extension keeps its minor
+        # a constant that grows with the word, so no extension keeps its
+        # minor; the minor at r=2 word=1 k=1 is 1 and the extension has two letters
         faulty = lambda spec: real(spec) + LaurentPoly.from_terms([(Monomial.one(), spec.word.n)])
+        shown = "only in extended: 3; only in original: 2"
     else:
         # at r=2 the word (1) extends by Y[0,2]
         faulty = lambda spec: LaurentPoly.from_terms([(Monomial.of((VarId(0, 2), 1)), 1)])
+        shown = "fresh variable Y[0,2] in the extended minor"
     monkeypatch.setattr(verify, "delta_L", faulty)
     res = check_truncation(3)
     assert not res.passed
-    assert res.summary() == "FAIL lemma5-4: changed at r=2 word=1 k=1"
+    assert res.summary() == f"FAIL lemma5-4: changed at r=2 word=1 k=1; {shown}"
     assert res.lines == ("FAIL lemma5-4 r=2 word=1 k=1 changed",)
+
+
+def test_term_count_failure_shows_both_counts(monkeypatch):
+    real = verify.comb
+    monkeypatch.setattr(verify, "comb", lambda n, k: real(n, k) + 1)
+    res = CHECKS["thm5-6"](2)
+    assert res.summary() == "FAIL thm5-6: term count at r=1 word=1 k=1: 1, expected 2"
+    assert res.lines == ("FAIL thm5-6 r=1 word=1 k=1 term count",)
 
 
 def test_truncation_check_is_registered():
