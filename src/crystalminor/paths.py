@@ -11,13 +11,15 @@ to d = 1.
 The path sum and the array closed form are each one depth-first walk,
 over paths and over arrays respectively: an explicit stack of one
 iterator per level, over a prefix kept in place and never copied.
-Every edge (or row at a given depth) is packed once by the Laurent kernel
-(``pack``), straight from its (variable, exponent) pairs with no Monomial
-built; a label is the int sum along the walk, and the sums pass their label
-counts to ``LaurentPoly.from_packed`` unpacked.  The exporters unpack one
-label per path (the DOT export one per edge), so nothing relabels a path
-from its rows; ``label`` and ``edge_label`` stay as the references.  The
-two walks share no code, so each checks the other.
+Every edge (or row at a given depth) is an int sum of per-slot units
+(``_unit``), each slot's variable packed once and kept in a bounded cache,
+with no Monomial and no (variable, exponent) pair built.  A label is the
+int sum along the walk, and the sums pass their label counts to
+``LaurentPoly.from_packed`` unpacked.  The exporters unpack one label per
+path (the DOT export one per edge), so nothing relabels a path from its
+rows; ``label``, ``edge_label`` and ``cbar`` stay as the references, built
+from (variable, exponent) pairs and sharing only ``_slot`` with the units.
+The two walks share no code, so each checks the other.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from operator import ge
 from typing import Iterable, Iterator
@@ -205,13 +208,31 @@ def _slot(r: int, c: int, j: int) -> VarId | None:
 
 def _ratio_pairs(r: int, c: int, up: int, down: int) -> Iterator[tuple[VarId, int]]:
     """(variable, +1) for slot ``up`` and (variable, -1) for slot ``down``
-    of cycle c, skipping unit slots; every label is built from these."""
+    of cycle c, skipping unit slots; every reference label is built from
+    these."""
     v = _slot(r, c, up)
     if v is not None:
         yield v, 1
     v = _slot(r, c, down)
     if v is not None:
         yield v, -1
+
+
+@lru_cache(maxsize=1024)
+def _unit(r: int, c: int, j: int) -> int:
+    """The packed int of the slot-j variable of cycle c, 0 for a unit slot,
+    packed once per (r, c, j); raises as ``_slot`` does.
+
+    ``pack`` is the int sum of ``e * 2**(32 * slot)`` over its pairs, so an
+    edge label is the sum of unit(up) - unit(down) over its entries:
+
+    >>> r, m, s, src, dst = 4, 3, 0, (1, 2), (1, 3)
+    >>> sum(_unit(r, m - s - 1, a_new - 1) - _unit(r, m - s - 1, a_old)
+    ...     for a_new, a_old in zip(dst, src)) == pack(_edge_pairs(r, m, s, src, dst))
+    True
+    """
+    v = _slot(r, c, j)
+    return 0 if v is None else pack(((v, 1),))
 
 
 def _edge_pairs(
@@ -237,22 +258,36 @@ def label(spec: PathSpec, p: Path, r: int) -> Monomial:
 
 
 def _label_table(spec: PathSpec, r: int) -> dict:
-    """The path table with every edge label packed once.
+    """The path table with every edge label packed, as the sum of its
+    entries' per-slot units (``_unit``) in the slot order of ``_edge_pairs``.
 
-    A label that does not fit into rank r raises while the table is built:
-    the first one built, the first edge of the first path, raises whenever
-    any does, so the error is the first path's.
+    A raised entry's up and down slots coincide, so it adds nothing but the
+    check of its slot.  A label that does not fit into rank r raises while
+    the table is built: the first one built, the first edge of the first
+    path, raises whenever any does, so the error is the first path's.
     """
     m = spec.m
-    return _path_table(spec, lambda s, cur, nxt: pack(_edge_pairs(r, m, s, cur, nxt)))
+
+    def edge(s: int, cur: tuple[int, ...], nxt: tuple[int, ...]) -> int:
+        c = m - s - 1
+        x = 0
+        for a_new, a_old in zip(nxt, cur):
+            if a_new == a_old:
+                x += _unit(r, c, a_old - 1) - _unit(r, c, a_old)
+            else:
+                _unit(r, c, a_old)
+        return x
+
+    return _path_table(spec, edge)
 
 
 def path_sum(spec: PathSpec, r: int) -> LaurentPoly:
     """Sum of the labels of every path of the given shape.
 
     One walk carries each label packed: a path's label is the sum of its
-    packed edge labels.  Each edge moves at most 2d exponents by one, so no
-    exponent of a label exceeds 2md, the bound of the sum.
+    edge labels, each a sum of per-slot units.  Each edge moves at most 2d
+    exponents by one, so no exponent of a label exceeds 2md, the bound of
+    the sum.
     """
     counts = Counter(x for _, x in _path_walk(spec, _label_table(spec, r)))
     return LaurentPoly.from_packed(counts, 2 * spec.m * spec.d)
@@ -371,8 +406,9 @@ def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
     k.
 
     One walk over the arrays carries each term packed: the product over one
-    row at one depth is packed once, and an array's term is the sum of its
-    rows' packed terms.  An array has at most md entries, each moving two
+    row at one depth is the sum, over its entries, of the cbar ratio's two
+    per-slot units, built once per row, and an array's term is the sum of
+    its rows' packed terms.  An array has at most md entries, each moving two
     exponents by one, so 2md bounds the sum.  At depth 0 the one array is
     empty, and no rows are built; the one path raises every entry at every
     step, so its term is 1, but the slots its steps pass must still fit rank
@@ -385,9 +421,8 @@ def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
                 _slot(r, m - s - 1, a)
     rows = _array_rows(spec) if spec.depth else []
     cells = [
-        [pack(chain.from_iterable(
-            _ratio_pairs(r, m - k - j0 + i0, k - 1, k) for i0, k in enumerate(row)
-        )) for row in rows]
+        [sum(_unit(r, m - k - j0 + i0, k - 1) - _unit(r, m - k - j0 + i0, k)
+             for i0, k in enumerate(row)) for row in rows]
         for j0 in range(spec.depth)
     ]
     counts = Counter(label for _, label in _array_walk(spec, rows, cells))

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystalminor import cli
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.crystal import CrystalConfig, apply_e, tau_render, tau_render_poly
 from crystalminor.errors import NotTauRenderable, RankTooSmall
-from crystalminor.laurent import LaurentPoly, Monomial, VarId, poly_to_json
+from crystalminor.laurent import LaurentPoly, Monomial, VarId, pack, poly_to_json
 from crystalminor.paths import (
     Path,
     PathSpec,
     PathStats,
+    _unit,
     cbar,
     closed_form_sum,
     count_paths,
@@ -517,6 +519,59 @@ def cbar_sum(spec: PathSpec, r: int) -> LaurentPoly:
 def test_closed_form_matches_cbar_products_property(case):
     spec, r = case
     assert outcome(lambda: closed_form_sum(spec, r)) == outcome(lambda: cbar_sum(spec, r))
+
+
+def test_sums_raise_the_first_bad_slot_of_the_first_edge(capsys):
+    """A shape whose first edge misses two different slots: each sum, and
+    each CLI command over it, names the first of them, as the references
+    do."""
+    spec, r = PathSpec(3, 4, 2), 3
+    assert spec in SMALL_SHAPES and -1 <= r <= spec.d + spec.m
+    first = enumerate_paths(spec)[0]
+    c = spec.m - 1
+    slots = [j for a_new, a_old in zip(first.rows[1], first.rows[0]) for j in (a_new - 1, a_old)]
+    bad = [j for j in slots if j not in (0, r + 1) and not 1 <= j <= r - c]
+    assert len(set(bad)) >= 2
+    want = ("RankTooSmall", f"slot {bad[0]} of cycle {c} does not exist at rank {r}")
+    assert outcome(lambda: label(spec, first, r)) == want
+    assert outcome(lambda: cbar_sum(spec, r)) == want
+    assert outcome(lambda: path_sum(spec, r)) == want
+    assert outcome(lambda: closed_form_sum(spec, r)) == want
+    for command in ("sum", "closed-form"):
+        argv = ["paths", command, "--d", "3", "--m", "4", "--mprime", "2", "--r", str(r)]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {want[1]}\n")
+
+
+def test_sums_pack_each_slot_once_and_build_no_pairs(monkeypatch):
+    """Both sums pack one unit per (cycle, slot), none on a repeat call,
+    and build no label from (variable, exponent) pairs."""
+    spec, r = PathSpec(3, 7, 4), 9
+    want = path_sum(spec, r), closed_form_sum(spec, r)
+    packed = []
+
+    def counting_pack(pairs):
+        pairs = tuple(pairs)
+        packed.append(pairs)
+        return pack(pairs)
+
+    def refuse(*args):
+        raise AssertionError("a label built from pairs")
+
+    _unit.cache_clear()
+    monkeypatch.setattr("crystalminor.paths.pack", counting_pack)
+    assert (path_sum(spec, r), closed_form_sum(spec, r)) == want
+    assert packed and all(len(pairs) == 1 and pairs[0][1] == 1 for pairs in packed)
+    variables = [pairs[0][0] for pairs in packed]
+    assert len(set(variables)) == len(variables)
+    packed.clear()
+    assert (path_sum(spec, r), closed_form_sum(spec, r)) == want
+    assert packed == []
+    _unit.cache_clear()
+    monkeypatch.setattr("crystalminor.paths._edge_pairs", refuse)
+    monkeypatch.setattr("crystalminor.paths._ratio_pairs", refuse)
+    assert (path_sum(spec, r), closed_form_sum(spec, r)) == want
 
 
 @st.composite
