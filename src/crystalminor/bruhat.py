@@ -36,13 +36,8 @@ from functools import cached_property, lru_cache
 from math import prod
 from typing import Mapping, Sequence
 
-from .errors import (
-    IndexOutOfRange,
-    MissingAssignment,
-    NotInTorus,
-    ZeroAssignment,
-)
-from .laurent import LaurentPoly, VarId, pack
+from .errors import IndexOutOfRange, NotInTorus
+from .laurent import LaurentPoly, VarId, pack, rational_values
 
 # ---------------------------------------------------------------------------
 # words and positions
@@ -284,19 +279,6 @@ def _check_torus(a: Sequence[Fraction], r: int) -> tuple[Fraction, ...]:
     return vec
 
 
-def _check_values(w: WordSpec, t: Mapping[VarId, Fraction]) -> dict[VarId, Fraction]:
-    """The values of w's position variables, as rationals, in word order."""
-    out = {}
-    for v in w.variables():
-        if v not in t:
-            raise MissingAssignment(v)
-        val = Fraction(t[v])
-        if val == 0:
-            raise ZeroAssignment(v)
-        out[v] = val
-    return out
-
-
 def _diagonal_rows(vec: Sequence[Fraction], rows: Sequence[int]):
     """Rows (1-based) of diag(vec)."""
     return [[x if c == row else Fraction(0) for c, x in enumerate(vec, start=1)] for row in rows]
@@ -307,7 +289,7 @@ def _cell_rows(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction],
     """Rows (1-based) of diag(a) times the numeric cell matrix: the word's
     factors applied to the rows of diag(a)."""
     vec = _check_torus(a, w.r)
-    steps = [(v.i, x, 1 / x) for v, x in _check_values(w, t).items()]
+    steps = [(v.i, x, 1 / x) for v, x in rational_values(w.variables(), t).items()]
     return apply_word(_diagonal_rows(vec, rows), steps)
 
 
@@ -322,7 +304,7 @@ def lower_product_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fr
     The factor at letter i is the identity plus t in slot (i+1, i), so it
     adds t times column i+1 to column i.
     """
-    vals = _check_values(w, t)
+    vals = rational_values(w.variables(), t)
     mat = _diagonal_rows(_check_torus(a, w.r), range(1, w.r + 2))
     for i, ti in zip(w.letters(), vals.values()):
         for row in mat:
@@ -347,7 +329,7 @@ def phi_map(
     value map assigns a rational to every position variable of w.
     """
     vec = _check_torus(a, w.r)
-    vals = _check_values(w, t)
+    vals = rational_values(w.variables(), t)
 
     def t_at(cycle: int, x: int) -> Fraction:
         # cycle counted from 1; positions outside the word contribute 1

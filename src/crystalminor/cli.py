@@ -222,15 +222,10 @@ def _matrix_text(sm: SeedMatrix) -> str:
     return "\n".join(lines)
 
 
-def _run_bmatrix(args) -> int:
+def _run_seed(args) -> int:
+    """The word's seed matrix, mutated at each --k direction in turn."""
     sm = seed_matrix(_word(args))
-    print(sm.to_json() if args.format == "json" else _matrix_text(sm))
-    return 0
-
-
-def _run_mutate(args) -> int:
-    sm = seed_matrix(_word(args))
-    for k in _letters(args.k, "--k"):
+    for k in () if args.k is None else _letters(args.k, "--k"):
         sm = sm.mutate(k)
     print(sm.to_json() if args.format == "json" else _matrix_text(sm))
     return 0
@@ -336,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_run_bmatrix)
+    p.set_defaults(func=_run_seed, k=None)
 
     p = ssub.add_parser("mutate", help="mutate the seed matrix at one or more directions")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--k", required=True, help="mutation directions, comma separated labels")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_run_mutate)
+    p.set_defaults(func=_run_seed)
 
     phi = sub.add_parser("phi", help="coordinate change between cell parametrizations")
     phisub = phi.add_subparsers(dest="subcommand", required=True)

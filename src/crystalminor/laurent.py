@@ -23,6 +23,10 @@ and keeps only its factors.  The first use of ``.terms``, ``str``, JSON or
 ``evaluate`` unpacks each key once and sorts the terms in canonical order
 (``Monomial._sort_key``), independent of the order of the slots.
 
+The kernel is also the one place that turns an assignment into nonzero
+rationals (``rational_values``), for ``LaurentPoly.evaluate`` and for the
+numeric cell matrices of ``bruhat``.
+
 >>> a = Monomial.of((VarId(0, 1), 1), (VarId(0, 2), -1))
 >>> str(a)
 'Y[0,1]Y[0,2]^-1'
@@ -107,6 +111,21 @@ def pack(pairs: Iterable[tuple[VarId, int]]) -> int:
     return key
 
 
+def rational_values(variables: Iterable[VarId], assignment: Mapping[VarId, Fraction]) -> dict[VarId, Fraction]:
+    """Each variable's value as a Fraction, in the order given.  The first
+    variable with no value raises MissingAssignment, the first with a zero
+    value ZeroAssignment."""
+    out = {}
+    for v in variables:
+        if v not in assignment:
+            raise MissingAssignment(v)
+        value = Fraction(assignment[v])
+        if value == 0:
+            raise ZeroAssignment(v)
+        out[v] = value
+    return out
+
+
 class Monomial:
     """An immutable product of integer powers of generators.
 
@@ -184,17 +203,6 @@ class Monomial:
         digits = memoryview(biased.to_bytes(n * _WIDTH // 8, sys.byteorder)).cast(_DIGIT)
         factors = [(_SLOT_VARS[j], d - EXPONENT_LIMIT) for j, d in enumerate(digits) if d != EXPONENT_LIMIT]
         return Monomial(tuple(sorted(factors)))
-
-    def evaluate(self, assignment: Mapping[VarId, Fraction]) -> Fraction:
-        out = Fraction(1)
-        for v, e in self._factors:
-            if v not in assignment:
-                raise MissingAssignment(v)
-            val = Fraction(assignment[v])
-            if val == 0:
-                raise ZeroAssignment(v)
-            out *= val**e
-        return out
 
     def _sort_key(self) -> tuple[int, ...]:
         """Key of the canonical term order.
@@ -377,12 +385,16 @@ class LaurentPoly:
     def evaluate(self, assignment: Mapping[VarId, Fraction]) -> Fraction:
         """Exact value at nonzero rationals, in canonical term order.
 
-        Raises MissingAssignment if a variable has no value and
-        ZeroAssignment if any used value is zero.
+        Each variable is checked once by ``rational_values``, in order of
+        first appearance over the terms and their factors.
         """
+        terms = self.terms
+        values = rational_values(dict.fromkeys(v for m, _ in terms for v, _ in m.factors), assignment)
         out = Fraction(0)
-        for m, c in self.terms:
-            out += c * m.evaluate(assignment)
+        for m, c in terms:
+            for v, e in m.factors:
+                c *= values[v] ** e
+            out += c
         return out
 
     def __eq__(self, other) -> bool:

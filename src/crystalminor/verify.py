@@ -159,7 +159,6 @@ def check_minor_chain(max_r: int = 5) -> Sweep:
             except CapExceeded:
                 yield (f"{tag} demazure cap {len(minor)} exceeded",
                        f"demazure closure at {tag} exceeds cap {len(minor)}, the minor's term count")
-                continue
             routes = (
                 ("demazure", closure),
                 ("path sum", path_sum(spec, w.r)),

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -483,6 +484,65 @@ def test_demazure_closure_past_the_minor_term_count_fails_the_position(capsys, m
         "FAIL thm5-5 r=2 word=1,2,1 k=1 demazure cap 1 exceeded",
         "FAIL thm5-5: demazure closure at r=2 word=1,2,1 k=1 exceeds cap 1, the minor's term count",
     ]
+
+
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _first_entry_plus_one(real):
+    def faulty(*args):
+        rows = real(*args)
+        rows[0][0] += 1
+        return rows
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "check, bounds, name, fault, line, detail",
+    [
+        ("prop5-1", ["--max-r", "1", "--samples", "1"], "delta_G", _plus_one,
+         "r=1 word=1 k=1 mismatch",
+         "mismatch at r=1 word=1 k=1 a=(Fraction(-5, 3), Fraction(-3, 5)) t={VarId(s=0, i=1): Fraction(-5, 1)}"),
+        ("prop2-4", ["--max-r", "1", "--samples", "1"], "cell_matrix_value", _first_entry_plus_one,
+         "r=1 word=1 mismatch",
+         "mismatch at r=1 word=1 a=(Fraction(-5, 3), Fraction(-3, 5)) t={VarId(s=0, i=1): Fraction(-5, 1)}"),
+        ("axioms", ["--max-r", "2"], "comb", _plus_one,
+         "fundamental r=1 d=1 nodes=2 expected=3",
+         "component size at fundamental r=1 d=1: 2 != 3"),
+        ("axioms", ["--max-r", "2"], "apply_f", lambda real: lambda *args: None,
+         "fundamental r=1 d=1 lowering defined iff phi positive fails at Y[-1,1] color 1",
+         "fundamental r=1 d=1: lowering defined iff phi positive fails at Y[-1,1] color 1"),
+    ],
+    ids=["prop5-1", "prop2-4", "axioms-size", "axioms-failure"],
+)
+def test_a_faulty_route_fails_the_sweep_at_its_first_spec(capsys, monkeypatch, check, bounds,
+                                                         name, fault, line, detail):
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    code, out, err = run(capsys, ["verify", check] + bounds)
+    assert (code, err) == (1, "")
+    assert out == f"FAIL {check} {line}\nFAIL {check}: {detail}\n"
+
+
+def test_phi_check_names_the_first_failing_sample(capsys, monkeypatch):
+    real = verify.cell_matrix_value
+    calls = []
+
+    def second_call_faulty(*args):
+        calls.append(args)
+        return _first_entry_plus_one(real)(*args) if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(verify, "cell_matrix_value", second_call_faulty)
+    argv = ["phi", "check", "--r", "2", "--word", "1,2,1", "--samples", "3"]
+    assert run(capsys, argv) == (1, "FAIL phi: r=2 word=1,2,1 sample=2\n", "")
+    assert len(calls) == 2
+
+
+def test_paths_closed_form_exits_1_when_the_width_one_cross_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "d1_closed_form", lambda *args: LaurentPoly.zero())
+    argv = ["paths", "closed-form", "--d", "1", "--m", "3", "--mprime", "2", "--r", "4"]
+    assert run(capsys, argv) == (1, "", "error: width-one cross check failed\n")
 
 
 def test_verify_rejects_inapplicable_flag(capsys):

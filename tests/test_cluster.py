@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from crystalminor import cluster
 from crystalminor.bruhat import WordSpec
 from crystalminor.cluster import (
     SeedMatrix,
@@ -96,6 +97,20 @@ def test_skew_symmetrizer_nontrivial():
     assert skew_symmetrizer(mat) == (1, 2)
     assert skew_symmetrizer(((0, 1), (1, 0))) is None
     assert skew_symmetrizer(((0, 1, 0), (-1, 0, 1), (1, -1, 0))) is None
+
+
+def test_skew_symmetrizer_refuses_an_inconsistent_cycle():
+    # sign-skew-symmetric, but rows 0 and 1 force d_2 = d_0 / 2 and d_2 = d_0
+    assert is_sign_skew_symmetric(((0, 1, 1), (-1, 0, 1), (-2, -1, 0)))
+    assert skew_symmetrizer(((0, 1, 1), (-1, 0, 1), (-2, -1, 0))) is None
+
+
+def test_skew_symmetrizer_checks_its_integer_diagonal(monkeypatch):
+    # the rational diagonal is (1, 1/2); scaled by 1 instead of 2 it
+    # truncates to (1, 0), which the final check refuses
+    assert skew_symmetrizer(((0, 1), (-2, 0))) == (2, 1)
+    monkeypatch.setattr(cluster, "lcm", lambda *args: 1)
+    assert skew_symmetrizer(((0, 1), (-2, 0))) is None
 
 
 def test_is_sign_skew_symmetric():
