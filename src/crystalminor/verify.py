@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
@@ -31,14 +32,14 @@ from .crystal import (
     CrystalConfig,
     CrystalGraph,
     DemazureSpec,
-    apply_e,
-    apply_f,
+    a_monomial,
     cartan,
     component,
     demazure_polynomial,
+    kashiwara_rows,
 )
 from .errors import CapExceeded
-from .laurent import LaurentPoly, Monomial, VarId
+from .laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId, pack
 from .paths import PathSpec, closed_form_sum, d1_closed_form, path_sum
 
 DEFAULT_SEED = 20260817
@@ -344,28 +345,53 @@ def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]
     weight steps by a Cartan column, string data steps by one, raising
     and lowering invert each other, and neither leaves the component.
 
-    ``apply_e`` and ``apply_f`` are applied once per (node, color), never
-    to a cached result, and each result is recorded by node id (None when
-    undefined, -1 outside the graph); the inverse checks then compare ids.
+    Each node is keyed by the packed int of its own monomial, and
+    ``kashiwara_rows`` is scanned once per (node, color) for both shifts,
+    so neither the walk's keys nor its shift records are read.  The raising
+    result is the node's key plus the packed A[s,i] of ``a_monomial``, the
+    lowering result its key minus it, each looked up among the node keys
+    and recorded by node id (None when undefined, -1 outside the graph);
+    the inverse checks then compare ids.  The multipliers are packed once
+    per (shift, color) per call; no operator result is cached.
+
+    The keys are exact: two nodes differ in each variable by at most the
+    nodes' exponent range there, and a result by at most one more, so
+    while every range is below EXPONENT_LIMIT they differ by less than
+    one packed digit's range and equal keys are equal monomials (see
+    ``pack``).  ``component`` keeps the range below it, since it clamps
+    its cap below it; a graph whose range reaches it raises ValueError.
     """
     colors = cfg.colors()
-    index = {node.monomial: k for k, node in enumerate(graph.nodes)}
-
-    def ids(step: Callable) -> list[list[int | None]]:
-        table = []
-        for node in graph.nodes:
-            row: list[int | None] = []
-            for i in colors:
-                other = step(cfg, node.monomial, i)
-                row.append(None if other is None else index.get(other, -1))
-            table.append(row)
-        return table
-
-    ups, downs = ids(apply_e), ids(apply_f)
+    nodes = graph.nodes
+    exponents: defaultdict[VarId, list[int]] = defaultdict(list)
+    for node in nodes:
+        for v, e in node.monomial.factors:
+            exponents[v].append(e)
+    for v, seen in exponents.items():
+        if len(seen) < len(nodes):
+            seen.append(0)  # the exponent of v in a node without it
+        if (width := max(seen) - min(seen)) >= EXPONENT_LIMIT:
+            raise ValueError(f"exponent range {width} of {v} reaches {EXPONENT_LIMIT}; "
+                             "packed node keys would not be exact")
+    keys = [pack(node.monomial.factors) for node in nodes]
+    index = {key: k for k, key in enumerate(keys)}
+    # A[s,i] packed once per (shift, color) in this call, never an operator result
+    multiplier = functools.cache(lambda s, i: pack(a_monomial(cfg, s, i).factors))
+    ups: list[list[int | None]] = []
+    downs: list[list[int | None]] = []
+    for node, key in zip(nodes, keys):
+        up_row: list[int | None] = []
+        down_row: list[int | None] = []
+        for i in colors:
+            up, down = kashiwara_rows(cfg, node.monomial, i)
+            up_row.append(None if up is None else index.get(key + multiplier(up, i), -1))
+            down_row.append(None if down is None else index.get(key - multiplier(down, i), -1))
+        ups.append(up_row)
+        downs.append(down_row)
     columns = [tuple(cartan(j, i) for j in colors) for i in colors]
     bad: list[str] = []
-    for node, up_row, down_row in zip(graph.nodes, ups, downs):
-        me = index[node.monomial]
+    for node, key, up_row, down_row in zip(nodes, keys, ups, downs):
+        me = index[key]
         for i, up, down, column in zip(colors, up_row, down_row, columns):
             phi, eps = node.phi[i - 1], node.epsilon[i - 1]
             if phi < 0 or eps < 0:
@@ -378,7 +404,7 @@ def crystal_axiom_failures(cfg: CrystalConfig, graph: CrystalGraph) -> list[str]
                 if up < 0:
                     bad.append(f"raising leaves component at {node.monomial} color {i}")
                     continue
-                stats = graph.nodes[up]
+                stats = nodes[up]
                 if stats.weight != tuple(map(add, node.weight, column)):
                     for j in colors:
                         if stats.weight[j - 1] != node.weight[j - 1] + column[j - 1]:

@@ -511,7 +511,7 @@ def _first_entry_plus_one(real):
         ("axioms", ["--max-r", "2"], "comb", _plus_one,
          "fundamental r=1 d=1 nodes=2 expected=3",
          "component size at fundamental r=1 d=1: 2 != 3"),
-        ("axioms", ["--max-r", "2"], "apply_f", lambda real: lambda *args: None,
+        ("axioms", ["--max-r", "2"], "kashiwara_rows", lambda real: lambda *args: (real(*args)[0], None),
          "fundamental r=1 d=1 lowering defined iff phi positive fails at Y[-1,1] color 1",
          "fundamental r=1 d=1: lowering defined iff phi positive fails at Y[-1,1] color 1"),
     ],

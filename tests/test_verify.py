@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from collections import Counter
 
 import pytest
 
@@ -10,11 +11,14 @@ from crystalminor.bruhat import WordSpec
 from crystalminor.crystal import (
     CrystalConfig,
     CrystalGraph,
+    apply_e,
+    apply_f,
     cartan,
     demazure_polynomial,
+    node_stats,
     tau_render_poly,
 )
-from crystalminor.laurent import LaurentPoly, Monomial, VarId
+from crystalminor.laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId, pack
 from crystalminor.verify import (
     CHECKS,
     all_word_specs,
@@ -149,6 +153,17 @@ def test_axiom_checker_catches_truncation():
     assert crystal_axiom_failures(cfg, half)
 
 
+def _reference_operator(cfg, m, i, lower):
+    """e_i (lower 0) or f_i (lower 1) of m as the axiom check sees it: the
+    shift from ``verify.kashiwara_rows``, then the Monomial product with
+    ``verify.a_monomial`` or its inverse; None when undefined."""
+    shift = verify.kashiwara_rows(cfg, m, i)[lower]
+    if shift is None:
+        return None
+    a = verify.a_monomial(cfg, shift, i)
+    return m * (a.inverse() if lower else a)
+
+
 def _reference_axiom_failures(cfg, graph):
     """The axiom checker that applies an operator per check: e_i and f_i at
     every node, then again at the other end of each edge."""
@@ -160,7 +175,7 @@ def _reference_axiom_failures(cfg, graph):
                 bad.append(f"negative string data at {node.monomial} color {i}")
             if phi - eps != node.weight[i - 1]:
                 bad.append(f"phi - eps != weight at {node.monomial} color {i}")
-            up = verify.apply_e(cfg, node.monomial, i)
+            up = _reference_operator(cfg, node.monomial, i, 0)
             if (up is not None) != (eps > 0):
                 bad.append(f"raising defined iff eps positive fails at {node.monomial} color {i}")
             if up is not None:
@@ -173,16 +188,16 @@ def _reference_axiom_failures(cfg, graph):
                         bad.append(f"weight step at {node.monomial} colors {i},{j}")
                 if stats.epsilon[i - 1] != eps - 1 or stats.phi[i - 1] != phi + 1:
                     bad.append(f"string step at {node.monomial} color {i}")
-                if verify.apply_f(cfg, up, i) != node.monomial:
+                if _reference_operator(cfg, up, i, 1) != node.monomial:
                     bad.append(f"lowering does not invert raising at {node.monomial} color {i}")
-            down = verify.apply_f(cfg, node.monomial, i)
+            down = _reference_operator(cfg, node.monomial, i, 1)
             if (down is not None) != (phi > 0):
                 bad.append(f"lowering defined iff phi positive fails at {node.monomial} color {i}")
             if down is not None:
                 if down not in graph:
                     bad.append(f"lowering leaves component at {node.monomial} color {i}")
                     continue
-                if verify.apply_e(cfg, down, i) != node.monomial:
+                if _reference_operator(cfg, down, i, 0) != node.monomial:
                     bad.append(f"raising does not invert lowering at {node.monomial} color {i}")
     return bad
 
@@ -192,6 +207,9 @@ AXIOM_SEEDS = [
     (3, Monomial.of((VarId(-1, 1), 1), (VarId(-1, 2), 1))),
     (4, Monomial.of((VarId(-1, 3), 1))),
     (4, demazure_data(WordSpec(4, 3, 2), 6).seed),
+    # exponents past 2**31: the packed keys carry, and the check must stay exact
+    (2, Monomial.of((VarId(0, 1), -2**40), (VarId(1, 1), 2**40), (VarId(-1, 2), 1))),
+    (2, Monomial.of((VarId(0, 2), -2**40), (VarId(1, 2), 2**40), (VarId(-1, 1), 2))),
 ]
 
 
@@ -239,29 +257,99 @@ def test_axiom_failures_match_the_per_check_reference(r, seed):
     assert flagged > 10
 
 
+@pytest.mark.parametrize("r, seed", AXIOM_SEEDS)
+def test_reference_operator_is_the_crystal_operator(r, seed):
+    cfg = CrystalConfig(r)
+    for node in component(cfg, seed).nodes:
+        for i in cfg.colors():
+            assert _reference_operator(cfg, node.monomial, i, 0) == apply_e(cfg, node.monomial, i)
+            assert _reference_operator(cfg, node.monomial, i, 1) == apply_f(cfg, node.monomial, i)
+
+
 @pytest.mark.parametrize("operator", ["apply_e", "apply_f"])
 @pytest.mark.parametrize("result", ["none", "itself", "other node", "outside"])
 def test_axiom_failures_match_the_reference_under_a_faulty_operator(monkeypatch, operator, result):
+    """The operator's result at node 4 and one color is faulty: "none" drops
+    the shift there in ``kashiwara_rows``; the other results replace the
+    A[s,i] of that shift and color, which every node whose operator acts
+    there then sees too."""
     cfg = CrystalConfig(4)
     g = component(cfg, Monomial.of((VarId(-1, 3), 1)))
     node = g.nodes[4]
     target = node.monomial
+    lower = operator == "apply_f"
     # a color at which the operator is defined there
-    color = 1 + (node.epsilon if operator == "apply_e" else node.phi).index(1)
-    replacement = {
-        "none": None,
-        "itself": target,
-        "other node": g.nodes[7].monomial,
-        "outside": Monomial.of((VarId(9, 1), 1)),
-    }[result]
-    real = getattr(verify, operator)
+    color = 1 + (node.phi if lower else node.epsilon).index(1)
+    if result == "none":
+        real_rows = verify.kashiwara_rows
 
-    def faulty(cfg, m, i):
-        return replacement if m == target and i == color else real(cfg, m, i)
+        def faulty_rows(cfg, m, i):
+            rows = real_rows(cfg, m, i)
+            if m == target and i == color:
+                return (rows[0], None) if lower else (None, rows[1])
+            return rows
 
-    monkeypatch.setattr(verify, operator, faulty)
+        monkeypatch.setattr(verify, "kashiwara_rows", faulty_rows)
+    else:
+        # the operator multiplies by A[shift,color], or by its inverse when lowering
+        wanted = {
+            "itself": target,
+            "other node": g.nodes[7].monomial,
+            "outside": Monomial.of((VarId(9, 1), 1)),
+        }[result]
+        fault = wanted * target.inverse()
+        fault = fault.inverse() if lower else fault
+        shift = verify.kashiwara_rows(cfg, target, color)[lower]
+        real_a = verify.a_monomial
+        monkeypatch.setattr(verify, "a_monomial",
+                            lambda cfg, s, i: fault if (s, i) == (shift, color) else real_a(cfg, s, i))
+    assert _reference_operator(cfg, target, color, lower) == (None if result == "none" else wanted)
     want = _reference_axiom_failures(cfg, g)
     assert want and crystal_axiom_failures(cfg, g) == want
+
+
+def test_axiom_check_scans_once_per_node_and_color(monkeypatch):
+    cfg = CrystalConfig(4)
+    g = component(cfg, demazure_data(WordSpec(4, 3, 2), 6).seed)
+    scans, multipliers = [], []
+    real_rows, real_a = verify.kashiwara_rows, verify.a_monomial
+
+    def rows(cfg, m, i):
+        scans.append((m, i))
+        return real_rows(cfg, m, i)
+
+    def a(cfg, s, i):
+        multipliers.append((s, i))
+        return real_a(cfg, s, i)
+
+    monkeypatch.setattr(verify, "kashiwara_rows", rows)
+    monkeypatch.setattr(verify, "a_monomial", a)
+    assert crystal_axiom_failures(cfg, g) == []
+    # each (node, color) once: N * r scans, where raising and lowering apart made 2 * N * r
+    assert Counter(scans) == Counter((node.monomial, i) for node in g.nodes for i in cfg.colors())
+    assert multipliers and len(set(multipliers)) == len(multipliers)
+
+
+def _graph(r, *monomials):
+    return CrystalGraph(r, tuple(node_stats(CrystalConfig(r), m) for m in monomials), ())
+
+
+def test_axiom_check_refuses_an_exponent_range_its_keys_cannot_tell_apart():
+    # two fresh variables on adjacent slots: Y[7777,1]^(2**32) and Y[7777,2]
+    # pack to the same int, so no packed key may stand for either
+    low, high = VarId(7777, 1), VarId(7777, 2)
+    assert pack([(low, 1)]) << 32 == pack([(high, 1)])
+    wide, narrow = Monomial.of((low, 2**32)), Monomial.of((high, 1))
+    assert wide != narrow and pack(wide.factors) == pack(narrow.factors)
+    cfg = CrystalConfig(2)
+    with pytest.raises(ValueError, match=r"^exponent range 4294967296 of Y\[7777,1\] reaches 2147483648;"):
+        crystal_axiom_failures(cfg, _graph(2, wide, narrow))
+    edge = _graph(2, Monomial.of((low, EXPONENT_LIMIT)), Monomial.of((high, 1)))
+    with pytest.raises(ValueError, match="^exponent range 2147483648 of Y"):
+        crystal_axiom_failures(cfg, edge)
+    # one below the limit, the check runs and agrees with the reference
+    below = _graph(2, Monomial.of((low, EXPONENT_LIMIT - 1)), Monomial.of((high, 1)))
+    assert crystal_axiom_failures(cfg, below) == _reference_axiom_failures(cfg, below) != []
 
 
 def test_axioms_detail_counts():
