@@ -13,19 +13,25 @@ per letter, yields a matrix over Laurent polynomials whose initial minors
 this module extracts (``delta_L``).  No matrix product is ever formed: a
 minor starts from the d identity rows it needs and applies the word's
 factors as column operations (``apply_word``), then takes the determinant of
-the first d columns.  The caller hands ``apply_word`` each factor's entry
-and its inverse, so the routine knows neither ring: the symbolic side passes
-one-term polynomials, the numeric side rationals.  ``det`` knows neither
-ring either: the caller supplies the fold that sums signed products of
-entries and cofactors, ``LaurentPoly.signed_dot`` on the symbolic side and
-``rational_dot`` on the numeric side.
-The cell matrix is dressed by a diagonal with determinant one, which scales
-its rows, so the numeric side applies the word to rows of that diagonal
-instead of identity rows; ``delta_G`` takes the minors of that matrix from
-its d rows, and ``phi_map`` rewrites such coordinates as a diagonal times a
-product of lower elementary factors, each of them a column operation too
-(``lower_product_value``), so both descriptions can be compared entrywise.
-The dense factors themselves live only in the tests, as references.
+the first d columns.  ``apply_word`` takes each factor as the three entries
+of its 2x2 block in the ring of the rows, so it knows no ring: the symbolic
+side passes one-term polynomials and the one polynomial, the numeric side
+integers.  ``det`` knows no ring either: the caller supplies the fold that
+sums signed products of entries and cofactors, ``LaurentPoly.signed_dot``
+on the symbolic side and ``rational_dot`` on the numeric side.
+
+The numeric side (``delta_G``, ``cell_matrix_value``,
+``lower_product_value``) works over the integers.  The cell matrix is
+dressed by a diagonal with determinant one, which scales its rows, so the
+word is applied to rows of that diagonal; each row keeps its diagonal
+entry's denominator and each column one denominator shared by all rows,
+updated factor by factor (``_integer_rows``), and a result becomes a
+``Fraction`` only once, at the end.  ``delta_G`` takes the minors of that
+matrix from its d rows, and ``phi_map`` rewrites such coordinates as a
+diagonal times a product of lower elementary factors, each of them a column
+operation too (``lower_product_value``), so both descriptions can be
+compared entrywise.  The dense factors themselves live only in the tests,
+as references.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import prod
+from math import gcd, prod
 from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, NotInTorus
@@ -83,13 +89,15 @@ class WordSpec:
         ])
 
     @cached_property
-    def _steps(self) -> tuple[tuple[int, LaurentPoly, LaurentPoly], ...]:
-        # apply_word's (letter, t, t_inv) per position variable, shared by
+    def _steps(self) -> tuple[tuple[int, LaurentPoly, LaurentPoly, LaurentPoly], ...]:
+        # apply_word's (letter, 1/t, 1, t) per position variable, shared by
         # every symbolic minor of this word
+        one = LaurentPoly.one()
         steps = []
         for v in self._table:
             key = pack([(v, 1)])
-            steps.append((v.i, LaurentPoly.from_packed({key: 1}, 1), LaurentPoly.from_packed({-key: 1}, 1)))
+            t, t_inv = LaurentPoly.from_packed({key: 1}, 1), LaurentPoly.from_packed({-key: 1}, 1)
+            steps.append((v.i, t_inv, one, t))
         return tuple(steps)
 
     def variables(self) -> tuple[VarId, ...]:
@@ -167,36 +175,35 @@ class MinorSpec:
 
 
 def apply_word(rows, steps):
-    """Right-multiply a block of rows by negative factors, one step at a time.
+    """Right-multiply a block of rows by one factor per step.
 
-    Step ``(i, t, t_inv)`` stands for the negative factor at letter i: the
-    identity with the 2x2 block [[1/t, 0], [1, t]] at rows and columns
-    (i, i+1), where the caller passes t and its inverse t_inv in the ring of
-    the rows.  It changes only columns i and i+1: ``col_i <- col_i * t_inv +
-    col_{i+1}`` and ``col_{i+1} <- col_{i+1} * t``.  So a word of n letters
-    costs O(n) ring operations per row, and zero entries cost nothing.  The
-    input rows are left unchanged.
+    Step ``(i, alpha, beta, gamma)`` stands for the identity with the 2x2
+    block [[alpha, 0], [beta, gamma]] at rows and columns (i, i+1), its
+    entries given in the ring of the rows.  It changes only columns i and
+    i+1: ``col_i <- col_i * alpha + col_{i+1} * beta`` and ``col_{i+1} <-
+    col_{i+1} * gamma``.  So a word of n letters costs O(n) ring operations
+    per row, and zero entries cost nothing.  The negative factor at t is
+    ``(i, 1/t, 1, t)``; the symbolic side passes the one polynomial as beta,
+    whose product returns its left operand.  The input rows are left
+    unchanged.
 
-    >>> from fractions import Fraction
-    >>> rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
-    >>> steps = [(1, Fraction(2), Fraction(1, 2)), (2, Fraction(3), Fraction(1, 3))]
-    >>> [str(e) for e in apply_word(rows[1:2], steps)[0]]
-    ['1', '2/3', '0']
+    >>> apply_word([[1, 0, 0], [0, 2, 0]], [(1, 3, 5, 7)])
+    [[3, 0, 0], [10, 14, 0]]
     >>> key = pack([(VarId(0, 1), 1)])
     >>> y, y_inv = LaurentPoly.from_packed({key: 1}, 1), LaurentPoly.from_packed({-key: 1}, 1)
     >>> unit = [[LaurentPoly.one(), LaurentPoly.zero()], [LaurentPoly.zero(), LaurentPoly.one()]]
-    >>> [[str(e) for e in row] for row in apply_word(unit, [(1, y, y_inv)])]
+    >>> [[str(e) for e in row] for row in apply_word(unit, [(1, y_inv, LaurentPoly.one(), y)])]
     [['Y[0,1]^-1', '0'], ['1', 'Y[0,1]']]
     """
     out = [list(row) for row in rows]
-    for i, t, t_inv in steps:
+    for i, alpha, beta, gamma in steps:
         for row in out:
             a, b = row[i - 1], row[i]
             if b:
-                row[i - 1] = a * t_inv + b if a else b
-                row[i] = b * t
+                row[i - 1] = a * alpha + b * beta if a else b * beta
+                row[i] = b * gamma
             elif a:
-                row[i - 1] = a * t_inv
+                row[i - 1] = a * alpha
     return out
 
 
@@ -243,24 +250,30 @@ def det(matrix, fold):
     return go(frozenset(range(size)))
 
 
-def rational_dot(triples) -> Fraction:
-    """The sum of sign * a * b over (sign, a, b) triples of rationals: the
-    fold ``det`` takes over Q."""
-    total = Fraction(0)
+def rational_dot(triples):
+    """The sum of sign * a * b over (sign, a, b) triples of integers or
+    rationals, 0 for none: the fold ``det`` takes over Z and Q."""
+    total = 0
     for sign, a, b in triples:
         total = total - a * b if sign < 0 else total + a * b
     return total
 
 
+def delta_L_uncached(spec: MinorSpec) -> LaurentPoly:
+    """The minor of the symbolic cell matrix marked by position k, computed
+    afresh and kept nowhere: for sweeps that read each minor once."""
+    # only the minor's d rows are built; its columns are the first d
+    return det([row[: spec.d] for row in _symbolic_rows(spec.word, spec.rows)], LaurentPoly.signed_dot)
+
+
 @lru_cache(maxsize=4096)
 def _delta_L_cached(word: WordSpec, k: int) -> LaurentPoly:
-    # only the minor's d rows are built; its columns are the first d
-    spec = MinorSpec(word, k)
-    return det([row[: spec.d] for row in _symbolic_rows(word, spec.rows)], LaurentPoly.signed_dot)
+    return delta_L_uncached(MinorSpec(word, k))
 
 
 def delta_L(spec: MinorSpec) -> LaurentPoly:
-    """The minor of the symbolic cell matrix marked by position k."""
+    """The minor of the symbolic cell matrix marked by position k, memoized
+    per (word, k)."""
     return _delta_L_cached(spec.word, spec.k)
 
 
@@ -274,28 +287,59 @@ def _check_torus(a: Sequence[Fraction], r: int) -> tuple[Fraction, ...]:
         raise NotInTorus(f"diagonal needs {r + 1} entries, got {len(vec)}")
     if any(x == 0 for x in vec):
         raise NotInTorus("diagonal entries must be nonzero")
-    if prod(vec) != 1:
+    if prod([x.numerator for x in vec]) != prod([x.denominator for x in vec]):
         raise NotInTorus(f"diagonal product is {prod(vec)}, not 1")
     return vec
 
 
-def _diagonal_rows(vec: Sequence[Fraction], rows: Sequence[int]):
-    """Rows (1-based) of diag(vec)."""
-    return [[x if c == row else Fraction(0) for c, x in enumerate(vec, start=1)] for row in rows]
+def _integer_rows(vec: Sequence[Fraction], values: Mapping[VarId, Fraction],
+                  rows: Sequence[int], lower: bool = False):
+    """Rows (1-based) of diag(vec) times one factor per position value, in
+    word order, over the integers.
+
+    Returns (N, dens, sigma): the entry in row ``rows[j]`` and column c is
+    ``N[j][c - 1] / (dens[j] * sigma[c - 1])``, where dens[j] is the
+    denominator of that row's diagonal entry and sigma holds one
+    denominator per column, shared by all rows.  The factor at letter i
+    with value p/q is the negative one, block [[q/p, 0], [1, p/q]] at
+    columns (i, i+1), or with ``lower`` the lower elementary one, block
+    [[1, 0], [p/q, 1]].  Either puts column i over one denominator, cut by
+    the gcd g of its two terms' scales; the negative factor scales column
+    i+1 by p/q, cut by the gcd of p and that column's denominator.  Only
+    sigma changes here, so each step's (alpha, beta, gamma) is known before
+    ``apply_word`` runs.
+    """
+    sigma = [1] * len(vec)
+    steps = []
+    for v, x in values.items():
+        i, p, q = v.i, x.numerator, x.denominator
+        s, s1 = sigma[i - 1], sigma[i]  # denominators of columns i and i+1
+        g = gcd(q * s1, p * s)
+        alpha, beta = q * s1 // g, p * s // g
+        if lower:
+            sigma[i - 1] = alpha * s
+            gamma = 1
+        else:
+            sigma[i - 1] = beta * s1
+            g2 = gcd(p, s1)
+            gamma, sigma[i] = p // g2, q * s1 // g2
+        steps.append((i, alpha, beta, gamma))
+    start = [[x.numerator if c == row else 0 for c, x in enumerate(vec, start=1)] for row in rows]
+    return apply_word(start, steps), [vec[row - 1].denominator for row in rows], sigma
 
 
-def _cell_rows(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction],
-               rows: Sequence[int]):
-    """Rows (1-based) of diag(a) times the numeric cell matrix: the word's
-    factors applied to the rows of diag(a)."""
-    vec = _check_torus(a, w.r)
-    steps = [(v.i, x, 1 / x) for v, x in rational_values(w.variables(), t).items()]
-    return apply_word(_diagonal_rows(vec, rows), steps)
+_ZERO = Fraction(0)
+
+
+def _rational_rows(N, dens, sigma) -> list[list[Fraction]]:
+    # the rationals _integer_rows stands for; zero entries share one Fraction
+    return [[Fraction(n, d * s) if n else _ZERO for n, s in zip(row, sigma)] for row, d in zip(N, dens)]
 
 
 def cell_matrix_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
     """diag(a) times the numeric cell matrix; the matrix delta_G minors."""
-    return _cell_rows(w, a, t, range(1, w.r + 2))
+    vec = _check_torus(a, w.r)
+    return _rational_rows(*_integer_rows(vec, rational_values(w.variables(), t), range(1, w.r + 2)))
 
 
 def lower_product_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
@@ -305,11 +349,7 @@ def lower_product_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fr
     adds t times column i+1 to column i.
     """
     vals = rational_values(w.variables(), t)
-    mat = _diagonal_rows(_check_torus(a, w.r), range(1, w.r + 2))
-    for i, ti in zip(w.letters(), vals.values()):
-        for row in mat:
-            row[i - 1] += ti * row[i]
-    return mat
+    return _rational_rows(*_integer_rows(_check_torus(a, w.r), vals, range(1, w.r + 2), lower=True))
 
 
 def phi_map(
@@ -363,5 +403,7 @@ def delta_G(spec: MinorSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction])
     check the two routes.
     """
     # only the minor's d rows are built; its columns are the first d
-    rows = _cell_rows(spec.word, a, t, spec.rows)
-    return det([row[: spec.d] for row in rows], rational_dot)
+    w, d = spec.word, spec.d
+    vec = _check_torus(a, w.r)
+    N, dens, sigma = _integer_rows(vec, rational_values(w.variables(), t), spec.rows)
+    return Fraction(det([row[:d] for row in N], rational_dot), prod(dens) * prod(sigma[:d]))

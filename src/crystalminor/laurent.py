@@ -349,6 +349,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if other is _POLY_ONE:
+            return self
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return LaurentPoly.signed_dot(((1, self, other),))

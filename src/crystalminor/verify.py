@@ -25,6 +25,7 @@ from .bruhat import (
     cell_matrix_value,
     delta_G,
     delta_L,
+    delta_L_uncached,
     lower_product_value,
     phi_map,
 )
@@ -153,7 +154,7 @@ def check_minor_chain(max_r: int = 5) -> Sweep:
         for k in ks:
             ms = MinorSpec(w, k)
             spec = PathSpec(ms.d, w.m, ms.mprime)
-            minor = delta_L(ms)
+            minor = delta_L_uncached(ms)
             tag = f"{_tag(w)} k={k}"
             try:
                 closure = demazure_polynomial(cfg, demazure_data(w, k), cap=len(minor))
@@ -184,7 +185,7 @@ def check_minor_paths(max_r: int = 5) -> Sweep:
         ks = matched_positions(w)
         for k in ks:
             ms = MinorSpec(w, k)
-            total, minor = path_sum(PathSpec(ms.d, w.m, ms.mprime), w.r), delta_L(ms)
+            total, minor = path_sum(PathSpec(ms.d, w.m, ms.mprime), w.r), delta_L_uncached(ms)
             if total != minor:
                 tag = f"{_tag(w)} k={k}"
                 diff = _difference("path sum", total, "minor", minor)
@@ -224,7 +225,7 @@ def check_d1(max_r: int = 5) -> Sweep:
         for k in matched_positions(w):
             ms = MinorSpec(w, k)
             tag = f"{_tag(w)} k={k}"
-            poly, minor = d1_closed_form(w.m, ms.mprime, w.r), delta_L(ms)
+            poly, minor = d1_closed_form(w.m, ms.mprime, w.r), delta_L_uncached(ms)
             if poly != minor:
                 diff = _difference("closed form", poly, "minor", minor)
                 yield f"{tag} mismatch", f"mismatch at {tag}; {diff}"
@@ -260,7 +261,7 @@ def check_torus_factor(max_r: int = 4, samples: int = 50, seed: int = DEFAULT_SE
         for k in range(1, w.n + 1):
             ms = MinorSpec(w, k)
             tag = f"{_tag(w)} k={k}"
-            symbolic = delta_L(ms)
+            symbolic = delta_L_uncached(ms)
             for _ in range(samples):
                 a = _random_torus(rng, w.r)
                 t = _random_values(rng, w)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystalminor import bruhat, cli
 from crystalminor.bruhat import (
     MinorSpec,
     WordSpec,
@@ -488,9 +490,42 @@ def test_apply_word_on_rationals_matches_dense_product():
                 rows = sorted(rng.sample(range(r + 1), rng.randint(1, r + 1)))
                 start = [[Fraction(int(a == b)) for b in range(r + 1)] for a in rows]
                 untouched = [list(row) for row in start]
-                steps = [(i, t, 1 / t) for i, t in zip(w.letters(), values)]
+                steps = [(i, 1 / t, Fraction(1), t) for i, t in zip(w.letters(), values)]
                 assert apply_word(start, steps) == [dense[a] for a in rows]
                 assert start == untouched
+
+
+def _block(size: int, i: int, alpha, beta, gamma):
+    """Dense reference for apply_word's step: the identity with the block
+    [[alpha, 0], [beta, gamma]] at rows and columns (i, i+1)."""
+    mat = [[int(a == b) for b in range(size)] for a in range(size)]
+    mat[i - 1][i - 1], mat[i][i - 1], mat[i][i] = alpha, beta, gamma
+    return mat
+
+
+def test_apply_word_general_step_on_ints_matches_dense_product():
+    rng = random.Random(2417)
+    for _ in range(200):
+        size = rng.randint(2, 6)
+        steps = []
+        for _ in range(rng.randint(1, 12)):
+            alpha, beta, gamma = (rng.randint(-9, 9) for _ in range(3))
+            if alpha * gamma == 1 or beta == 1:
+                continue
+            steps.append((rng.randint(1, size - 1), alpha, beta, gamma))
+        start = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(rng.randint(1, size))]
+        untouched = [list(row) for row in start]
+        dense = functools.reduce(mat_mul, [_block(size, *step) for step in steps], _identity(size, 1, 0))
+        assert apply_word(start, steps) == [
+            [sum(row[k] * dense[k][c] for k in range(size)) for c in range(size)] for row in start
+        ]
+        assert start == untouched
+
+
+def test_times_the_one_polynomial_is_the_left_operand():
+    p = LaurentPoly.from_terms([(Monomial.of((VarId(0, 1), -2)), 3), (Monomial.one(), -1)])
+    assert p * LaurentPoly.one() is p
+    assert LaurentPoly.one() * p == p
 
 
 def test_delta_L_memo_is_bounded():
@@ -627,6 +662,77 @@ def test_numeric_route_matches_dense_reference():
                 spec = MinorSpec(w, k)
                 want = det(submatrix(cell, spec.rows, range(1, spec.d + 1)), rational_dot)
                 assert delta_G(spec, a, t) == want, (w, k)
+
+
+# rationals whose numerators and denominators share the primes 2 and 3, so
+# that the integer route's gcd reductions fire, with ±1 and two values far
+# past 64 bits
+_SHARED = [Fraction(sign * 2 ** i * 3 ** j) for sign in (1, -1) for i in range(3) for j in range(-2, 3)]
+_WIDE = [Fraction(2 ** 61 - 1, 3 ** 40), Fraction(-(2 ** 61 - 1), 3 ** 40)]
+
+
+def _adversarial_torus(rng: random.Random, r: int, pool) -> list[Fraction]:
+    vec = [rng.choice(pool) for _ in range(r)]
+    last = Fraction(1)
+    for x in vec:
+        last /= x
+    return vec + [last]
+
+
+def _adversarial_cases():
+    rng = random.Random(6161)
+    for pool in (_SHARED + _WIDE, [Fraction(1), Fraction(-1)]):
+        for w in all_word_specs(4):
+            for _ in range(2):
+                t = {v: rng.choice(pool) for v in w.variables()}
+                yield w, _adversarial_torus(rng, w.r, pool), t
+
+
+def test_integer_route_matches_dense_rationals_on_adversarial_values(monkeypatch):
+    # every result against the dense Fraction product and Gaussian
+    # elimination; the negative factors take two gcds per letter, (g, g2),
+    # and both must cut something somewhere
+    gcds = []
+
+    def recording_gcd(x, y):
+        gcds.append(math.gcd(x, y))
+        return gcds[-1]
+
+    monkeypatch.setattr(bruhat, "gcd", recording_gcd)
+    g_cut = g2_cut = False
+    for w, a, t in _adversarial_cases():
+        values = [t[v] for v in w.variables()]
+        cell = mat_mul(diag_matrix(a), _dense_cell_matrix(w, values))
+        gcds.clear()
+        assert cell_matrix_value(w, a, t) == cell, (w, a, t)
+        g_cut |= any(g > 1 for g in gcds[0::2])
+        g2_cut |= any(g > 1 for g in gcds[1::2])
+        lower = functools.reduce(
+            mat_mul, [gen_y(w.r, i, x) for i, x in zip(w.letters(), values)], diag_matrix(a)
+        )
+        assert lower_product_value(w, a, t) == lower, (w, a, t)
+        for k in range(1, w.n + 1):
+            spec = MinorSpec(w, k)
+            got = delta_G(spec, a, t)
+            assert type(got) is Fraction
+            assert got == _gauss_det(submatrix(cell, spec.rows, range(1, spec.d + 1))), (w, k, a, t)
+    assert g_cut and g2_cut
+
+
+def test_minor_command_prints_the_dense_reference_at_wide_values(capsys):
+    w = WordSpec(3, 3, 1)
+    k = 2
+    wide, shared = _WIDE[0], Fraction(-4, 9)
+    a = [wide, shared, Fraction(3), 1 / (wide * shared * 3)]
+    values = [wide, shared, Fraction(-1), _WIDE[1], Fraction(6), Fraction(1, 2)]
+    spec = MinorSpec(w, k)
+    cell = mat_mul(diag_matrix(a), _dense_cell_matrix(w, values))
+    want = _gauss_det(submatrix(cell, spec.rows, range(1, spec.d + 1)))
+    text = ",".join
+    argv = ["minor", "--r", "3", "--word", text(map(str, w.letters())), "--k", str(k),
+            "--a", text(map(str, a)), "--t", text(map(str, values))]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"{want}\n"
 
 
 def test_delta_G_torus_factor_identity():

@@ -477,7 +477,7 @@ def test_verify_failure_exit(capsys, monkeypatch):
 def test_demazure_closure_past_the_minor_term_count_fails_the_position(capsys, monkeypatch):
     # a one-term minor caps the closure at one member; the first position
     # whose closure has two is r=2 word=1,2,1 k=1
-    monkeypatch.setattr(verify, "delta_L", lambda spec: LaurentPoly.one())
+    monkeypatch.setattr(verify, "delta_L_uncached", lambda spec: LaurentPoly.one())
     code, out, err = run(capsys, ["verify", "thm5-5", "--max-r", "3"])
     assert (code, err) == (1, "")
     assert out.splitlines()[-2:] == [

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from crystalminor import verify
-from crystalminor.bruhat import WordSpec
+from crystalminor.bruhat import WordSpec, _delta_L_cached
 from crystalminor.crystal import (
     CrystalConfig,
     CrystalGraph,
@@ -120,6 +120,24 @@ def test_term_count_failure_shows_both_counts(monkeypatch):
 
 def test_truncation_check_is_registered():
     assert CHECKS["lemma5-4"] is check_truncation
+
+
+@pytest.mark.parametrize("name, args", [
+    ("thm5-5", (3,)), ("prop6-1", (3,)), ("thm5-6", (3,)), ("prop5-1", (2, 1)),
+])
+def test_sweeps_that_read_each_minor_once_leave_the_memo_empty(name, args):
+    _delta_L_cached.cache_clear()
+    assert CHECKS[name](*args).passed
+    assert _delta_L_cached.cache_info().currsize == 0
+
+
+def test_truncation_check_keeps_its_minors_in_the_memo():
+    # lemma5-4 reads each original minor twice: once against its extension,
+    # and again as the extension of the word before
+    _delta_L_cached.cache_clear()
+    assert check_truncation(3).passed
+    info = _delta_L_cached.cache_info()
+    assert info.currsize > 0 and info.hits > 0
 
 
 def test_empty_sweep_fails():
