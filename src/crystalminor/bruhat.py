@@ -282,7 +282,8 @@ def delta_L(spec: MinorSpec) -> LaurentPoly:
 
 
 def _check_torus(a: Sequence[Fraction], r: int) -> tuple[Fraction, ...]:
-    vec = tuple([Fraction(x) for x in a])  # list first: see WordSpec.variables
+    # list first: see WordSpec.variables; a Fraction subclass converts too
+    vec = tuple([x if type(x) is Fraction else Fraction(x) for x in a])
     if len(vec) != r + 1:
         raise NotInTorus(f"diagonal needs {r + 1} entries, got {len(vec)}")
     if any(x == 0 for x in vec):

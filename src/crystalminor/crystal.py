@@ -10,11 +10,14 @@ shift grows.
 
 ``apply_e`` and ``apply_f`` read only color i of a monomial; A[s,i] and its
 inverse are built once per (r, s, i), in a bounded cache.  ``component`` and
-the Demazure closure are one walk: a member is a packed int with its factors
-split by color and each color's weight, phi and operator shifts, and a step
-adds the packed A[s,i] or its inverse at the recorded shift and rescans only
-the colors i-1, i and i+1 that A[s,i] touches.  Operator results are never
-cached, so every step really applies the operator.
+the Demazure closure are one walk: a member is a packed int and one tuple of
+r color-state ids, where a color state is one color's factors in shift order
+with their weight, phi and operator shifts, stored once per walk.  A step
+adds the packed A[s,i] or its inverse at the recorded shift to the member's
+int and moves the states of the colors i-1, i and i+1 that A[s,i] touches; a
+state is bumped and rescanned only on a move the walk has not made before.
+The states and the moves between them live as long as one walk.  Operator
+results are never cached, so every step really applies the operator.
 
 Connected components of this action are finite crystal graphs; closing a
 suitable extremal monomial under one operator along a reduced word, letter by
@@ -234,35 +237,46 @@ def _bump(col: _Pairs, v: VarId, d: int) -> tuple[_Pairs, int]:
 class _Walk:
     """The members a crystal search has found, in discovery order.
 
-    Member k is the packed int keys[k] (``index`` maps it back to k), its
-    factors of each color 1..r in shift order, cols[k], and each color's
-    ``_color_scan``, scans[k].  Seed factors of color above r, which no step
-    touches, are in the packed ints and ``extra`` only.  top is the largest
-    absolute exponent of any member.
+    Member k is the packed int keys[k] (``index`` maps it back to k) and
+    ids[k], the ids of its color states 1..r.  State j is one color's
+    factors in shift order, states[j], and their ``_color_scan``, scan[j],
+    interned by (color, factors): two colors with no factors are two
+    states.  moves maps (state id, shift, exponent) to the state that adding
+    the exponent at that shift gives.  Seed factors of color above r, which
+    no step touches, are in the packed ints and ``extra`` only.  top is the
+    largest absolute exponent of any state, so of any member.  No table
+    outlives the walk.
     """
 
-    __slots__ = ("r", "cap", "near", "extra", "keys", "index", "cols", "scans", "top")
+    __slots__ = ("r", "cap", "extra", "keys", "index", "ids", "states", "scan", "interned", "moves", "top")
 
     def __init__(self, cfg: CrystalConfig, seed: Monomial, cap: int):
-        cols = _split(cfg.r, seed)
         # every member lies within cap steps of +-1 of the seed, and the cap
         # stays below EXPONENT_LIMIT, so two members differ by less than
         # 2 * EXPONENT_LIMIT, one packed digit's range, in every variable and
         # their packed ints are equal only when they are (see ``pack``): no
         # limit applies to the members' own exponents
         self.r, self.cap = cfg.r, min(cap, EXPONENT_LIMIT - 1)
-        self.near = [range(max(i - 2, 0), min(i + 1, cfg.r)) for i in range(cfg.r + 1)]
         self.extra = [f for f in seed.factors if f[0].i > cfg.r]
         self.keys = [pack(seed.factors)]
         self.index = {self.keys[0]: 0}
-        self.cols = [tuple(cols)]
-        self.scans = [tuple([_color_scan(col) for col in cols])]
+        self.states, self.scan, self.interned, self.moves = [], [], {}, {}
+        self.ids = [tuple([self._state(c, col) for c, col in enumerate(_split(cfg.r, seed), 1)])]
         self.top = max([abs(e) for _, e in seed.factors], default=0)
+
+    def _state(self, color: int, col: _Pairs) -> int:
+        j = self.interned.get((color, col))
+        if j is None:
+            j = self.interned[color, col] = len(self.states)
+            self.states.append(col)
+            self.scan.append(_color_scan(col))
+        return j
 
     def step(self, at: int, shift: int, i: int, half: int) -> int:
         """Id of member at times A[shift,i] (half 0) or its inverse (half 1),
-        added as a member if it is new, with only colors i-1, i and i+1
-        updated and rescanned; CapExceeded once there are more than cap."""
+        added as a member if it is new, with the states of colors i-1, i and
+        i+1 moved, each bumped and rescanned only on a move not made before;
+        CapExceeded once there are more than cap."""
         a, packed = _a_pair(self.r, shift, i)[half]
         key = self.keys[at] + packed
         k = self.index.get(key)
@@ -271,22 +285,26 @@ class _Walk:
             self.keys.append(key)
             if k >= self.cap:
                 raise CapExceeded(self.cap)
-            cols = list(self.cols[at])
-            top = self.top
+            ids = list(self.ids[at])
+            moves = self.moves
             for v, e in a.factors:
-                cols[v.i - 1], e = _bump(cols[v.i - 1], v, e)
-                if e > top or -e > top:
-                    top = abs(e)
-            self.top = top
-            scans = list(self.scans[at])
-            for c in self.near[i]:
-                scans[c] = _color_scan(cols[c])
-            self.cols.append(tuple(cols))
-            self.scans.append(tuple(scans))
+                c = v.i - 1
+                move = (ids[c], v.s, e)
+                j = moves.get(move)
+                if j is None:
+                    col, e = _bump(self.states[ids[c]], v, e)
+                    if e > self.top or -e > self.top:
+                        self.top = abs(e)
+                    j = moves[move] = self._state(v.i, col)
+                ids[c] = j
+            self.ids.append(tuple(ids))
         return k
 
+    def row(self, k: int) -> tuple:
+        return tuple([self.scan[j] for j in self.ids[k]])
+
     def monomial(self, k: int) -> Monomial:
-        return Monomial(tuple(sorted(chain(self.extra, *self.cols[k]))))
+        return Monomial(tuple(sorted(chain(self.extra, *[self.states[j] for j in self.ids[k]]))))
 
 
 def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> CrystalGraph:
@@ -299,14 +317,15 @@ def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> Cry
     Raises CapExceeded as soon as more than cap nodes exist.
     """
     walk = _Walk(cfg, seed, cap)
-    scans, step = walk.scans, walk.step
+    scan, step = walk.scan, walk.step
     edges: list[tuple[int, int, int]] = []
-    for at, row in enumerate(scans):  # the list grows as members are found
-        for i, (_, _, up, down) in enumerate(row, 1):
+    for at, ids in enumerate(walk.ids):  # the list grows as members are found
+        for i, j in enumerate(ids, 1):
+            _, _, up, down = scan[j]
             for shift, half in ((down, 1), (up, 0)):  # half 1 is A[s,i]^-1: lowering
                 if shift is not None and (k := step(at, shift, i, half)) > at:
                     edges.append((at, i, k) if half else (k, i, at))
-    nodes = [_node(walk.monomial(k), row) for k, row in enumerate(scans)]
+    nodes = [_node(walk.monomial(k), walk.row(k)) for k in range(len(walk.ids))]
     return CrystalGraph(cfg.r, tuple(nodes), tuple(edges))
 
 
@@ -333,21 +352,21 @@ def _demazure_walk(cfg: CrystalConfig, spec: DemazureSpec, cap: int) -> _Walk:
     for i in spec.word:
         _check_color(cfg, i)
     walk = _Walk(cfg, spec.seed, cap)
-    seed = _node(spec.seed, walk.scans[0])
+    seed = _node(spec.seed, walk.row(0))
     if spec.sign == "minus" and any(seed.phi):
         raise ValueError("minus-sign seed must have phi = 0 in every color")
     if spec.sign == "plus" and any(seed.epsilon):
         raise ValueError("plus-sign seed must have epsilon = 0 in every color")
     # raise by A[s,i] at the raising shift, or lower by its inverse at the lowering one
     half, field = (0, 2) if spec.sign == "minus" else (1, 3)
-    scans, step = walk.scans, walk.step
+    ids, scan, step = walk.ids, walk.scan, walk.step
     for i in reversed(spec.word):
         walked: set[int] = set()
-        for start in range(len(scans)):
+        for start in range(len(ids)):
             at = start
             while at not in walked:
                 walked.add(at)
-                shift = scans[at][i - 1][field]
+                shift = scan[ids[at][i - 1]][field]
                 if shift is None:
                     break
                 at = step(at, shift, i, half)

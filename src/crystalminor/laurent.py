@@ -119,7 +119,9 @@ def rational_values(variables: Iterable[VarId], assignment: Mapping[VarId, Fract
     for v in variables:
         if v not in assignment:
             raise MissingAssignment(v)
-        value = Fraction(assignment[v])
+        value = assignment[v]
+        if type(value) is not Fraction:  # a subclass converts too
+            value = Fraction(value)
         if value == 0:
             raise ZeroAssignment(v)
         out[v] = value
@@ -246,6 +248,13 @@ class Monomial:
 _ONE = Monomial(())
 
 
+def _checked(bound: int) -> int:
+    """bound, a proven exponent bound, if it is below the limit."""
+    if bound >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"exponent bound {bound}", EXPONENT_LIMIT)
+    return bound
+
+
 class LaurentPoly:
     """A finite Z-linear combination of monomials.
 
@@ -293,9 +302,7 @@ class LaurentPoly:
     def from_packed(counts: Mapping[int, int], bound: int) -> "LaurentPoly":
         """The polynomial with coefficient counts[key] at each packed key; the
         caller proves that no exponent exceeds bound in absolute value."""
-        if bound >= EXPONENT_LIMIT:
-            raise ExponentOverflow(f"exponent bound {bound}", EXPONENT_LIMIT)
-        return LaurentPoly({key: c for key, c in counts.items() if c}, bound)
+        return LaurentPoly({key: c for key, c in counts.items() if c}, _checked(bound))
 
     @property
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
@@ -349,22 +356,30 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """One ``signed_dot`` triple, unless other has one term: then each
+        key of self shifts by its key (distinct keys stay distinct, and a
+        product of nonzero ints is nonzero), and by the one polynomial not
+        at all."""
         if other is _POLY_ONE:
             return self
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly.signed_dot(((1, self, other),))
+        if len(other._coeffs) != 1 or not self._coeffs:
+            return LaurentPoly.signed_dot(((1, self, other),))
+        ((kb, cb),) = other._coeffs.items()
+        bound = _checked(self._bound + other._bound)
+        return LaurentPoly({ka + kb: ca * cb for ka, ca in self._coeffs.items()}, bound)
 
     @staticmethod
     def signed_dot(triples: Iterable[tuple[int, "LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
         """The sum of ``sign * a * b`` over (sign, a, b) triples, sign ±1.
 
-        The one coefficient-product loop of the kernel (``*`` is one
-        triple): every term product is folded into one dict, zeros are
-        filtered once at the end, and the bound is the largest of the
-        products' bounds; no product or partial sum is built as a polynomial
-        of its own.  No triples give zero.  Keys past the limit may have
-        carried; the bound check refuses them.
+        The kernel's loop over pairs of terms (``*`` is one triple unless
+        its right operand has one term): every term product is folded into
+        one dict, zeros are filtered once at the end, and the bound is the
+        largest of the products' bounds; no product or partial sum is built
+        as a polynomial of its own.  No triples give zero.  Keys past the
+        limit may have carried; the bound check refuses them.
         """
         acc: dict[int, int] = {}
         get = acc.get

@@ -34,7 +34,7 @@ from crystalminor.errors import (
     NotInTorus,
     ZeroAssignment,
 )
-from crystalminor.laurent import LaurentPoly, Monomial, VarId
+from crystalminor.laurent import LaurentPoly, Monomial, VarId, rational_values
 from crystalminor.verify import all_word_specs
 
 
@@ -603,6 +603,44 @@ def test_torus_error_precedes_value_error_except_in_lower_product():
             cell_matrix_value(w, bad_a, bad_t)
         with pytest.raises(error):
             lower_product_value(w, bad_a, bad_t)
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass: converted to a plain Fraction like an int is."""
+
+
+def _error(f):
+    try:
+        f()
+    except Exception as err:  # noqa: BLE001 - compared by type and text
+        return type(err), str(err)
+    return None
+
+
+def test_int_fraction_and_subclass_inputs_agree():
+    # inputs that are plain Fractions are taken as they are; ints and
+    # subclasses convert, to equal values and the same errors
+    w = WordSpec(2, 2, 1)
+    ms = MinorSpec(w, 1)
+    a = [Fraction(2), Fraction(3), Fraction(1, 6)]
+    t = {v: Fraction(j + 2) for j, v in enumerate(w.variables())}
+    forms = [lambda x: x, _Ratio, lambda x: int(x) if x.denominator == 1 else x]
+    poly = delta_L(ms)
+    want = delta_G(ms, a, t), cell_matrix_value(w, a, t), lower_product_value(w, a, t), poly.evaluate(t)
+    for form in forms:
+        fa, ft = [form(x) for x in a], {v: form(x) for v, x in t.items()}
+        got = delta_G(ms, fa, ft), cell_matrix_value(w, fa, ft), lower_product_value(w, fa, ft), poly.evaluate(ft)
+        assert got == want
+        assert all(type(x) is Fraction for x in rational_values(ft, ft).values())
+        assert all(type(x) is Fraction for x in bruhat._check_torus(fa, w.r))
+    bad_a = [[Fraction(2), Fraction(0), Fraction(1, 2)], [Fraction(2), Fraction(1), Fraction(1)]]
+    bad_t = [{**t, VarId(0, 1): Fraction(0)}, {v: x for v, x in t.items() if v != VarId(1, 1)}]
+    for a_in, t_in in [(b, t) for b in bad_a] + [(a, b) for b in bad_t]:
+        want = _error(lambda: delta_G(ms, a_in, t_in)), _error(lambda: poly.evaluate(t_in))
+        assert want[0] is not None
+        for form in forms:
+            fa, ft = [form(x) for x in a_in], {v: form(x) for v, x in t_in.items()}
+            assert (_error(lambda: delta_G(ms, fa, ft)), _error(lambda: poly.evaluate(ft))) == want
 
 
 def test_phi_map_rank_one_golden():

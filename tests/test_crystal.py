@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from crystalminor import crystal
 from crystalminor.bruhat import WordSpec
-from crystalminor.errors import CapExceeded, ColorOutOfRange, NotTauRenderable
+from crystalminor.errors import CapExceeded, ColorOutOfRange, ExponentOverflow, NotTauRenderable
 from crystalminor.crystal import (
     CrystalConfig,
     DemazureSpec,
@@ -30,7 +30,7 @@ from crystalminor.crystal import (
     tau_render,
     tau_render_poly,
 )
-from crystalminor.laurent import LaurentPoly, Monomial, VarId
+from crystalminor.laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId
 
 
 def _m(*pairs):
@@ -620,3 +620,43 @@ def test_demazure_polynomial_matches_full_walks_property(cfg_spec):
             demazure_polynomial(cfg, spec, cap=300)
         return
     assert demazure_polynomial(cfg, spec, cap=300) == want
+
+
+@PROPERTY
+@given(demazure_specs())
+def test_demazure_polynomial_bound_is_the_largest_member_exponent_property(cfg_spec):
+    cfg, spec = cfg_spec
+    try:
+        members = _full_walk_demazure(cfg, spec, 300)
+    except CapExceeded:
+        return
+    top = max([abs(e) for m in members for _, e in m.factors], default=0)
+    assert demazure_polynomial(cfg, spec, cap=300)._bound == top
+
+
+def test_walk_keeps_colors_with_equal_factors_apart():
+    # colors 1, 2 and 4 of the seed have no factors: three states, so a
+    # move stored for one of them never moves another color
+    cfg = CrystalConfig(4)
+    walk = crystal._Walk(cfg, _m((-1, 3, 1)), 100)
+    assert len(set(walk.ids[0])) == 4
+    assert [walk.states[j] for j in walk.ids[0]] == [(), (), ((VarId(-1, 3), 1),), ()]
+    g = component(cfg, _m((-1, 3, 1)))
+    assert [n.monomial for n in g.nodes] == _set_deduplicated_component(cfg, _m((-1, 3, 1)), 100)[0]
+    assert list(g.nodes) == [node_stats(cfg, n.monomial) for n in g.nodes]
+
+
+def test_exponent_past_the_limit_through_a_stored_move():
+    # letter 1 makes member 1, whose color 3 is the seed's; letter 2 then
+    # lowers the seed and member 1 at shift 0, and the second of those
+    # reaches Y[0,3]^LIMIT by the color-3 move that the first one stored
+    cfg = CrystalConfig(3)
+    seed = _m((0, 1, 1), (0, 2, 1), (0, 3, EXPONENT_LIMIT - 1))
+    spec = DemazureSpec((2, 1), "plus", seed)
+    walk = crystal._demazure_walk(cfg, spec, 100)
+    past = [k for k in range(len(walk.keys)) if (VarId(0, 3), EXPONENT_LIMIT) in walk.monomial(k).factors]
+    assert len(past) == 2 and walk.ids[0][2] == walk.ids[1][2]
+    assert walk.moves[walk.ids[0][2], 0, 1] == walk.ids[past[0]][2] == walk.ids[past[1]][2]
+    assert demazure(cfg, spec) == _full_walk_demazure(cfg, spec, 100)
+    with pytest.raises(ExponentOverflow, match=f"^exponent {EXPONENT_LIMIT} of a polynomial term"):
+        demazure_polynomial(cfg, spec)

@@ -539,3 +539,33 @@ def test_packed_arithmetic_matches_reference(ta, tb):
     else:
         with pytest.raises(ExponentOverflow):
             p * q
+
+
+def _outcome(f):
+    """(result, its bound) or the text of the ExponentOverflow that f raises."""
+    try:
+        p = f()
+    except ExponentOverflow as err:
+        return str(err)
+    return p, p._bound
+
+
+@PROPERTY
+@given(wide_term_lists, wide_monos, st.integers(-5, 5).filter(bool))
+def test_one_term_product_is_the_signed_dot_triple(ta, mono, coeff):
+    # the key shift that * takes for a one-term right operand gives the
+    # triple's terms and bound, and refuses a bound at the limit alike
+    p, q = LaurentPoly.from_terms(ta), LaurentPoly.from_terms([(mono, coeff)])
+    assert len(q) == 1
+    assert _outcome(lambda: p * q) == _outcome(lambda: LaurentPoly.signed_dot(((1, p, q),)))
+
+
+def test_one_term_product_next_to_the_limit():
+    x, y = VarId(0, 1), VarId(1, 2)
+    p = LaurentPoly.from_terms([(Monomial.of((x, LIMIT - 2)), 3), (Monomial.of((y, -1)), -2)])
+    q = LaurentPoly.from_terms([(Monomial.of((x, 1)), -7)])
+    assert (p * q).terms == ((Monomial.of((x, LIMIT - 1)), -21), (Monomial.of((x, 1), (y, -1)), 14))
+    assert (p * q)._bound == LIMIT - 1
+    with pytest.raises(ExponentOverflow, match=r"^exponent bound 2147483648 reaches the limit 2\*\*31$"):
+        (p * q) * q
+    assert (LaurentPoly.zero() * q).is_zero() and (LaurentPoly.zero() * q)._bound == 0
