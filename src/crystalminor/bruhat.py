@@ -261,7 +261,7 @@ def rational_dot(triples):
 
 def delta_L_uncached(spec: MinorSpec) -> LaurentPoly:
     """The minor of the symbolic cell matrix marked by position k, computed
-    afresh and kept nowhere: for sweeps that read each minor once."""
+    afresh and kept nowhere: what every verify sweep calls."""
     # only the minor's d rows are built; its columns are the first d
     return det([row[: spec.d] for row in _symbolic_rows(spec.word, spec.rows)], LaurentPoly.signed_dot)
 
@@ -273,7 +273,8 @@ def _delta_L_cached(word: WordSpec, k: int) -> LaurentPoly:
 
 def delta_L(spec: MinorSpec) -> LaurentPoly:
     """The minor of the symbolic cell matrix marked by position k, memoized
-    per (word, k)."""
+    per (word, k) for requests that repeat in one process; the ``minor``
+    command is its one caller in the package."""
     return _delta_L_cached(spec.word, spec.k)
 
 

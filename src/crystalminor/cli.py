@@ -223,8 +223,15 @@ def _matrix_text(sm: SeedMatrix) -> str:
 
 
 def _run_seed(args) -> int:
-    """The word's seed matrix, mutated at each --k direction in turn."""
-    sm = seed_matrix(_word(args))
+    """The word's seed matrix, mutated at each --k direction in turn;
+    refused before it is built when it has more than DEFAULT_CAP entries."""
+    w = _word(args)
+    # rows -1..-r, 1..n; columns all rows but the last position of each
+    # distinct letter, and a word past its first cycle has all r letters
+    entries = (w.r + w.n) * (w.r + w.n - (w.r if w.m > 1 else w.last))
+    if entries > DEFAULT_CAP:
+        raise ValueError(f"the seed matrix has {entries} entries, more than {DEFAULT_CAP}")
+    sm = seed_matrix(w)
     for k in () if args.k is None else _letters(args.k, "--k"):
         sm = sm.mutate(k)
     print(sm.to_json() if args.format == "json" else _matrix_text(sm))

@@ -42,9 +42,7 @@ import itertools
 import json
 import struct
 import sys
-from bisect import bisect_left
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ExponentOverflow, MissingAssignment, ZeroAssignment
@@ -64,9 +62,6 @@ class VarId(NamedTuple):
 
     def __str__(self) -> str:
         return f"Y[{self.s},{self.i}]"
-
-
-_VAR = itemgetter(0)
 
 
 def _check_var(v: VarId) -> VarId:
@@ -153,7 +148,8 @@ class Monomial:
     def of(*pairs: tuple[VarId, int]) -> "Monomial":
         """Build a monomial from (variable, exponent) pairs.
 
-        Repeated variables accumulate; zero net exponents vanish.
+        Repeated variables accumulate; zero net exponents vanish.  The one
+        merge of factor tuples: ``*`` passes both operands' factors here.
         """
         acc: dict[VarId, int] = {}
         for v, e in pairs:
@@ -172,25 +168,7 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        if not other._factors:
-            return self
-        if not self._factors:
-            return other
-        # both factor tuples are already sorted and zero-free: merge the
-        # shorter into the longer, each factor placed by binary search
-        short, long = self._factors, other._factors
-        if len(short) > len(long):
-            short, long = long, short
-        out = list(long)
-        lo = 0
-        for v, e in short:
-            lo = bisect_left(out, v, lo, key=_VAR)
-            if lo < len(out) and out[lo][0] == v:
-                e += out.pop(lo)[1]
-            if e:
-                out.insert(lo, (v, e))
-                lo += 1
-        return Monomial(tuple(out))
+        return Monomial.of(*self._factors, *other._factors)
 
     def inverse(self) -> "Monomial":
         return Monomial(tuple((v, -e) for v, e in self._factors))

@@ -24,7 +24,6 @@ from .bruhat import (
     WordSpec,
     cell_matrix_value,
     delta_G,
-    delta_L,
     delta_L_uncached,
     lower_product_value,
     phi_map,
@@ -326,7 +325,7 @@ def check_truncation(max_r: int = 4) -> Sweep:
             if w.letter(k) == appended:
                 continue
             tag = f"{_tag(w)} k={k}"
-            extended, minor = delta_L(MinorSpec(ext, k)), delta_L(MinorSpec(w, k))
+            extended, minor = delta_L_uncached(MinorSpec(ext, k)), delta_L_uncached(MinorSpec(w, k))
             if extended != minor:
                 diff = _difference("extended", extended, "original", minor)
                 yield f"{tag} changed", f"changed at {tag}; {diff}"

@@ -529,7 +529,8 @@ def test_times_the_one_polynomial_is_the_left_operand():
 
 
 def test_delta_L_memo_is_bounded():
-    # above the 1,506 positions of all words at r <= 8, so sweeps never evict
+    # a long-lived process that asks for many distinct minors keeps at most
+    # 4,096 of them; no verify sweep reads the memo (see test_verify)
     assert _delta_L_cached.cache_info().maxsize == 4096
 
 

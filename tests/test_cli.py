@@ -301,6 +301,25 @@ def test_seed_bmatrix_json(capsys):
     assert out.strip() == seed_matrix(WordSpec(2, 2, 1)).to_json()
 
 
+def test_seed_matrix_over_the_cap_is_refused_before_it_is_built(capsys, monkeypatch):
+    # 401 rows and 400 columns: 487 KB of text if built
+    monkeypatch.setattr(cli, "seed_matrix", lambda w: pytest.fail(f"built {w}"))
+    refused = (2, "", f"error: the seed matrix has 160400 entries, more than {DEFAULT_CAP}\n")
+    assert run(capsys, ["seed", "bmatrix", "--r", "400", "--word", "1"]) == refused
+    assert run(capsys, ["seed", "mutate", "--r", "400", "--word", "1", "--k", "-1"]) == refused
+
+
+def test_seed_matrix_cap_counts_the_entries_of_the_built_matrix(capsys, monkeypatch):
+    for w in all_word_specs(4):
+        sm = seed_matrix(w)
+        size = len(sm.rows) * len(sm.cols)
+        argv = ["seed", "bmatrix", "--r", str(w.r), "--word", ",".join(map(str, w.letters()))]
+        monkeypatch.setattr(cli, "DEFAULT_CAP", size)
+        assert run(capsys, argv)[0] == 0
+        monkeypatch.setattr(cli, "DEFAULT_CAP", size - 1)
+        assert run(capsys, argv) == (2, "", f"error: the seed matrix has {size} entries, more than {size - 1}\n")
+
+
 def test_seed_mutate_twice_restores(capsys):
     _, base, _ = run(capsys, ["seed", "bmatrix", "--r", "2", "--word", "1,2,1"])
     _, once, _ = run(capsys, ["seed", "mutate", "--r", "2", "--word", "1,2,1", "--k", "1"])

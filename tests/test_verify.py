@@ -93,7 +93,7 @@ def test_truncation_check():
 
 @pytest.mark.parametrize("fault", ["extended minor differs", "minor names the new variable"])
 def test_truncation_check_fails_on_a_faulty_minor(monkeypatch, fault):
-    real = verify.delta_L
+    real = verify.delta_L_uncached
     if fault == "extended minor differs":
         # a constant that grows with the word, so no extension keeps its
         # minor; the minor at r=2 word=1 k=1 is 1 and the extension has two letters
@@ -103,7 +103,7 @@ def test_truncation_check_fails_on_a_faulty_minor(monkeypatch, fault):
         # at r=2 the word (1) extends by Y[0,2]
         faulty = lambda spec: LaurentPoly.from_terms([(Monomial.of((VarId(0, 2), 1)), 1)])
         shown = "fresh variable Y[0,2] in the extended minor"
-    monkeypatch.setattr(verify, "delta_L", faulty)
+    monkeypatch.setattr(verify, "delta_L_uncached", faulty)
     res = check_truncation(3)
     assert not res.passed
     assert res.summary() == f"FAIL lemma5-4: changed at r=2 word=1 k=1; {shown}"
@@ -122,22 +122,24 @@ def test_truncation_check_is_registered():
     assert CHECKS["lemma5-4"] is check_truncation
 
 
-@pytest.mark.parametrize("name, args", [
-    ("thm5-5", (3,)), ("prop6-1", (3,)), ("thm5-6", (3,)), ("prop5-1", (2, 1)),
-])
+# small arguments for every check; lemma5-4 reads each original minor twice,
+# once against its extension and again as the extension of the word before,
+# and computes it both times
+SMALL_ARGS = {
+    "thm5-5": (3,), "prop6-1": (3,), "thm5-6": (3,), "prop5-1": (2, 1),
+    "prop6-10": (3,), "prop2-4": (2, 1), "lemma5-4": (3,), "axioms": (2,),
+}
+
+
+def test_memo_guard_covers_every_check():
+    assert set(SMALL_ARGS) == set(CHECKS)
+
+
+@pytest.mark.parametrize("name, args", list(SMALL_ARGS.items()))
 def test_sweeps_that_read_each_minor_once_leave_the_memo_empty(name, args):
     _delta_L_cached.cache_clear()
     assert CHECKS[name](*args).passed
     assert _delta_L_cached.cache_info().currsize == 0
-
-
-def test_truncation_check_keeps_its_minors_in_the_memo():
-    # lemma5-4 reads each original minor twice: once against its extension,
-    # and again as the extension of the word before
-    _delta_L_cached.cache_clear()
-    assert check_truncation(3).passed
-    info = _delta_L_cached.cache_info()
-    assert info.currsize > 0 and info.hits > 0
 
 
 def test_empty_sweep_fails():
