@@ -21,17 +21,20 @@ sums signed products of entries and cofactors, ``LaurentPoly.signed_dot``
 on the symbolic side and ``rational_dot`` on the numeric side.
 
 The numeric side (``delta_G``, ``cell_matrix_value``,
-``lower_product_value``) works over the integers.  The cell matrix is
-dressed by a diagonal with determinant one, which scales its rows, so the
-word is applied to rows of that diagonal; each row keeps its diagonal
-entry's denominator and each column one denominator shared by all rows,
-updated factor by factor (``_integer_rows``), and a result becomes a
-``Fraction`` only once, at the end.  ``delta_G`` takes the minors of that
-matrix from its d rows, and ``phi_map`` rewrites such coordinates as a
-diagonal times a product of lower elementary factors, each of them a column
-operation too (``lower_product_value``), so both descriptions can be
-compared entrywise.  The dense factors themselves live only in the tests,
-as references.
+``lower_product_value``, ``phi_map``) works over the integers: the torus
+check reads each diagonal entry's numerator and denominator once, and every
+rational after it is an int pair.  The cell matrix is dressed by a diagonal
+with determinant one, which scales its rows, so the word is applied to rows
+of that diagonal; each row keeps its diagonal entry's denominator and each
+column one denominator shared by all rows, updated factor by factor
+(``_integer_rows``), and a result becomes a ``Fraction`` only once, at the
+end.  ``delta_G`` takes the minors of that matrix from its d rows, and
+``phi_map`` rewrites such coordinates as a diagonal times a product of lower
+elementary factors, each of them a column operation too
+(``lower_product_value``), so both descriptions can be compared entrywise;
+its moved diagonal and its values are int numerators over int denominators
+until each becomes one ``Fraction``.  The dense factors themselves live only
+in the tests, as references.
 """
 
 from __future__ import annotations
@@ -282,22 +285,27 @@ def delta_L(spec: MinorSpec) -> LaurentPoly:
 # numeric side: torus vectors and the coordinate change
 
 
-def _check_torus(a: Sequence[Fraction], r: int) -> tuple[Fraction, ...]:
-    # list first: see WordSpec.variables; a Fraction subclass converts too
-    vec = tuple([x if type(x) is Fraction else Fraction(x) for x in a])
+def _check_torus(a: Sequence[Fraction], r: int) -> tuple[list[int], list[int]]:
+    """The numerators and the denominators of r + 1 nonzero rationals whose
+    product is one, a diagonal of the torus; NotInTorus otherwise."""
+    # a Fraction subclass converts too
+    vec = [x if type(x) is Fraction else Fraction(x) for x in a]
     if len(vec) != r + 1:
         raise NotInTorus(f"diagonal needs {r + 1} entries, got {len(vec)}")
-    if any(x == 0 for x in vec):
+    nums = [x.numerator for x in vec]
+    if 0 in nums:
         raise NotInTorus("diagonal entries must be nonzero")
-    if prod([x.numerator for x in vec]) != prod([x.denominator for x in vec]):
-        raise NotInTorus(f"diagonal product is {prod(vec)}, not 1")
-    return vec
+    dens = [x.denominator for x in vec]
+    top, bottom = prod(nums), prod(dens)
+    if top != bottom:
+        raise NotInTorus(f"diagonal product is {Fraction(top, bottom)}, not 1")
+    return nums, dens
 
 
-def _integer_rows(vec: Sequence[Fraction], values: Mapping[VarId, Fraction],
+def _integer_rows(torus: tuple[list[int], list[int]], values: Mapping[VarId, Fraction],
                   rows: Sequence[int], lower: bool = False):
-    """Rows (1-based) of diag(vec) times one factor per position value, in
-    word order, over the integers.
+    """Rows (1-based) of diag(torus) times one factor per position value, in
+    word order, over the integers; torus is ``_check_torus``'s pair.
 
     Returns (N, dens, sigma): the entry in row ``rows[j]`` and column c is
     ``N[j][c - 1] / (dens[j] * sigma[c - 1])``, where dens[j] is the
@@ -311,7 +319,8 @@ def _integer_rows(vec: Sequence[Fraction], values: Mapping[VarId, Fraction],
     sigma changes here, so each step's (alpha, beta, gamma) is known before
     ``apply_word`` runs.
     """
-    sigma = [1] * len(vec)
+    nums, row_dens = torus
+    sigma = [1] * len(nums)
     steps = []
     for v, x in values.items():
         i, p, q = v.i, x.numerator, x.denominator
@@ -326,11 +335,12 @@ def _integer_rows(vec: Sequence[Fraction], values: Mapping[VarId, Fraction],
             g2 = gcd(p, s1)
             gamma, sigma[i] = p // g2, q * s1 // g2
         steps.append((i, alpha, beta, gamma))
-    start = [[x.numerator if c == row else 0 for c, x in enumerate(vec, start=1)] for row in rows]
-    return apply_word(start, steps), [vec[row - 1].denominator for row in rows], sigma
+    start = [[n if c == row else 0 for c, n in enumerate(nums, start=1)] for row in rows]
+    return apply_word(start, steps), [row_dens[row - 1] for row in rows], sigma
 
 
 _ZERO = Fraction(0)
+_ONE = (1, 1)
 
 
 def _rational_rows(N, dens, sigma) -> list[list[Fraction]]:
@@ -340,8 +350,8 @@ def _rational_rows(N, dens, sigma) -> list[list[Fraction]]:
 
 def cell_matrix_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
     """diag(a) times the numeric cell matrix; the matrix delta_G minors."""
-    vec = _check_torus(a, w.r)
-    return _rational_rows(*_integer_rows(vec, rational_values(w.variables(), t), range(1, w.r + 2)))
+    torus = _check_torus(a, w.r)
+    return _rational_rows(*_integer_rows(torus, rational_values(w.variables(), t), range(1, w.r + 2)))
 
 
 def lower_product_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
@@ -368,33 +378,37 @@ def phi_map(
             == lower_product_value(w, *phi_map-as-arguments*)
 
     which tests check entrywise.  Both outputs are keyed like the input: the
-    value map assigns a rational to every position variable of w.
+    value map assigns a rational to every position variable of w.  Every
+    value is carried as an integer numerator and denominator, and each
+    output entry becomes one Fraction at the end.
     """
-    vec = _check_torus(a, w.r)
-    vals = rational_values(w.variables(), t)
-
-    def t_at(cycle: int, x: int) -> Fraction:
-        # cycle counted from 1; positions outside the word contribute 1
-        return vals.get(VarId(cycle - 1, x), 1)
+    nums, dens = _check_torus(a, w.r)
+    pairs = {v: x.as_integer_ratio() for v, x in rational_values(w.variables(), t).items()}
+    get = pairs.get
 
     tau: dict[VarId, Fraction] = {}
     for v in w.variables():
+        # tau[s, j] = n / d = prod t[c, j - 1] / t[c, j]**2 over s < c < m,
+        # times prod t[c, j + 1] over s <= c < m, over t[s, j]; t[c, x] is
+        # the value of VarId(c, x), 1 off the word
         s, j = v
-        num = Fraction(1)
-        for cycle in range(s + 2, w.m + 1):
-            num *= t_at(cycle, j - 1)
-        for cycle in range(s + 1, w.m + 1):
-            num *= t_at(cycle, j + 1)
-        den = t_at(s + 1, j)
-        for cycle in range(s + 2, w.m + 1):
-            den *= t_at(cycle, j) ** 2
-        tau[v] = num / den
+        d, n = pairs[v]
+        for cycle in range(s + 1, w.m):
+            x, y = get(VarId(cycle, j - 1), _ONE)
+            p, q = get(VarId(cycle, j), _ONE)
+            n, d = n * x * q * q, d * y * p * p
+        for cycle in range(s, w.m):
+            x, y = get(VarId(cycle, j + 1), _ONE)
+            n, d = n * x, d * y
+        tau[v] = Fraction(n, d)
 
-    moved = list(vec)
-    for i, tk in zip(w.letters(), vals.values()):
-        moved[i - 1] /= tk
-        moved[i] *= tk
-    return tuple(moved), tau
+    for i, (p, q) in zip(w.letters(), pairs.values()):
+        # moved[i - 1] /= t and moved[i] *= t
+        nums[i - 1] *= q
+        dens[i - 1] *= p
+        nums[i] *= p
+        dens[i] *= q
+    return tuple(map(Fraction, nums, dens)), tau
 
 
 def delta_G(spec: MinorSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]) -> Fraction:
@@ -406,6 +420,6 @@ def delta_G(spec: MinorSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction])
     """
     # only the minor's d rows are built; its columns are the first d
     w, d = spec.word, spec.d
-    vec = _check_torus(a, w.r)
-    N, dens, sigma = _integer_rows(vec, rational_values(w.variables(), t), spec.rows)
+    torus = _check_torus(a, w.r)
+    N, dens, sigma = _integer_rows(torus, rational_values(w.variables(), t), spec.rows)
     return Fraction(det([row[:d] for row in N], rational_dot), prod(dens) * prod(sigma[:d]))

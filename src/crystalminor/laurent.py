@@ -4,7 +4,8 @@ Variables are doubly indexed: ``VarId(s, i)`` stands for the generator
 ``Y[s,i]`` with shift ``s`` (any integer) and color ``i >= 1``.  A Monomial
 is a finite product of integer powers of such generators and a LaurentPoly
 is a finite sum of integer multiples of monomials.  All arithmetic is exact;
-coefficients stay in Z and evaluation produces ``fractions.Fraction``.
+coefficients stay in Z, and evaluation works on the integer numerators and
+denominators of its values and returns one ``fractions.Fraction``.
 
 There is no general division: only monomials have an ``inverse()``.
 
@@ -43,6 +44,7 @@ import json
 import struct
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ExponentOverflow, MissingAssignment, ZeroAssignment
@@ -117,7 +119,7 @@ def rational_values(variables: Iterable[VarId], assignment: Mapping[VarId, Fract
         value = assignment[v]
         if type(value) is not Fraction:  # a subclass converts too
             value = Fraction(value)
-        if value == 0:
+        if not value.numerator:
             raise ZeroAssignment(v)
         out[v] = value
     return out
@@ -378,19 +380,36 @@ class LaurentPoly:
         return LaurentPoly.from_packed(acc, bound)
 
     def evaluate(self, assignment: Mapping[VarId, Fraction]) -> Fraction:
-        """Exact value at nonzero rationals, in canonical term order.
+        """Exact value at nonzero rationals, one Fraction built at the end.
 
         Each variable is checked once by ``rational_values``, in order of
-        first appearance over the terms and their factors.
+        first appearance over the terms and their factors, and read as its
+        (numerator, denominator) pair p/q.  A term is one int over another:
+        v**e multiplies them by p**e and q**e, or by q**-e and p**-e when e
+        is negative.  The terms are summed over one running denominator,
+        merged with each term's by their lcm.
         """
         terms = self.terms
         values = rational_values(dict.fromkeys(v for m, _ in terms for v, _ in m.factors), assignment)
-        out = Fraction(0)
+        pairs = {v: x.as_integer_ratio() for v, x in values.items()}
+        num, den = 0, 1
         for m, c in terms:
+            d = 1
             for v, e in m.factors:
-                c *= values[v] ** e
-            out += c
-        return out
+                p, q = pairs[v]
+                if e > 0:
+                    c *= p ** e
+                    d *= q ** e
+                else:
+                    c *= q ** -e
+                    d *= p ** -e
+            if d == den:
+                num += c
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + c * (den // g)
+                den = den // g * d
+        return Fraction(num, den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self._coeffs == other._coeffs

@@ -160,6 +160,7 @@ def check_minor_chain(max_r: int = 5) -> Sweep:
             except CapExceeded:
                 yield (f"{tag} demazure cap {len(minor)} exceeded",
                        f"demazure closure at {tag} exceeds cap {len(minor)}, the minor's term count")
+                continue
             routes = (
                 ("demazure", closure),
                 ("path sum", path_sum(spec, w.r)),
@@ -170,6 +171,8 @@ def check_minor_chain(max_r: int = 5) -> Sweep:
                     diff = _difference(route, value, "minor", minor)
                     yield f"{tag} {route} mismatch", f"{route} mismatch at {tag}; {diff}"
             positions += 1
+            # the next position's det may be the largest yet: free these first
+            del minor, closure, routes, value
         yield f"{_tag(w)} positions={len(ks)}", None
         words += 1
     return f"{words} words, {positions} positions, 4-way equal, r <= {max_r}", positions

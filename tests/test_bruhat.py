@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalminor import bruhat, cli
+from crystalminor import bruhat, cli, laurent
 from crystalminor.bruhat import (
     MinorSpec,
     WordSpec,
@@ -569,12 +569,14 @@ def test_torus_validation():
     w = WordSpec(2, 2, 1)
     t = {v: Fraction(1) for v in w.variables()}
     spec = MinorSpec(w, 1)
-    with pytest.raises(NotInTorus):
-        delta_G(spec, [Fraction(2), Fraction(1)], t)  # wrong length
-    with pytest.raises(NotInTorus):
+    with pytest.raises(NotInTorus, match=r"^diagonal needs 3 entries, got 2$"):
+        delta_G(spec, [Fraction(2), Fraction(1)], t)
+    with pytest.raises(NotInTorus, match=r"^diagonal entries must be nonzero$"):
         delta_G(spec, [Fraction(2), Fraction(0), Fraction(1)], t)
-    with pytest.raises(NotInTorus):
+    with pytest.raises(NotInTorus, match=r"^diagonal product is 2, not 1$"):
         delta_G(spec, [Fraction(2), Fraction(1), Fraction(1)], t)
+    with pytest.raises(NotInTorus, match=r"^diagonal product is -3/10, not 1$"):
+        delta_G(spec, [Fraction(-3, 4), Fraction(2, 5), 1], t)
 
 
 def test_value_validation():
@@ -627,21 +629,33 @@ def test_int_fraction_and_subclass_inputs_agree():
     t = {v: Fraction(j + 2) for j, v in enumerate(w.variables())}
     forms = [lambda x: x, _Ratio, lambda x: int(x) if x.denominator == 1 else x]
     poly = delta_L(ms)
-    want = delta_G(ms, a, t), cell_matrix_value(w, a, t), lower_product_value(w, a, t), poly.evaluate(t)
+
+    def outputs(a_in, t_in):
+        return (delta_G(ms, a_in, t_in), cell_matrix_value(w, a_in, t_in),
+                lower_product_value(w, a_in, t_in), poly.evaluate(t_in), phi_map(w, a_in, t_in))
+
+    def errors(a_in, t_in):
+        return (_error(lambda: delta_G(ms, a_in, t_in)), _error(lambda: poly.evaluate(t_in)),
+                _error(lambda: phi_map(w, a_in, t_in)))
+
+    want = outputs(a, t)
     for form in forms:
         fa, ft = [form(x) for x in a], {v: form(x) for v, x in t.items()}
-        got = delta_G(ms, fa, ft), cell_matrix_value(w, fa, ft), lower_product_value(w, fa, ft), poly.evaluate(ft)
+        got = outputs(fa, ft)
         assert got == want
+        moved, tau = got[-1]
+        assert all(type(x) is Fraction for x in (got[3], *moved, *tau.values()))
         assert all(type(x) is Fraction for x in rational_values(ft, ft).values())
-        assert all(type(x) is Fraction for x in bruhat._check_torus(fa, w.r))
-    bad_a = [[Fraction(2), Fraction(0), Fraction(1, 2)], [Fraction(2), Fraction(1), Fraction(1)]]
+        assert all(type(x) is int for part in bruhat._check_torus(fa, w.r) for x in part)
+    bad_a = [[Fraction(2), Fraction(0), Fraction(1, 2)], [Fraction(2), Fraction(1), Fraction(1)],
+             [Fraction(2), Fraction(1, 2)]]
     bad_t = [{**t, VarId(0, 1): Fraction(0)}, {v: x for v, x in t.items() if v != VarId(1, 1)}]
     for a_in, t_in in [(b, t) for b in bad_a] + [(a, b) for b in bad_t]:
-        want = _error(lambda: delta_G(ms, a_in, t_in)), _error(lambda: poly.evaluate(t_in))
-        assert want[0] is not None
+        want = errors(a_in, t_in)
+        assert want[0] is not None and want[2] is not None
         for form in forms:
             fa, ft = [form(x) for x in a_in], {v: form(x) for v, x in t_in.items()}
-            assert (_error(lambda: delta_G(ms, fa, ft)), _error(lambda: poly.evaluate(ft))) == want
+            assert errors(fa, ft) == want
 
 
 def test_phi_map_rank_one_golden():
@@ -667,6 +681,79 @@ def test_phi_map_rank_two_goldens():
     assert tau[VarId(0, 1)] == t2 / (t1 * t3 * t3)
     assert tau[VarId(0, 2)] == t3 / t2
     assert tau[VarId(1, 1)] == 1 / t3
+
+
+def _phi_map_reference(w: WordSpec, a, t):
+    """phi_map step by step in Fraction arithmetic, for valid inputs."""
+    vec = tuple(Fraction(x) for x in a)
+    vals = rational_values(w.variables(), t)
+
+    def t_at(cycle: int, x: int) -> Fraction:
+        # cycle counted from 1; positions outside the word contribute 1
+        return vals.get(VarId(cycle - 1, x), 1)
+
+    tau = {}
+    for v in w.variables():
+        s, j = v
+        num = Fraction(1)
+        for cycle in range(s + 2, w.m + 1):
+            num *= t_at(cycle, j - 1)
+        for cycle in range(s + 1, w.m + 1):
+            num *= t_at(cycle, j + 1)
+        den = t_at(s + 1, j)
+        for cycle in range(s + 2, w.m + 1):
+            den *= t_at(cycle, j) ** 2
+        tau[v] = num / den
+
+    moved = list(vec)
+    for i, tk in zip(w.letters(), vals.values()):
+        moved[i - 1] /= tk
+        moved[i] *= tk
+    return tuple(moved), tau
+
+
+def test_phi_map_matches_fraction_reference():
+    # equal values, the same types and the same key order, at random and
+    # at adversarial points (shared primes, values past 64 bits)
+    rng = random.Random(2727)
+    cases = [(w, _random_torus(rng, w.r), _random_values(rng, w))
+             for w in all_word_specs(4) for _ in range(4)]
+    for w, a, t in cases + list(_adversarial_cases()):
+        moved, tau = phi_map(w, a, t)
+        want_moved, want_tau = _phi_map_reference(w, a, t)
+        assert type(moved) is tuple and moved == want_moved, (w, a, t)
+        assert all(type(x) is Fraction for x in moved + tuple(tau.values()))
+        assert list(tau.items()) == list(want_tau.items()), (w, a, t)
+
+
+def test_phi_map_builds_one_fraction_per_output_entry(monkeypatch):
+    # and the torus check compares no Fraction
+    built, compared = [], []
+
+    class Counted(Fraction):
+        __hash__ = Fraction.__hash__
+
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+        def __eq__(self, other):
+            compared.append(other)
+            return super().__eq__(other)
+
+    w = WordSpec(3, 2, 2)
+    rng = random.Random(27)
+    a = [Counted(x) for x in _random_torus(rng, w.r)]
+    t = {v: Counted(x) for v, x in _random_values(rng, w).items()}
+    monkeypatch.setattr(bruhat, "Fraction", Counted)
+    monkeypatch.setattr(laurent, "Fraction", Counted)
+    built.clear()
+    moved, tau = phi_map(w, a, t)
+    assert len(built) == len(moved) + len(tau) == w.r + 1 + w.n
+    assert (moved, tau) == _phi_map_reference(w, a, t)
+    compared.clear()
+    bruhat._check_torus(a, w.r)
+    assert compared == []
 
 
 def test_phi_map_factorizes_the_cell_matrix():

@@ -8,9 +8,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crystalminor import laurent
 from crystalminor.errors import ExponentOverflow, MissingAssignment, ZeroAssignment
 from crystalminor.laurent import (
     EXPONENT_LIMIT,
@@ -21,6 +22,7 @@ from crystalminor.laurent import (
     pack,
     parse_monomial,
     poly_to_json,
+    rational_values,
 )
 
 
@@ -570,3 +572,74 @@ def test_one_term_product_next_to_the_limit():
     with pytest.raises(ExponentOverflow, match=r"^exponent bound 2147483648 reaches the limit 2\*\*31$"):
         (p * q) * q
     assert (LaurentPoly.zero() * q).is_zero() and (LaurentPoly.zero() * q)._bound == 0
+
+
+# ---------------------------------------------------------------------------
+# evaluation over integer pairs against step-by-step Fraction arithmetic
+
+
+def _evaluate_reference(p: LaurentPoly, assignment) -> Fraction:
+    """The value of p by Fraction products and sums, term by term."""
+    values = rational_values(dict.fromkeys(v for m, _ in p.terms for v, _ in m.factors), assignment)
+    out = Fraction(0)
+    for m, c in p.terms:
+        for v, e in m.factors:
+            c *= values[v] ** e
+        out += c
+    return out
+
+
+EVAL_VARS = [VarId(s, i) for s in range(2) for i in range(1, 4)]
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+# every variable's numerator and denominator are distinct primes, so term
+# denominators differ and the running denominator merges by the lcm
+coprime_values = st.permutations(_PRIMES).flatmap(
+    lambda primes: st.lists(st.sampled_from([1, -1]), min_size=len(EVAL_VARS), max_size=len(EVAL_VARS)).map(
+        lambda signs: {v: Fraction(sign * primes[2 * n], primes[2 * n + 1])
+                       for n, (v, sign) in enumerate(zip(EVAL_VARS, signs))}
+    )
+)
+small_values = st.fixed_dictionaries(
+    {v: st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)) for v in EVAL_VARS}
+)
+eval_polys = st.builds(
+    LaurentPoly.from_terms,
+    st.lists(
+        st.tuples(
+            st.builds(lambda pairs: Monomial.of(*pairs),
+                      st.lists(st.tuples(st.sampled_from(EVAL_VARS), st.integers(-6, 6)), max_size=4)),
+            st.sampled_from([c for c in range(-5, 6) if c]),
+        ),
+        max_size=6,
+    ),
+)
+
+
+@PROPERTY
+@given(eval_polys, st.one_of(coprime_values, small_values))
+@example(LaurentPoly.zero(), {v: Fraction(2, 3) for v in EVAL_VARS})
+@example(LaurentPoly.from_terms([(_m((0, 1, -6), (1, 3, 5)), -5)]),
+         {v: Fraction(-7, 4 + n) for n, v in enumerate(EVAL_VARS)})
+def test_evaluate_matches_fraction_reference_property(p, values):
+    got = p.evaluate(values)
+    assert type(got) is Fraction
+    assert got == _evaluate_reference(p, values)
+
+
+def test_evaluate_builds_one_fraction_over_the_lcm_of_the_denominators(monkeypatch):
+    # 1/6 + 1/10 - 2/15: the running denominator is their lcm, 30, not the
+    # product 900, and the one Fraction is built from it
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    x, y, z = VarId(0, 1), VarId(0, 2), VarId(0, 3)
+    p = LaurentPoly.from_terms([(Monomial.of((v, -1)), 1) for v in (x, y, z)])
+    values = {x: Counted(6), y: Counted(10), z: Counted(-15, 2)}
+    monkeypatch.setattr(laurent, "Fraction", Counted)
+    built.clear()
+    assert p.evaluate(values) == Fraction(2, 15)
+    assert len(built) == 1 and abs(built[0][1]) == 30

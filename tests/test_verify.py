@@ -18,6 +18,7 @@ from crystalminor.crystal import (
     node_stats,
     tau_render_poly,
 )
+from crystalminor.errors import CapExceeded
 from crystalminor.laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId, pack
 from crystalminor.verify import (
     CHECKS,
@@ -410,6 +411,34 @@ def test_failure_detail_names_the_dropped_term(monkeypatch, check, route, side, 
     # single-digit specs at r <= 3, so the text after the status sorts like the key
     specs = [line.split(" ", 2)[2] for line in res.lines]
     assert specs == sorted(specs)
+
+
+def test_minor_chain_resumed_past_a_cap_failure_skips_that_position(monkeypatch):
+    # the runner stops at the first failure; a caller that drives the
+    # generator on gets the next positions checked afresh, not the failed
+    # position compared against the previous position's closure
+    want = [line.split(" ", 2)[2] for line in check_minor_chain(3).lines]
+    real = verify.demazure_polynomial
+    calls = []
+
+    def capped(*args, cap):
+        calls.append(cap)
+        if len(calls) in (1, 3):
+            raise CapExceeded(cap)
+        return real(*args, cap=cap)
+
+    monkeypatch.setattr(verify, "demazure_polynomial", capped)
+    sweep = check_minor_chain.__wrapped__(3)
+    lines = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            lines.append(next(sweep))
+    failed = [text for text, failure in lines if failure is not None]
+    assert failed == [f"r=2 word=1 k=1 demazure cap {calls[0]} exceeded",
+                      f"r=2 word=1,2,1 k=1 demazure cap {calls[2]} exceeded"]
+    assert [text for text, failure in lines if failure is None] == want
+    assert stop.value.value == ("9 words, 12 positions, 4-way equal, r <= 3", 12)
+    assert len(calls) == 14
 
 
 def test_failure_detail_shows_at_most_three_terms_per_side():
