@@ -5,6 +5,10 @@ environment variables.  Output goes to stdout, diagnostics to stderr.
 Exit status: 0 on success, 1 when a verification subcommand finds a
 failing check, 2 on usage or domain errors.  Identical invocations
 produce byte-identical output.
+
+Start-up loads only ``errors``, ``laurent``, ``bruhat`` and ``defaults``,
+which is all the parser needs; each command imports what it uses of
+``crystal``, ``paths``, ``cluster`` or ``verify`` when it starts.
 """
 
 from __future__ import annotations
@@ -19,32 +23,9 @@ import sys
 from fractions import Fraction
 
 from .bruhat import MinorSpec, WordSpec, delta_G, delta_L
-from .cluster import SeedMatrix, seed_matrix
-from .crystal import (
-    DEFAULT_CAP,
-    CrystalConfig,
-    DemazureSpec,
-    component,
-    demazure,
-    demazure_polynomial,
-    graph_to_dot,
-    graph_to_json,
-    monomial_text,
-    tau_render_poly,
-)
+from .defaults import CHECK_NAMES, DEFAULT_CAP, DEFAULT_PHI_SAMPLES, DEFAULT_SEED
 from .errors import CapExceeded, CrystalMinorError
 from .laurent import mono_to_json, parse_monomial, poly_to_json
-from .paths import (
-    PathSpec,
-    closed_form_sum,
-    count_paths,
-    d1_closed_form,
-    path_sum,
-    paths_dot,
-    paths_json,
-    paths_text,
-)
-from .verify import CHECKS, DEFAULT_PHI_SAMPLES, DEFAULT_SEED, phi_word_check
 
 
 def _check_positive(args) -> None:
@@ -93,6 +74,7 @@ def _word(args) -> WordSpec:
 
 def _render_poly(r: int, poly, form: str) -> str:
     if form == "tau":
+        from .crystal import CrystalConfig, tau_render_poly
         return tau_render_poly(CrystalConfig(r), poly)
     if form == "json":
         return poly_to_json(poly)
@@ -123,16 +105,8 @@ def _run_minor(args) -> int:
     return 0
 
 
-def _graph_text(cfg: CrystalConfig, g, form: str) -> str:
-    lines = [f"nodes {g.node_count()} edges {g.edge_count()}"]
-    for k, node in enumerate(g.nodes):
-        lines.append(f"{k} {monomial_text(cfg, node.monomial, form)}")
-    for src, color, dst in g.edges:
-        lines.append(f"{src} -{color}-> {dst}")
-    return "\n".join(lines)
-
-
 def _run_component(args) -> int:
+    from .crystal import CrystalConfig, component, graph_to_dot, graph_to_json, monomial_text
     cfg = CrystalConfig(args.r)
     g = component(cfg, parse_monomial(args.seed), cap=args.cap)
     if args.format == "dot":
@@ -140,17 +114,23 @@ def _run_component(args) -> int:
     elif args.format == "json":
         print(graph_to_json(g))
     else:
-        print(_graph_text(cfg, g, args.format))
+        lines = [f"nodes {g.node_count()} edges {g.edge_count()}"]
+        for k, node in enumerate(g.nodes):
+            lines.append(f"{k} {monomial_text(cfg, node.monomial, args.format)}")
+        lines += [f"{src} -{color}-> {dst}" for src, color, dst in g.edges]
+        print("\n".join(lines))
     return 0
 
 
-def _demazure_spec(args) -> DemazureSpec:
+def _demazure_spec(args):
+    from .crystal import DemazureSpec
     return DemazureSpec(
         word=_letters(args.word), sign=args.sign, seed=parse_monomial(args.seed)
     )
 
 
 def _run_demazure(args) -> int:
+    from .crystal import CrystalConfig, demazure, monomial_text
     cfg = CrystalConfig(args.r)
     members = demazure(cfg, _demazure_spec(args), cap=args.cap)
     if args.format == "json":
@@ -162,15 +142,18 @@ def _run_demazure(args) -> int:
 
 
 def _run_polynomial(args) -> int:
+    from .crystal import CrystalConfig, demazure_polynomial
     cfg = CrystalConfig(args.r)
     poly = demazure_polynomial(cfg, _demazure_spec(args), cap=args.cap)
     print(_render_poly(args.r, poly, args.format))
     return 0
 
 
-def _path_spec(args) -> PathSpec:
+def _path_spec(args):
     """The shape, refused before any walk when the rank is below one or
     the shape has more than --cap paths."""
+    from .crystal import CrystalConfig
+    from .paths import PathSpec, count_paths
     spec = PathSpec(args.d, args.m, args.mprime)
     CrystalConfig(args.r)
     if count_paths(spec) > args.cap:
@@ -179,6 +162,7 @@ def _path_spec(args) -> PathSpec:
 
 
 def _run_paths_enum(args) -> int:
+    from .paths import paths_dot, paths_json, paths_text
     spec = _path_spec(args)
     if args.format == "json":
         print(paths_json(spec, args.r))
@@ -192,12 +176,14 @@ def _run_paths_enum(args) -> int:
 
 
 def _run_paths_sum(args) -> int:
+    from .paths import path_sum
     spec = _path_spec(args)
     print(_render_poly(args.r, path_sum(spec, args.r), args.format))
     return 0
 
 
 def _run_paths_closed(args) -> int:
+    from .paths import closed_form_sum, d1_closed_form
     spec = _path_spec(args)
     poly = closed_form_sum(spec, args.r)
     if spec.d == 1 and d1_closed_form(spec.m, spec.mprime, args.r) != poly:
@@ -207,7 +193,7 @@ def _run_paths_closed(args) -> int:
     return 0
 
 
-def _matrix_text(sm: SeedMatrix) -> str:
+def _matrix_text(sm) -> str:
     lines = [
         "rows " + ",".join(map(str, sm.rows)),
         "cols " + ",".join(map(str, sm.cols)),
@@ -225,6 +211,7 @@ def _matrix_text(sm: SeedMatrix) -> str:
 def _run_seed(args) -> int:
     """The word's seed matrix, mutated at each --k direction in turn;
     refused before it is built when it has more than DEFAULT_CAP entries."""
+    from .cluster import seed_matrix
     w = _word(args)
     # rows -1..-r, 1..n; columns all rows but the last position of each
     # distinct letter, and a word past its first cycle has all r letters
@@ -239,12 +226,14 @@ def _run_seed(args) -> int:
 
 
 def _run_phi_check(args) -> int:
+    from .verify import phi_word_check
     res = phi_word_check(_word(args), args.samples, args.seed)
     print(res.summary())
     return 0 if res.passed else 1
 
 
 def _run_verify(args) -> int:
+    from .verify import CHECKS
     flags = ("max_r", "max_dim", "samples", "seed")
     kwargs = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
     fn = CHECKS[args.check]
@@ -358,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_phi_check)
 
     p = sub.add_parser("verify", help="named cross-module identity sweeps")
-    p.add_argument("check", choices=tuple(CHECKS))
+    p.add_argument("check", choices=CHECK_NAMES)
     p.add_argument("--max-r", type=int, default=None, dest="max_r")
     p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
     p.add_argument("--samples", type=int, default=None)

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
+from .defaults import DEFAULT_CAP
 from .errors import CapExceeded, ColorOutOfRange, ExponentOverflow, NotTauRenderable
 from .laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId, pack
 
-DEFAULT_CAP = 100_000
 _Pairs = tuple[tuple[VarId, int], ...]
 
 

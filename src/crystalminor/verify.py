@@ -38,12 +38,10 @@ from .crystal import (
     demazure_polynomial,
     kashiwara_rows,
 )
+from .defaults import DEFAULT_PHI_SAMPLES, DEFAULT_SEED
 from .errors import CapExceeded
 from .laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId, pack
 from .paths import PathSpec, closed_form_sum, d1_closed_form, path_sum
-
-DEFAULT_SEED = 20260817
-DEFAULT_PHI_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,8 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {}
 
 
 def _sweep(name: str) -> Callable[[Callable[..., Sweep]], Callable[..., CheckResult]]:
-    """Register a sweep generator as the check ``name`` in CHECKS.
+    """Register a sweep generator as the check ``name`` in CHECKS; the
+    parser offers the names of ``defaults.CHECK_NAMES``, in its order.
 
     The generator yields ``(text, failure)`` per swept spec, in sweep
     order, where failure is None or the summary detail, and returns

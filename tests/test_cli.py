@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystalminor
-from crystalminor import cli, verify
+from crystalminor import cli, cluster, crystal, defaults, paths, verify
 from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
 from crystalminor.cluster import seed_matrix
 from crystalminor.crystal import DEFAULT_CAP
@@ -303,7 +303,7 @@ def test_seed_bmatrix_json(capsys):
 
 def test_seed_matrix_over_the_cap_is_refused_before_it_is_built(capsys, monkeypatch):
     # 401 rows and 400 columns: 487 KB of text if built
-    monkeypatch.setattr(cli, "seed_matrix", lambda w: pytest.fail(f"built {w}"))
+    monkeypatch.setattr(cluster, "seed_matrix", lambda w: pytest.fail(f"built {w}"))
     refused = (2, "", f"error: the seed matrix has 160400 entries, more than {DEFAULT_CAP}\n")
     assert run(capsys, ["seed", "bmatrix", "--r", "400", "--word", "1"]) == refused
     assert run(capsys, ["seed", "mutate", "--r", "400", "--word", "1", "--k", "-1"]) == refused
@@ -445,6 +445,20 @@ def test_cap_default_is_the_library_default():
         assert args.cap == DEFAULT_CAP
 
 
+def test_shared_defaults_are_the_ones_their_users_read():
+    """The defaults module holds each default once: every sweep verify
+    registers is named there, in the order `verify --help` lists it, and
+    the library and the parser read the same values."""
+    assert tuple(verify.CHECKS) == defaults.CHECK_NAMES
+    assert (crystal.DEFAULT_CAP, verify.DEFAULT_SEED, verify.DEFAULT_PHI_SAMPLES) == (
+        defaults.DEFAULT_CAP, defaults.DEFAULT_SEED, defaults.DEFAULT_PHI_SAMPLES)
+    parser = cli.build_parser()
+    args = parser.parse_args(["crystal", "component", "--r", "2", "--seed", "Y[-1,1]"])
+    assert args.cap == defaults.DEFAULT_CAP
+    args = parser.parse_args(["phi", "check", "--r", "2", "--word", "1,2,1"])
+    assert (args.samples, args.seed) == (defaults.DEFAULT_PHI_SAMPLES, defaults.DEFAULT_SEED)
+
+
 def test_paths_family_over_the_cap_is_refused_before_any_walk(capsys):
     # 1,081,724,803,600 paths each: walking them would take days, and the
     # wide family has 2^12 candidate steps per vertex, nearly all invalid
@@ -487,7 +501,7 @@ def test_verify_failure_exit(capsys, monkeypatch):
     def fake(max_r=5):
         return CheckResult("thm5-6", False, "forced", ("FAIL thm5-6 forced",))
 
-    monkeypatch.setitem(cli.CHECKS, "thm5-6", fake)
+    monkeypatch.setitem(verify.CHECKS, "thm5-6", fake)
     code, out, _ = run(capsys, ["verify", "thm5-6"])
     assert code == 1
     assert out.splitlines() == ["FAIL thm5-6 forced", "FAIL thm5-6: forced"]
@@ -559,7 +573,7 @@ def test_phi_check_names_the_first_failing_sample(capsys, monkeypatch):
 
 
 def test_paths_closed_form_exits_1_when_the_width_one_cross_check_fails(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "d1_closed_form", lambda *args: LaurentPoly.zero())
+    monkeypatch.setattr(paths, "d1_closed_form", lambda *args: LaurentPoly.zero())
     argv = ["paths", "closed-form", "--d", "1", "--m", "3", "--mprime", "2", "--r", "4"]
     assert run(capsys, argv) == (1, "", "error: width-one cross check failed\n")
 

@@ -5,12 +5,21 @@ closed-form sums (``paths``) check one another, so no route may borrow
 another's computation.  These tests parse the imports of the three route
 modules and fail if one takes from another anything beyond the rendering
 helpers listed in ALLOWED.
+
+The command line builds its parser without loading any route, ``cluster``
+or ``verify``, and each command loads only the modules it uses; the last
+tests check that in fresh interpreters.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import crystalminor
 
@@ -81,3 +90,39 @@ def test_verify_takes_only_public_crystal_names():
         if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__")
     })
     assert private == []
+
+
+# Runs argv[1] in a fresh interpreter, then prints the crystalminor modules
+# it loaded.  Output is discarded: only the loaded modules matter here.
+LOADED_AFTER = """
+import contextlib, io, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("crystalminor."))))
+"""
+
+
+def loaded_after(statement: str) -> set[str]:
+    src = str(Path(crystalminor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER, statement], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    return {name.removeprefix("crystalminor.") for name in done.stdout.split()}
+
+
+def test_building_the_parser_loads_no_route_module():
+    loaded = loaded_after("import crystalminor.cli; crystalminor.cli.build_parser()")
+    assert "cli" in loaded
+    assert not loaded & {"crystal", "paths", "cluster", "verify"}, sorted(loaded)
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["minor", "--r", "2", "--word", "1,2,1", "--k", "2", "--format", "json"],
+     {"crystal", "paths", "cluster", "verify"}),
+    (["crystal", "component", "--r", "2", "--seed", "Y[-1,1]"], {"paths", "cluster", "verify"}),
+    (["paths", "sum", "--d", "1", "--m", "2", "--mprime", "1", "--r", "2"], {"cluster", "verify"}),
+    (["seed", "bmatrix", "--r", "2", "--word", "1,2,1"], {"paths", "verify"}),
+])
+def test_each_command_loads_only_its_own_modules(argv, unloaded):
+    loaded = loaded_after(f"from crystalminor import cli; assert cli.main({argv!r}) == 0")
+    assert not loaded & unloaded, sorted(loaded & unloaded)
