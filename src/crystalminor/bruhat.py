@@ -157,17 +157,19 @@ class MinorSpec:
         if not 1 <= self.k <= self.word.n:
             raise IndexOutOfRange(self.k, "word position")
 
-    @property
+    # derived once per spec; equality, hash and repr read the fields only
+
+    @cached_property
     def d(self) -> int:
         """Size of the minor: the letter at position k."""
         return self.word.letter(self.k)
 
-    @property
+    @cached_property
     def mprime(self) -> int:
         """The cycle containing position k, counted from 1."""
         return self.word.position_var(self.k).s + 1
 
-    @property
+    @cached_property
     def rows(self) -> tuple[int, ...]:
         mp = self.mprime
         return tuple(range(mp + 1, mp + self.d + 1))
@@ -219,9 +221,12 @@ def _symbolic_rows(w: WordSpec, rows: Sequence[int]):
 
 def det(matrix, fold):
     """Determinant by cofactor expansion along the rows in their given
-    order, memoized by the set of columns left.
+    order, memoized by the columns left as an int bitmask (bit c for
+    column c).
 
-    The expansion at a column set uses row size - len(cols).  The caller
+    With j columns left the expansion uses row size - j and takes those
+    columns in ascending order, the sign alternating by position among them;
+    the last row reads the one column its mask has left.  The caller
     supplies the ring's sum of products: ``fold`` takes a list of (sign,
     entry, cofactor) triples, sign ±1, and returns the sum of sign * entry
     * cofactor, the ring's zero for an empty list.  Zero entries are
@@ -233,24 +238,28 @@ def det(matrix, fold):
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
-    memo: dict[frozenset, object] = {}
+    memo: dict[int, object] = {}
+    last = size - 1
 
-    def go(cols: frozenset):
-        row = matrix[size - len(cols)]
-        if len(cols) == 1:
-            (col,) = cols
-            return row[col]
+    def go(cols: int, i: int):
+        row = matrix[i]
+        if i == last:
+            return row[cols.bit_length() - 1]
         if cols in memo:
             return memo[cols]
         triples = []
-        for pos, col in enumerate(sorted(cols)):
-            entry = row[col]
+        sign, rest = 1, cols
+        while rest:
+            low = rest & -rest  # the lowest column left
+            rest ^= low
+            entry = row[low.bit_length() - 1]
             if entry:
-                triples.append((-1 if pos % 2 else 1, entry, go(cols - {col})))
+                triples.append((sign, entry, go(cols ^ low, i + 1)))
+            sign = -sign
         memo[cols] = acc = fold(triples)
         return acc
 
-    return go(frozenset(range(size)))
+    return go((1 << size) - 1, 0)
 
 
 def rational_dot(triples):
@@ -384,25 +393,26 @@ def phi_map(
     """
     nums, dens = _check_torus(a, w.r)
     pairs = {v: x.as_integer_ratio() for v, x in rational_values(w.variables(), t).items()}
-    get = pairs.get
+    # t[c, x] is grid[c][x]: the pair of VarId(c, x), (1, 1) off the word
+    grid = [[_ONE] * (w.r + 2) for _ in range(w.m)]
+    for (s, j), pair in pairs.items():
+        grid[s][j] = pair
 
     tau: dict[VarId, Fraction] = {}
-    for v in w.variables():
+    for v, (d, n) in pairs.items():
         # tau[s, j] = n / d = prod t[c, j - 1] / t[c, j]**2 over s < c < m,
-        # times prod t[c, j + 1] over s <= c < m, over t[s, j]; t[c, x] is
-        # the value of VarId(c, x), 1 off the word
+        # times prod t[c, j + 1] over s <= c < m, over t[s, j]
         s, j = v
-        d, n = pairs[v]
-        for cycle in range(s + 1, w.m):
-            x, y = get(VarId(cycle, j - 1), _ONE)
-            p, q = get(VarId(cycle, j), _ONE)
+        for row in grid[s + 1:]:
+            x, y = row[j - 1]
+            p, q = row[j]
             n, d = n * x * q * q, d * y * p * p
-        for cycle in range(s, w.m):
-            x, y = get(VarId(cycle, j + 1), _ONE)
+        for row in grid[s:]:
+            x, y = row[j + 1]
             n, d = n * x, d * y
         tau[v] = Fraction(n, d)
 
-    for i, (p, q) in zip(w.letters(), pairs.values()):
+    for (_, i), (p, q) in pairs.items():
         # moved[i - 1] /= t and moved[i] *= t
         nums[i - 1] *= q
         dens[i - 1] *= p

@@ -154,24 +154,29 @@ def check_minor_chain(max_r: int = 5) -> Sweep:
             spec = PathSpec(ms.d, w.m, ms.mprime)
             minor = delta_L_uncached(ms)
             tag = f"{_tag(w)} k={k}"
-            try:
-                closure = demazure_polynomial(cfg, demazure_data(w, k), cap=len(minor))
-            except CapExceeded:
-                yield (f"{tag} demazure cap {len(minor)} exceeded",
-                       f"demazure closure at {tag} exceeds cap {len(minor)}, the minor's term count")
-                continue
+            # each route is compared with the minor as soon as it is built
+            # and freed before the next is built: at most the minor and one
+            # route are alive
             routes = (
-                ("demazure", closure),
-                ("path sum", path_sum(spec, w.r)),
-                ("closed form", closed_form_sum(spec, w.r)),
+                ("demazure", lambda: demazure_polynomial(cfg, demazure_data(w, k), cap=len(minor))),
+                ("path sum", lambda: path_sum(spec, w.r)),
+                ("closed form", lambda: closed_form_sum(spec, w.r)),
             )
-            for route, value in routes:
+            for route, build in routes:
+                try:
+                    value = build()
+                except CapExceeded:
+                    yield (f"{tag} demazure cap {len(minor)} exceeded",
+                           f"demazure closure at {tag} exceeds cap {len(minor)}, the minor's term count")
+                    break
                 if value != minor:
                     diff = _difference(route, value, "minor", minor)
                     yield f"{tag} {route} mismatch", f"{route} mismatch at {tag}; {diff}"
-            positions += 1
-            # the next position's det may be the largest yet: free these first
-            del minor, closure, routes, value
+                del value
+            else:
+                positions += 1
+            # the next position's det may be the largest yet: free the minor first
+            del minor
         yield f"{_tag(w)} positions={len(ks)}", None
         words += 1
     return f"{words} words, {positions} positions, 4-way equal, r <= {max_r}", positions

@@ -174,6 +174,18 @@ def test_minor_spec_intro_position():
     assert spec.rows == (3, 4)
 
 
+def test_minor_spec_derives_its_fields_once():
+    w = WordSpec(4, 4, 1)
+    spec = MinorSpec(w, 6)
+    assert spec.rows is spec.rows
+    assert (spec.d, spec.mprime, spec.rows) == (2, 2, (3, 4))
+    # the cached fields stay out of equality, hash and repr
+    fresh = MinorSpec(w, 6)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh) == "MinorSpec(word=WordSpec(r=4, m=4, last=1), k=6)"
+    assert spec != MinorSpec(w, 5)
+
+
 def test_minor_spec_edges():
     w = WordSpec(4, 4, 1)
     first = MinorSpec(w, 1)
@@ -368,6 +380,60 @@ def test_det_matches_gaussian_elimination():
             for _ in range(size)
         ]
         assert det(mat, rational_dot) == _gauss_det(mat)
+    # integers, with size one and zero rows among them
+    integer_cases = [[[7]], [[0]], [[1, 2, 3], [0, 0, 0], [4, 5, 6]], [[0, 0], [2, 5]]]
+    for _ in range(50):
+        size = rng.randint(1, 5)
+        integer_cases.append([[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)])
+    for mat in integer_cases:
+        got = det(mat, rational_dot)
+        assert type(got) is int and got == _gauss_det([[Fraction(x) for x in row] for row in mat])
+
+
+def _det_reference(matrix, fold):
+    """The cofactor expansion memoized by frozensets of columns."""
+    size = len(matrix)
+    memo = {}
+
+    def go(cols):
+        row = matrix[size - len(cols)]
+        if len(cols) == 1:
+            (col,) = cols
+            return row[col]
+        if cols in memo:
+            return memo[cols]
+        triples = []
+        for pos, col in enumerate(sorted(cols)):
+            if row[col]:
+                triples.append((-1 if pos % 2 else 1, row[col], go(cols - {col})))
+        memo[cols] = acc = fold(triples)
+        return acc
+
+    return go(frozenset(range(size)))
+
+
+def _recording(calls, fold):
+    def wrapped(triples):
+        calls.append(list(triples))
+        return fold(triples)
+    return wrapped
+
+
+def test_det_folds_once_per_column_set():
+    # a dense 5x5 matrix has 26 column sets of two or more columns; without
+    # the memo the expansion folds 1 + 5 + 20 + 60 = 86 times
+    mat = [[(3 * r + 2 * c) % 7 + 1 for c in range(5)] for r in range(5)]
+    calls, ref_calls = [], []
+    assert det(mat, _recording(calls, rational_dot)) == _det_reference(mat, _recording(ref_calls, rational_dot))
+    assert len(calls) == 26
+    # the fold sees the same triples in the same order as the set-keyed expansion
+    assert calls == ref_calls
+    w = WordSpec(3, 3, 1)
+    cell = _dense_cell_matrix(w, w.variables())
+    calls, ref_calls = [], []
+    assert det(cell, _recording(calls, LaurentPoly.signed_dot)) == LaurentPoly.one()
+    _det_reference(cell, _recording(ref_calls, LaurentPoly.signed_dot))
+    assert calls == ref_calls
 
 
 def test_det_of_cell_matrix_is_one():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -439,6 +440,33 @@ def test_minor_chain_resumed_past_a_cap_failure_skips_that_position(monkeypatch)
     assert [text for text, failure in lines if failure is None] == want
     assert stop.value.value == ("9 words, 12 positions, 4-way equal, r <= 3", 12)
     assert len(calls) == 14
+
+
+class _TrackedPoly(LaurentPoly):
+    """A LaurentPoly that a weak reference can watch."""
+
+
+def test_minor_chain_frees_each_route_before_building_the_next(monkeypatch):
+    # each route is compared with the minor and freed before the next route
+    # is built, so at most the minor and one route are alive at once
+    alive = []
+    built = Counter()
+
+    def tracked(name, build):
+        def wrapper(*args, **kwargs):
+            assert [ref for ref in alive if ref() is not None] == [], name
+            value = build(*args, **kwargs)
+            out = _TrackedPoly(value._coeffs, value._bound)
+            alive.append(weakref.ref(out))
+            built[name] += 1
+            return out
+        return wrapper
+
+    for name in ("demazure_polynomial", "path_sum", "closed_form_sum"):
+        monkeypatch.setattr(verify, name, tracked(name, getattr(verify, name)))
+    result = check_minor_chain(3)
+    assert result.passed
+    assert built == {"demazure_polynomial": 14, "path_sum": 14, "closed_form_sum": 14}
 
 
 def test_failure_detail_shows_at_most_three_terms_per_side():
