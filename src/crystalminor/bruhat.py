@@ -22,19 +22,21 @@ on the symbolic side and ``rational_dot`` on the numeric side.
 
 The numeric side (``delta_G``, ``cell_matrix_value``,
 ``lower_product_value``, ``phi_map``) works over the integers: the torus
-check reads each diagonal entry's numerator and denominator once, and every
-rational after it is an int pair.  The cell matrix is dressed by a diagonal
-with determinant one, which scales its rows, so the word is applied to rows
-of that diagonal; each row keeps its diagonal entry's denominator and each
+check and ``rational_values`` read each diagonal entry and each position
+value once, as an int numerator and denominator, and every rational after
+that is an int pair.  The cell matrix is dressed by a diagonal with
+determinant one, which scales its rows, so the word is applied to rows of
+that diagonal; each row keeps its diagonal entry's denominator and each
 column one denominator shared by all rows, updated factor by factor
-(``_integer_rows``), and a result becomes a ``Fraction`` only once, at the
-end.  ``delta_G`` takes the minors of that matrix from its d rows, and
-``phi_map`` rewrites such coordinates as a diagonal times a product of lower
-elementary factors, each of them a column operation too
-(``lower_product_value``), so both descriptions can be compared entrywise;
-its moved diagonal and its values are int numerators over int denominators
-until each becomes one ``Fraction``.  The dense factors themselves live only
-in the tests, as references.
+(``_integer_rows``).  ``delta_G`` takes the minors of that matrix from its d
+rows and builds one ``Fraction`` per minor.  ``phi_map`` rewrites such
+coordinates as a diagonal times a product of lower elementary factors, each
+of them a column operation too (``lower_product_value``), and builds one
+``Fraction`` per output entry.  The two matrices are only ever compared with
+each other, so both stay integers (``RationalRows``), compared entrywise by
+cross-multiplication, and become ``Fraction``s only when a caller asks for
+their rows.  The dense factors themselves live only in the tests, as
+references.
 """
 
 from __future__ import annotations
@@ -298,23 +300,23 @@ def _check_torus(a: Sequence[Fraction], r: int) -> tuple[list[int], list[int]]:
     """The numerators and the denominators of r + 1 nonzero rationals whose
     product is one, a diagonal of the torus; NotInTorus otherwise."""
     # a Fraction subclass converts too
-    vec = [x if type(x) is Fraction else Fraction(x) for x in a]
-    if len(vec) != r + 1:
-        raise NotInTorus(f"diagonal needs {r + 1} entries, got {len(vec)}")
-    nums = [x.numerator for x in vec]
+    pairs = [(x if type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in a]
+    if len(pairs) != r + 1:
+        raise NotInTorus(f"diagonal needs {r + 1} entries, got {len(pairs)}")
+    nums, dens = map(list, zip(*pairs))
     if 0 in nums:
         raise NotInTorus("diagonal entries must be nonzero")
-    dens = [x.denominator for x in vec]
     top, bottom = prod(nums), prod(dens)
     if top != bottom:
         raise NotInTorus(f"diagonal product is {Fraction(top, bottom)}, not 1")
     return nums, dens
 
 
-def _integer_rows(torus: tuple[list[int], list[int]], values: Mapping[VarId, Fraction],
+def _integer_rows(torus: tuple[list[int], list[int]], values: Mapping[VarId, tuple[int, int]],
                   rows: Sequence[int], lower: bool = False):
     """Rows (1-based) of diag(torus) times one factor per position value, in
-    word order, over the integers; torus is ``_check_torus``'s pair.
+    word order, over the integers; torus is ``_check_torus``'s pair and
+    values ``rational_values``' int pairs.
 
     Returns (N, dens, sigma): the entry in row ``rows[j]`` and column c is
     ``N[j][c - 1] / (dens[j] * sigma[c - 1])``, where dens[j] is the
@@ -331,8 +333,8 @@ def _integer_rows(torus: tuple[list[int], list[int]], values: Mapping[VarId, Fra
     nums, row_dens = torus
     sigma = [1] * len(nums)
     steps = []
-    for v, x in values.items():
-        i, p, q = v.i, x.numerator, x.denominator
+    for v, (p, q) in values.items():
+        i = v.i
         s, s1 = sigma[i - 1], sigma[i]  # denominators of columns i and i+1
         g = gcd(q * s1, p * s)
         alpha, beta = q * s1 // g, p * s // g
@@ -352,25 +354,71 @@ _ZERO = Fraction(0)
 _ONE = (1, 1)
 
 
-def _rational_rows(N, dens, sigma) -> list[list[Fraction]]:
-    # the rationals _integer_rows stands for; zero entries share one Fraction
-    return [[Fraction(n, d * s) if n else _ZERO for n, s in zip(row, sigma)] for row, d in zip(N, dens)]
+@dataclass(frozen=True, eq=False, repr=False)
+class RationalRows:
+    """A matrix of rationals kept as ``_integer_rows`` computes it: entry
+    (j, c) is ``N[j][c] / (dens[j] * sigma[c])``, each denominator a
+    nonzero int of either sign.
+
+    Two of them are equal when their shapes are and, entry by entry,
+    ``n1 * d2 * s2 == n2 * d1 * s1``, which is exact for any signs and
+    builds no Fraction.  Against a list of rows, in either operand order,
+    they compare by ``rows()``; like a list, they have no hash.
+
+    >>> m = RationalRows([[2, 0], [3, 6]], [1, -3], [2, 1])
+    >>> m.rows()
+    [[Fraction(1, 1), Fraction(0, 1)], [Fraction(-1, 2), Fraction(-2, 1)]]
+    >>> m == RationalRows([[-2, 0], [-1, 2]], [-1, 1], [2, -1]), m.rows() == m, m != m.rows()
+    (True, True, False)
+    """
+
+    N: list[list[int]]
+    dens: list[int]
+    sigma: list[int]
+
+    __hash__ = None  # equal to a list of rows, which has no hash
+
+    def rows(self) -> list[list[Fraction]]:
+        """The entries as Fractions: one per nonzero entry, the zeros
+        sharing one.  The only place this class builds a Fraction."""
+        sigma = self.sigma
+        return [[Fraction(n, d * s) if n else _ZERO for n, s in zip(row, sigma)]
+                for row, d in zip(self.N, self.dens)]
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return self.rows() == other
+        if not isinstance(other, RationalRows):
+            return NotImplemented
+        if len(self.N) != len(other.N) or len(self.sigma) != len(other.sigma):
+            return False
+        sigma, sigma2 = self.sigma, other.sigma
+        for row, d, row2, d2 in zip(self.N, self.dens, other.N, other.dens):
+            for n, s, n2, s2 in zip(row, sigma, row2, sigma2):
+                if n * d2 * s2 != n2 * d * s:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"RationalRows({self.rows()!r})"
 
 
-def cell_matrix_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
-    """diag(a) times the numeric cell matrix; the matrix delta_G minors."""
+def cell_matrix_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]) -> RationalRows:
+    """diag(a) times the numeric cell matrix, the matrix delta_G minors, as
+    integer rows: no Fraction is built until a caller reads ``rows()``."""
     torus = _check_torus(a, w.r)
-    return _rational_rows(*_integer_rows(torus, rational_values(w.variables(), t), range(1, w.r + 2)))
+    return RationalRows(*_integer_rows(torus, rational_values(w.variables(), t), range(1, w.r + 2)))
 
 
-def lower_product_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
-    """diag(a) times one lower elementary factor per letter.
+def lower_product_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]) -> RationalRows:
+    """diag(a) times one lower elementary factor per letter, as integer
+    rows: no Fraction is built until a caller reads ``rows()``.
 
     The factor at letter i is the identity plus t in slot (i+1, i), so it
     adds t times column i+1 to column i.
     """
     vals = rational_values(w.variables(), t)
-    return _rational_rows(*_integer_rows(_check_torus(a, w.r), vals, range(1, w.r + 2), lower=True))
+    return RationalRows(*_integer_rows(_check_torus(a, w.r), vals, range(1, w.r + 2), lower=True))
 
 
 def phi_map(
@@ -392,7 +440,7 @@ def phi_map(
     output entry becomes one Fraction at the end.
     """
     nums, dens = _check_torus(a, w.r)
-    pairs = {v: x.as_integer_ratio() for v, x in rational_values(w.variables(), t).items()}
+    pairs = rational_values(w.variables(), t)
     # t[c, x] is grid[c][x]: the pair of VarId(c, x), (1, 1) off the word
     grid = [[_ONE] * (w.r + 2) for _ in range(w.m)]
     for (s, j), pair in pairs.items():

@@ -25,8 +25,9 @@ and keeps only its factors.  The first use of ``.terms``, ``str``, JSON or
 (``Monomial._sort_key``), independent of the order of the slots.
 
 The kernel is also the one place that turns an assignment into nonzero
-rationals (``rational_values``), for ``LaurentPoly.evaluate`` and for the
-numeric cell matrices of ``bruhat``.
+rationals (``rational_values``), each read once as an int numerator and
+denominator, for ``LaurentPoly.evaluate`` and for the numeric cell matrices
+of ``bruhat``.
 
 >>> a = Monomial.of((VarId(0, 1), 1), (VarId(0, 2), -1))
 >>> str(a)
@@ -108,10 +109,12 @@ def pack(pairs: Iterable[tuple[VarId, int]]) -> int:
     return key
 
 
-def rational_values(variables: Iterable[VarId], assignment: Mapping[VarId, Fraction]) -> dict[VarId, Fraction]:
-    """Each variable's value as a Fraction, in the order given.  The first
-    variable with no value raises MissingAssignment, the first with a zero
-    value ZeroAssignment."""
+def rational_values(variables: Iterable[VarId],
+                    assignment: Mapping[VarId, Fraction]) -> dict[VarId, tuple[int, int]]:
+    """Each variable's value as its (numerator, denominator) int pair, in
+    the order given, the denominator positive and the pair in lowest terms.
+    The first variable with no value raises MissingAssignment, the first
+    with a zero value ZeroAssignment."""
     out = {}
     for v in variables:
         if v not in assignment:
@@ -119,9 +122,9 @@ def rational_values(variables: Iterable[VarId], assignment: Mapping[VarId, Fract
         value = assignment[v]
         if type(value) is not Fraction:  # a subclass converts too
             value = Fraction(value)
-        if not value.numerator:
+        out[v] = pair = value.as_integer_ratio()
+        if not pair[0]:
             raise ZeroAssignment(v)
-        out[v] = value
     return out
 
 
@@ -382,16 +385,15 @@ class LaurentPoly:
     def evaluate(self, assignment: Mapping[VarId, Fraction]) -> Fraction:
         """Exact value at nonzero rationals, one Fraction built at the end.
 
-        Each variable is checked once by ``rational_values``, in order of
-        first appearance over the terms and their factors, and read as its
-        (numerator, denominator) pair p/q.  A term is one int over another:
-        v**e multiplies them by p**e and q**e, or by q**-e and p**-e when e
-        is negative.  The terms are summed over one running denominator,
+        Each variable is checked and read once, as its (numerator,
+        denominator) pair p/q, by ``rational_values``, in order of first
+        appearance over the terms and their factors.  A term is one int over
+        another: v**e multiplies them by p**e and q**e, or by q**-e and p**-e
+        when e is negative.  The terms are summed over one running denominator,
         merged with each term's by their lcm.
         """
         terms = self.terms
-        values = rational_values(dict.fromkeys(v for m, _ in terms for v, _ in m.factors), assignment)
-        pairs = {v: x.as_integer_ratio() for v, x in values.items()}
+        pairs = rational_values(dict.fromkeys(v for m, _ in terms for v, _ in m.factors), assignment)
         num, den = 0, 1
         for m, c in terms:
             d = 1

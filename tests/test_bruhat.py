@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from crystalminor import bruhat, cli, laurent
 from crystalminor.bruhat import (
     MinorSpec,
+    RationalRows,
     WordSpec,
     _delta_L_cached,
     apply_word,
@@ -711,7 +712,9 @@ def test_int_fraction_and_subclass_inputs_agree():
         assert got == want
         moved, tau = got[-1]
         assert all(type(x) is Fraction for x in (got[3], *moved, *tau.values()))
-        assert all(type(x) is Fraction for x in rational_values(ft, ft).values())
+        pairs = rational_values(ft, ft)
+        assert pairs == {v: x.as_integer_ratio() for v, x in t.items()}
+        assert all(type(x) is int for pair in pairs.values() for x in pair)
         assert all(type(x) is int for part in bruhat._check_torus(fa, w.r) for x in part)
     bad_a = [[Fraction(2), Fraction(0), Fraction(1, 2)], [Fraction(2), Fraction(1), Fraction(1)],
              [Fraction(2), Fraction(1, 2)]]
@@ -752,7 +755,7 @@ def test_phi_map_rank_two_goldens():
 def _phi_map_reference(w: WordSpec, a, t):
     """phi_map step by step in Fraction arithmetic, for valid inputs."""
     vec = tuple(Fraction(x) for x in a)
-    vals = rational_values(w.variables(), t)
+    vals = {v: Fraction(t[v]) for v in w.variables()}
 
     def t_at(cycle: int, x: int) -> Fraction:
         # cycle counted from 1; positions outside the word contribute 1
@@ -792,8 +795,11 @@ def test_phi_map_matches_fraction_reference():
         assert list(tau.items()) == list(want_tau.items()), (w, a, t)
 
 
-def test_phi_map_builds_one_fraction_per_output_entry(monkeypatch):
-    # and the torus check compares no Fraction
+def _counted_inputs(monkeypatch, w: WordSpec, seed: int):
+    """A random torus point and position values of w as instances of a
+    Fraction subclass patched in as bruhat's and laurent's Fraction, so both
+    take them as they are; each Fraction built after the call is recorded
+    in `built` and each equality test in `compared`."""
     built, compared = [], []
 
     class Counted(Fraction):
@@ -807,19 +813,100 @@ def test_phi_map_builds_one_fraction_per_output_entry(monkeypatch):
             compared.append(other)
             return super().__eq__(other)
 
-    w = WordSpec(3, 2, 2)
-    rng = random.Random(27)
+    rng = random.Random(seed)
     a = [Counted(x) for x in _random_torus(rng, w.r)]
     t = {v: Counted(x) for v, x in _random_values(rng, w).items()}
     monkeypatch.setattr(bruhat, "Fraction", Counted)
     monkeypatch.setattr(laurent, "Fraction", Counted)
     built.clear()
+    return a, t, built, compared
+
+
+def test_phi_map_builds_one_fraction_per_output_entry(monkeypatch):
+    # and the torus check compares no Fraction
+    w = WordSpec(3, 2, 2)
+    a, t, built, compared = _counted_inputs(monkeypatch, w, 27)
     moved, tau = phi_map(w, a, t)
     assert len(built) == len(moved) + len(tau) == w.r + 1 + w.n
     assert (moved, tau) == _phi_map_reference(w, a, t)
     compared.clear()
     bruhat._check_torus(a, w.r)
     assert compared == []
+
+
+def test_phi_matrices_build_no_fraction_until_their_rows_are_read(monkeypatch):
+    # and the position values are read as int pairs, building none
+    w = WordSpec(3, 2, 2)
+    a, t, built, _ = _counted_inputs(monkeypatch, w, 30)
+    rational_values(w.variables(), t)
+    assert built == []
+    matrices = cell_matrix_value(w, a, t), lower_product_value(w, a, t)
+    assert built == []
+    for m in matrices:
+        rows = m.rows()
+        nonzero = sum(1 for row in m.N for n in row if n)
+        assert 0 < nonzero < (w.r + 1) ** 2
+        assert len(built) == nonzero
+        assert len({id(x) for row in rows for x in row if not x}) == 1
+        built.clear()
+
+
+# numerators and denominators for RationalRows: zeros, ±1, the shared
+# primes 2 and 3, and values past 64 bits; denominators of either sign
+_ROW_NUMS = [0, 0, 1, -1, 2, -3, 6, -12, 18, 2 ** 61 - 1, -(3 ** 45)]
+_ROW_DENS = [1, -1, 2, -2, 3, -6, 9, 2 ** 64, -(3 ** 41)]
+
+
+def _rational_rows_cases():
+    """Pairs of RationalRows: equal values under rescaled rows and columns,
+    the same with one entry or denominator changed, and mismatched shapes."""
+    rng = random.Random(3030)
+    for _ in range(400):
+        height, width = rng.randint(1, 3), rng.randint(1, 3)
+        N = [[rng.choice(_ROW_NUMS) for _ in range(width)] for _ in range(height)]
+        dens = [rng.choice(_ROW_DENS) for _ in range(height)]
+        sigma = [rng.choice(_ROW_DENS) for _ in range(width)]
+        u = [rng.choice(_ROW_DENS) for _ in range(height)]
+        v = [rng.choice(_ROW_DENS) for _ in range(width)]
+        N2 = [[n * u[j] * v[c] for c, n in enumerate(row)] for j, row in enumerate(N)]
+        dens2 = [d * x for d, x in zip(dens, u)]
+        sigma2 = [s * x for s, x in zip(sigma, v)]
+        j, c = rng.randrange(height), rng.randrange(width)
+        match rng.randrange(5):
+            case 0:
+                N2[j][c] += rng.choice([1, -1, 2 ** 70])
+            case 1:
+                N2[j][c] = -N2[j][c]
+            case 2:
+                sigma2[c] = -sigma2[c]
+            case 3:
+                dens2[j] *= rng.choice([2, -3])
+        yield RationalRows(N, dens, sigma), RationalRows(N2, dens2, sigma2)
+        yield RationalRows(N, dens, sigma), RationalRows(N2[:-1], dens2[:-1], sigma2)
+        yield RationalRows(N, dens, sigma), RationalRows([row[:-1] for row in N2], dens2, sigma2[:-1])
+
+
+def test_rational_rows_equality_matches_fraction_entries():
+    # cross-multiplied equality against entrywise Fraction equality, between
+    # two RationalRows and against list rows in either operand order
+    def fractions(m):
+        return [[Fraction(n, d * s) for n, s in zip(row, m.sigma)] for row, d in zip(m.N, m.dens)]
+
+    outcomes = set()
+    for m1, m2 in _rational_rows_cases():
+        want = fractions(m1) == fractions(m2)
+        outcomes.add(want)
+        assert (m1 == m2, m2 == m1, m1 != m2, m2 != m1) == (want, want, not want, not want), (m1, m2)
+        rows1, rows2 = m1.rows(), m2.rows()
+        assert (m1 == rows2, rows2 == m1, m1 != rows2, rows2 != m1) == (want, want, not want, not want)
+        assert (rows1 == m2, m2 == rows1, rows1 != m2, m2 != rows1) == (want, want, not want, not want)
+        assert m1 == rows1 and rows1 == m1 and not m1 != rows1
+    assert outcomes == {True, False}
+    m = RationalRows([[1, 0]], [2], [-3, 1])
+    assert repr(m) == "RationalRows([[Fraction(-1, 6), Fraction(0, 1)]])"
+    assert m != [(Fraction(-1, 6), 0)] and m != "rows" and m != [[Fraction(-1, 6)]]
+    with pytest.raises(TypeError):
+        hash(m)
 
 
 def test_phi_map_factorizes_the_cell_matrix():

@@ -525,7 +525,7 @@ def _plus_one(real):
 
 def _first_entry_plus_one(real):
     def faulty(*args):
-        rows = real(*args)
+        rows = real(*args).rows()
         rows[0][0] += 1
         return rows
 
