@@ -21,22 +21,21 @@ sums signed products of entries and cofactors, ``LaurentPoly.signed_dot``
 on the symbolic side and ``rational_dot`` on the numeric side.
 
 The numeric side (``delta_G``, ``cell_matrix_value``,
-``lower_product_value``, ``phi_map``) works over the integers: the torus
-check and ``rational_values`` read each diagonal entry and each position
-value once, as an int numerator and denominator, and every rational after
-that is an int pair.  The cell matrix is dressed by a diagonal with
-determinant one, which scales its rows, so the word is applied to rows of
-that diagonal; each row keeps its diagonal entry's denominator and each
-column one denominator shared by all rows, updated factor by factor
-(``_integer_rows``).  ``delta_G`` takes the minors of that matrix from its d
-rows and builds one ``Fraction`` per minor.  ``phi_map`` rewrites such
-coordinates as a diagonal times a product of lower elementary factors, each
-of them a column operation too (``lower_product_value``), and builds one
-``Fraction`` per output entry.  The two matrices are only ever compared with
-each other, so both stay integers (``RationalRows``), compared entrywise by
-cross-multiplication, and become ``Fraction``s only when a caller asks for
-their rows.  The dense factors themselves live only in the tests, as
-references.
+``lower_product_value``, ``phi_map``) works over the integers: each reads
+its point (a; t) once (``_point``), the diagonal before the values, as int
+numerators and denominators, and every rational after that is an int pair.
+The cell matrix is dressed by a diagonal with determinant one, which scales
+its rows, so the word is applied to rows of that diagonal; each row keeps
+its diagonal entry's denominator and each column one denominator shared by
+all rows, updated factor by factor (``_integer_rows``).  ``delta_G`` takes
+the minors of that matrix from its d rows and builds one ``Fraction`` per
+minor.  ``phi_map`` rewrites such coordinates as a diagonal times a product
+of lower elementary factors, each of them a column operation too
+(``lower_product_value``), and builds one ``Fraction`` per output entry.
+The two matrices are only ever compared with each other, so both stay
+integers (``RationalRows``), compared entrywise by cross-multiplication,
+and build no ``Fraction``.  The dense factors themselves live only in the
+tests, as references.
 """
 
 from __future__ import annotations
@@ -296,27 +295,26 @@ def delta_L(spec: MinorSpec) -> LaurentPoly:
 # numeric side: torus vectors and the coordinate change
 
 
-def _check_torus(a: Sequence[Fraction], r: int) -> tuple[list[int], list[int]]:
-    """The numerators and the denominators of r + 1 nonzero rationals whose
-    product is one, a diagonal of the torus; NotInTorus otherwise."""
+def _point(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]):
+    """A point (a; t) read once, the diagonal first: the numerators and the
+    denominators of a, r + 1 nonzero rationals whose product is one
+    (NotInTorus otherwise), and ``rational_values``' int pairs of t."""
     # a Fraction subclass converts too
     pairs = [(x if type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in a]
-    if len(pairs) != r + 1:
-        raise NotInTorus(f"diagonal needs {r + 1} entries, got {len(pairs)}")
+    if len(pairs) != w.r + 1:
+        raise NotInTorus(f"diagonal needs {w.r + 1} entries, got {len(pairs)}")
     nums, dens = map(list, zip(*pairs))
     if 0 in nums:
         raise NotInTorus("diagonal entries must be nonzero")
     top, bottom = prod(nums), prod(dens)
     if top != bottom:
         raise NotInTorus(f"diagonal product is {Fraction(top, bottom)}, not 1")
-    return nums, dens
+    return nums, dens, rational_values(w.variables(), t)
 
 
-def _integer_rows(torus: tuple[list[int], list[int]], values: Mapping[VarId, tuple[int, int]],
-                  rows: Sequence[int], lower: bool = False):
-    """Rows (1-based) of diag(torus) times one factor per position value, in
-    word order, over the integers; torus is ``_check_torus``'s pair and
-    values ``rational_values``' int pairs.
+def _integer_rows(point, rows: Sequence[int], lower: bool = False):
+    """Rows (1-based) of diag(a) times one factor per position value, in
+    word order, over the integers; point is ``_point``'s reading of (a; t).
 
     Returns (N, dens, sigma): the entry in row ``rows[j]`` and column c is
     ``N[j][c - 1] / (dens[j] * sigma[c - 1])``, where dens[j] is the
@@ -330,7 +328,7 @@ def _integer_rows(torus: tuple[list[int], list[int]], values: Mapping[VarId, tup
     sigma changes here, so each step's (alpha, beta, gamma) is known before
     ``apply_word`` runs.
     """
-    nums, row_dens = torus
+    nums, row_dens, values = point
     sigma = [1] * len(nums)
     steps = []
     for v, (p, q) in values.items():
@@ -350,11 +348,10 @@ def _integer_rows(torus: tuple[list[int], list[int]], values: Mapping[VarId, tup
     return apply_word(start, steps), [row_dens[row - 1] for row in rows], sigma
 
 
-_ZERO = Fraction(0)
 _ONE = (1, 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class RationalRows:
     """A matrix of rationals kept as ``_integer_rows`` computes it: entry
     (j, c) is ``N[j][c] / (dens[j] * sigma[c])``, each denominator a
@@ -362,32 +359,18 @@ class RationalRows:
 
     Two of them are equal when their shapes are and, entry by entry,
     ``n1 * d2 * s2 == n2 * d1 * s1``, which is exact for any signs and
-    builds no Fraction.  Against a list of rows, in either operand order,
-    they compare by ``rows()``; like a list, they have no hash.
+    builds no Fraction.  Nothing else equals one, and they have no hash.
 
     >>> m = RationalRows([[2, 0], [3, 6]], [1, -3], [2, 1])
-    >>> m.rows()
-    [[Fraction(1, 1), Fraction(0, 1)], [Fraction(-1, 2), Fraction(-2, 1)]]
-    >>> m == RationalRows([[-2, 0], [-1, 2]], [-1, 1], [2, -1]), m.rows() == m, m != m.rows()
-    (True, True, False)
+    >>> m == RationalRows([[-2, 0], [-1, 2]], [-1, 1], [2, -1]), m != [[1, 0], [Fraction(-1, 2), -2]]
+    (True, True)
     """
 
     N: list[list[int]]
     dens: list[int]
     sigma: list[int]
 
-    __hash__ = None  # equal to a list of rows, which has no hash
-
-    def rows(self) -> list[list[Fraction]]:
-        """The entries as Fractions: one per nonzero entry, the zeros
-        sharing one.  The only place this class builds a Fraction."""
-        sigma = self.sigma
-        return [[Fraction(n, d * s) if n else _ZERO for n, s in zip(row, sigma)]
-                for row, d in zip(self.N, self.dens)]
-
     def __eq__(self, other):
-        if isinstance(other, list):
-            return self.rows() == other
         if not isinstance(other, RationalRows):
             return NotImplemented
         if len(self.N) != len(other.N) or len(self.sigma) != len(other.sigma):
@@ -399,26 +382,21 @@ class RationalRows:
                     return False
         return True
 
-    def __repr__(self) -> str:
-        return f"RationalRows({self.rows()!r})"
-
 
 def cell_matrix_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]) -> RationalRows:
     """diag(a) times the numeric cell matrix, the matrix delta_G minors, as
-    integer rows: no Fraction is built until a caller reads ``rows()``."""
-    torus = _check_torus(a, w.r)
-    return RationalRows(*_integer_rows(torus, rational_values(w.variables(), t), range(1, w.r + 2)))
+    the integer rows of a ``RationalRows``: it builds no Fraction."""
+    return RationalRows(*_integer_rows(_point(w, a, t), range(1, w.r + 2)))
 
 
 def lower_product_value(w: WordSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction]) -> RationalRows:
-    """diag(a) times one lower elementary factor per letter, as integer
-    rows: no Fraction is built until a caller reads ``rows()``.
+    """diag(a) times one lower elementary factor per letter, as the integer
+    rows of a ``RationalRows``: it builds no Fraction.
 
     The factor at letter i is the identity plus t in slot (i+1, i), so it
     adds t times column i+1 to column i.
     """
-    vals = rational_values(w.variables(), t)
-    return RationalRows(*_integer_rows(_check_torus(a, w.r), vals, range(1, w.r + 2), lower=True))
+    return RationalRows(*_integer_rows(_point(w, a, t), range(1, w.r + 2), lower=True))
 
 
 def phi_map(
@@ -439,8 +417,7 @@ def phi_map(
     value is carried as an integer numerator and denominator, and each
     output entry becomes one Fraction at the end.
     """
-    nums, dens = _check_torus(a, w.r)
-    pairs = rational_values(w.variables(), t)
+    nums, dens, pairs = _point(w, a, t)
     # t[c, x] is grid[c][x]: the pair of VarId(c, x), (1, 1) off the word
     grid = [[_ONE] * (w.r + 2) for _ in range(w.m)]
     for (s, j), pair in pairs.items():
@@ -478,6 +455,5 @@ def delta_G(spec: MinorSpec, a: Sequence[Fraction], t: Mapping[VarId, Fraction])
     """
     # only the minor's d rows are built; its columns are the first d
     w, d = spec.word, spec.d
-    torus = _check_torus(a, w.r)
-    N, dens, sigma = _integer_rows(torus, rational_values(w.variables(), t), spec.rows)
+    N, dens, sigma = _integer_rows(_point(w, a, t), spec.rows)
     return Fraction(det([row[:d] for row in N], rational_dot), prod(dens) * prod(sigma[:d]))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import crystalminor
 from crystalminor import cli, cluster, crystal, defaults, paths, verify
-from crystalminor.bruhat import MinorSpec, WordSpec, delta_L
+from crystalminor.bruhat import MinorSpec, RationalRows, WordSpec, delta_L
 from crystalminor.cluster import seed_matrix
 from crystalminor.crystal import DEFAULT_CAP
 from crystalminor.laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId
@@ -524,12 +524,30 @@ def _plus_one(real):
 
 
 def _first_entry_plus_one(real):
+    # entry (0, 0) is N[0][0] / (dens[0] * sigma[0]): larger by exactly one
     def faulty(*args):
-        rows = real(*args).rows()
-        rows[0][0] += 1
-        return rows
+        m = real(*args)
+        N = [list(row) for row in m.N]
+        N[0][0] += m.dens[0] * m.sigma[0]
+        return RationalRows(N, m.dens, m.sigma)
 
     return faulty
+
+
+def test_an_equal_rescaled_matrix_passes_the_phi_sweep(capsys, monkeypatch):
+    # the control for _first_entry_plus_one: the sweep compares values, so
+    # row 0 of N and dens[0] both times -3 is the same matrix
+    def rescaled(real):
+        def same(*args):
+            m = real(*args)
+            return RationalRows([[-3 * n for n in m.N[0]], *m.N[1:]], [-3 * m.dens[0], *m.dens[1:]], m.sigma)
+
+        return same
+
+    monkeypatch.setattr(verify, "cell_matrix_value", rescaled(verify.cell_matrix_value))
+    code, out, err = run(capsys, ["verify", "prop2-4", "--max-r", "1", "--samples", "1"])
+    assert (code, err) == (0, "")
+    assert out == "PASS prop2-4 r=1 word=1 samples=1\nPASS prop2-4: 1 samples, r <= 1\n"
 
 
 @pytest.mark.parametrize(
