@@ -20,7 +20,7 @@ class ColorOutOfRange(CrystalMinorError):
 
 
 class CapExceeded(CrystalMinorError):
-    """A graph search visited more nodes than the configured cap."""
+    """A graph search visited, or a path family holds, more than the cap."""
 
     def __init__(self, cap: int):
         super().__init__(f"node cap {cap} exceeded")

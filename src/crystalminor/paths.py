@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from math import comb
 from operator import ge
 from typing import Iterable, Iterator
 
@@ -165,16 +166,15 @@ def _path_walk(spec: PathSpec, table: dict):
 
 
 def count_paths(spec: PathSpec) -> int:
-    """Number of paths of the given shape, counted level by level."""
-    table = _path_table(spec, lambda s, cur, nxt: None)
-    counts = {spec.source(): 1}
-    for s in range(spec.m):
-        grown: dict = {}
-        for cur, n in counts.items():
-            for nxt, _ in table[s, cur]:
-                grown[nxt] = grown.get(nxt, 0) + n
-        counts = grown
-    return counts.get(spec.target(), 0)
+    """Number of paths of the given shape: the plane partitions in the
+    d x mprime x (m - mprime) box, by MacMahon's product of
+    C(b+c+i-1, b) / C(b+i-1, b) over i = 1..a, a the shortest side.  Each
+    partial product counts an i x b x c box, so every division is exact."""
+    a, b, c = sorted((spec.d, spec.mprime, spec.depth))
+    n = 1
+    for i in range(1, a + 1):
+        n = n * comb(b + c + i - 1, b) // comb(b + i - 1, b)
+    return n
 
 
 def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:

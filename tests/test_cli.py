@@ -475,6 +475,25 @@ def test_paths_family_over_the_cap_is_refused_before_any_walk(capsys):
         assert run(capsys, ["paths", sub, *small, "--cap", "5"]) == (2, "", "error: node cap 5 exceeded\n")
 
 
+def test_each_paths_request_builds_at_most_one_table(capsys, monkeypatch):
+    # count_paths is a closed form, so the --cap check builds no table; the
+    # walks of enum and sum build one, the array walk of closed-form none
+    builds = []
+    build = paths._path_table
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(paths, "_path_table", counting)
+    small = ["--d", "2", "--m", "3", "--mprime", "2", "--r", "4"]
+    requests = [["sum", *small]] + [["enum", *small, "--format", f] for f in ("tau", "json", "dot")]
+    for argv, want in [(argv, 1) for argv in requests] + [(["closed-form", *small], 0)]:
+        builds.clear()
+        assert run(capsys, ["paths", *argv])[0] == 0
+        assert len(builds) == want, argv
+
+
 def test_paths_closed_form_refuses_what_paths_sum_refuses(capsys):
     # depth 0 (mprime = m) has one path and an empty array, whose slots must
     # still fit the rank: --d 5 --m 1 --mprime 1 --r 3 needs slot 5 of cycle 0

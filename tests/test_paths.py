@@ -4,7 +4,8 @@ import json
 import math
 import random
 from collections import Counter
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -483,6 +484,59 @@ def test_path_count_matches_enumeration():
         assert count_paths(spec) == path_count(spec) == len(enumerate_paths(spec))
     # too many to enumerate: 1,081,724,803,600 paths
     assert count_paths(PathSpec(2, 24, 12)) == path_count(PathSpec(2, 24, 12)) == 1081724803600
+
+
+def lgv_count(spec: PathSpec) -> int:
+    """Number of paths of the shape by Lindström–Gessel–Viennot: the
+    determinant of the single-entry counts C(m, mprime + j - i), taken by
+    exact Fraction elimination."""
+    rows = [[Fraction(math.comb(spec.m, spec.mprime + j - i) if spec.mprime + j >= i else 0)
+             for j in range(spec.d)] for i in range(spec.d)]
+    det = Fraction(1)
+    for k in range(spec.d):
+        pivot = next((i for i in range(k, spec.d) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, spec.d):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+# shapes that take the brute-force counter a second or more each
+LGV_SHAPES = [PathSpec(*s) for s in (
+    (6, 14, 7), (5, 20, 10), (7, 10, 5), (9, 10, 5), (8, 9, 4), (4, 24, 12), (4, 30, 27),
+)]
+
+
+def test_count_paths_matches_lgv_determinant():
+    for spec in LGV_SHAPES:
+        assert count_paths(spec) == lgv_count(spec), spec
+    # the reference agrees with the brute-force counter where both reach
+    for spec in SWEEP:
+        assert lgv_count(spec) == path_count(spec), spec
+
+
+def test_count_paths_builds_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count_paths built a path table")
+
+    monkeypatch.setattr("crystalminor.paths._path_table", refuse)
+    # an 8 x 12 x 12 box: counting it over its path table takes over a minute
+    assert count_paths(PathSpec(8, 24, 12)) == lgv_count(PathSpec(8, 24, 12))
+
+
+def test_path_count_is_symmetric_in_the_box_sides():
+    # sides (x, y, z) are the shape PathSpec(x, y + z, y): d = x, mprime = y
+    for sides in product(range(4), repeat=3):
+        specs = {PathSpec(x, y + z, y) for x, y, z in permutations(sides) if x and y}
+        counts = {path_count(spec) for spec in specs} | {count_paths(spec) for spec in specs}
+        assert len(counts) <= 1, sides
 
 
 @SHAPE_PROPERTY
