@@ -77,8 +77,7 @@ class WordSpec:
 
     @property
     def n(self) -> int:
-        # the full cycles r, r-1, ..., r-m+2, then the last one
-        return (self.m - 1) * (2 * self.r - self.m + 2) // 2 + self.last
+        return len(self._table)
 
     @cached_property
     def _table(self) -> tuple[VarId, ...]:
@@ -280,15 +279,14 @@ def delta_L_uncached(spec: MinorSpec) -> LaurentPoly:
 
 
 @lru_cache(maxsize=4096)
-def _delta_L_cached(word: WordSpec, k: int) -> LaurentPoly:
-    return delta_L_uncached(MinorSpec(word, k))
-
-
 def delta_L(spec: MinorSpec) -> LaurentPoly:
-    """The minor of the symbolic cell matrix marked by position k, memoized
-    per (word, k) for requests that repeat in one process; the ``minor``
-    command is its one caller in the package."""
-    return _delta_L_cached(spec.word, spec.k)
+    """``delta_L_uncached`` memoized per spec, for requests that repeat in
+    one process; the ``minor`` command is its one caller in the package."""
+    return delta_L_uncached(spec)
+
+
+# bench/workloads.py's forget_minors clears the memo by this name, or nothing
+_delta_L_cached = delta_L
 
 
 # ---------------------------------------------------------------------------

@@ -220,18 +220,18 @@ class CrystalGraph:
         return [n for n in self.nodes if not any(n.epsilon)]
 
 
-def _bump(col: _Pairs, v: VarId, d: int) -> tuple[_Pairs, int]:
+def _bump(col: _Pairs, v: VarId, d: int) -> _Pairs:
     """col, one color's factors in shift order, with d added to the exponent
-    of v (a factor at zero dropped); and that new exponent."""
+    of v (a factor at zero dropped)."""
     k = 0
     for w, e in col:
         if w >= v:
             if w != v:
-                return col[:k] + ((v, d),) + col[k:], d
+                return col[:k] + ((v, d),) + col[k:]
             e += d
-            return (col[:k] + ((v, e),) + col[k + 1 :] if e else col[:k] + col[k + 1 :]), e
+            return col[:k] + ((v, e),) + col[k + 1 :] if e else col[:k] + col[k + 1 :]
         k += 1
-    return col + ((v, d),), d
+    return col + ((v, d),)
 
 
 class _Walk:
@@ -243,12 +243,11 @@ class _Walk:
     interned by (color, factors): two colors with no factors are two
     states.  moves maps (state id, shift, exponent) to the state that adding
     the exponent at that shift gives.  Seed factors of color above r, which
-    no step touches, are in the packed ints and ``extra`` only.  top is the
-    largest absolute exponent of any state, so of any member.  No table
-    outlives the walk.
+    no step touches, are in the packed ints and ``extra`` only.  Every state
+    belongs to some member.  No table outlives the walk.
     """
 
-    __slots__ = ("r", "cap", "extra", "keys", "index", "ids", "states", "scan", "interned", "moves", "top")
+    __slots__ = ("r", "cap", "extra", "keys", "index", "ids", "states", "scan", "interned", "moves")
 
     def __init__(self, cfg: CrystalConfig, seed: Monomial, cap: int):
         # every member lies within cap steps of +-1 of the seed, and the cap
@@ -262,7 +261,6 @@ class _Walk:
         self.index = {self.keys[0]: 0}
         self.states, self.scan, self.interned, self.moves = [], [], {}, {}
         self.ids = [tuple([self._state(c, col) for c, col in enumerate(_split(cfg.r, seed), 1)])]
-        self.top = max([abs(e) for _, e in seed.factors], default=0)
 
     def _state(self, color: int, col: _Pairs) -> int:
         j = self.interned.get((color, col))
@@ -292,9 +290,7 @@ class _Walk:
                 move = (ids[c], v.s, e)
                 j = moves.get(move)
                 if j is None:
-                    col, e = _bump(self.states[ids[c]], v, e)
-                    if e > self.top or -e > self.top:
-                        self.top = abs(e)
+                    col = _bump(self.states[ids[c]], v, e)
                     j = moves[move] = self._state(v.i, col)
                 ids[c] = j
             self.ids.append(tuple(ids))
@@ -394,17 +390,19 @@ def demazure_polynomial(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAU
     """Sum of the Demazure subset, each monomial with coefficient one.
 
     Runs the walk of ``demazure`` and keeps only the packed ints, with the
-    largest absolute exponent of the members as the polynomial's exponent
-    bound.  A cap that is exceeded wins over an exponent past the limit.
+    largest absolute exponent of its states and extra factors, so of its
+    members, as the exponent bound.  An exceeded cap wins over an exponent
+    past the limit.
     """
     walk = _demazure_walk(cfg, spec, cap)
-    if walk.top >= EXPONENT_LIMIT:
+    top = max([abs(e) for _, e in chain(walk.extra, *walk.states)], default=0)
+    if top >= EXPONENT_LIMIT:
         # each member is one +-1 step from an earlier one, so the first
         # member past the limit is the seed or has the limit itself as its
         # largest exponent
         first = max([EXPONENT_LIMIT] + [abs(e) for _, e in spec.seed.factors])
         raise ExponentOverflow(f"exponent {first} of a polynomial term", EXPONENT_LIMIT)
-    return LaurentPoly.from_packed(dict.fromkeys(walk.keys, 1), walk.top)
+    return LaurentPoly.from_packed(dict.fromkeys(walk.keys, 1), top)
 
 
 # ---------------------------------------------------------------------------

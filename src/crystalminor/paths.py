@@ -257,15 +257,25 @@ def label(spec: PathSpec, p: Path, r: int) -> Monomial:
     return Monomial.of(*chain.from_iterable(steps))
 
 
+def _fit(spec: PathSpec, r: int) -> None:
+    """Refuse a shape with a label too large for rank r, naming the first
+    path's first bad slot.  Step s uses cycle c = m - s - 1 and entries up
+    to d + s, so if source slots 1..d fit cycle m - 1 (d <= r - m + 1), all
+    fit (d + s <= r - c).  Else only the unit slot d = r + 1 lets the row
+    pass, and slot r fitting cycle m - 1 forces m = 1: one step, the one
+    checked.  A rank below 1 raises at the first unit.  The first edge visits
+    slots a - 1 and a per entry in order, a - 1 the unit 0 or the entry
+    before, so its first bad slot is the first bad a: the one named here."""
+    for a in spec.source():
+        _unit(r, spec.m - 1, a)
+
+
 def _label_table(spec: PathSpec, r: int) -> dict:
     """The path table with every edge label packed, as the sum of its
-    entries' per-slot units (``_unit``) in the slot order of ``_edge_pairs``.
-
-    A raised entry's up and down slots coincide, so it adds nothing but the
-    check of its slot.  A label that does not fit into rank r raises while
-    the table is built: the first one built, the first edge of the first
-    path, raises whenever any does, so the error is the first path's.
+    kept entries' per-slot units (``_unit``) in the slot order of
+    ``_edge_pairs``; a shape too large for rank r is refused first (``_fit``).
     """
+    _fit(spec, r)
     m = spec.m
 
     def edge(s: int, cur: tuple[int, ...], nxt: tuple[int, ...]) -> int:
@@ -274,8 +284,6 @@ def _label_table(spec: PathSpec, r: int) -> dict:
         for a_new, a_old in zip(nxt, cur):
             if a_new == a_old:
                 x += _unit(r, c, a_old - 1) - _unit(r, c, a_old)
-            else:
-                _unit(r, c, a_old)
         return x
 
     return _path_table(spec, edge)
@@ -410,15 +418,10 @@ def closed_form_sum(spec: PathSpec, r: int) -> LaurentPoly:
     per-slot units, built once per row, and an array's term is the sum of
     its rows' packed terms.  An array has at most md entries, each moving two
     exponents by one, so 2md bounds the sum.  At depth 0 the one array is
-    empty, and no rows are built; the one path raises every entry at every
-    step, so its term is 1, but the slots its steps pass must still fit rank
-    r, as the path sum requires.
+    empty, its term 1.  A shape too large for rank r is refused by ``_fit``.
     """
+    _fit(spec, r)
     m = spec.m
-    if not spec.depth:
-        for s in range(m):
-            for a in range(s + 1, s + spec.d + 1):
-                _slot(r, m - s - 1, a)
     rows = _array_rows(spec) if spec.depth else []
     cells = [
         [sum(_unit(r, m - k - j0 + i0, k - 1) - _unit(r, m - k - j0 + i0, k)

@@ -494,6 +494,19 @@ def test_each_paths_request_builds_at_most_one_table(capsys, monkeypatch):
         assert len(builds) == want, argv
 
 
+def test_paths_enum_refuses_a_rank_too_small_before_building_a_table(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a table before refusing the rank")
+
+    monkeypatch.setattr(paths, "_path_table", refuse)
+    monkeypatch.setattr(paths, "_array_rows", refuse)
+    # 80,601 paths, inside the default cap
+    shape = ["--d", "400", "--m", "3", "--mprime", "1", "--r", "4"]
+    assert paths.count_paths(PathSpec(400, 3, 1)) == 80601 <= DEFAULT_CAP
+    assert run(capsys, ["paths", "enum", *shape]) == (
+        2, "", "error: slot 3 of cycle 2 does not exist at rank 4\n")
+
+
 def test_paths_closed_form_refuses_what_paths_sum_refuses(capsys):
     # depth 0 (mprime = m) has one path and an empty array, whose slots must
     # still fit the rank: --d 5 --m 1 --mprime 1 --r 3 needs slot 5 of cycle 0

@@ -598,6 +598,22 @@ def test_sums_raise_the_first_bad_slot_of_the_first_edge(capsys):
         assert (out.out, out.err) == ("", f"error: {want[1]}\n")
 
 
+def test_a_rank_too_small_is_refused_before_anything_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a table before refusing the rank")
+
+    monkeypatch.setattr("crystalminor.paths._path_table", refuse)
+    monkeypatch.setattr("crystalminor.paths._array_rows", refuse)
+    cases = [
+        (path_sum, PathSpec(20000, 1, 1), 2, "slot 4 of cycle 0 does not exist at rank 2"),
+        (path_sum, PathSpec(400, 3, 1), 4, "slot 3 of cycle 2 does not exist at rank 4"),
+        (closed_form_sum, PathSpec(400, 3, 1), 4, "slot 3 of cycle 2 does not exist at rank 4"),
+        (closed_form_sum, PathSpec(3, 4, 2), 3, "slot 1 of cycle 3 does not exist at rank 3"),
+    ]
+    for compute, spec, r, message in cases:
+        assert outcome(lambda: compute(spec, r)) == ("RankTooSmall", message), (compute, spec)
+
+
 def test_sums_pack_each_slot_once_and_build_no_pairs(monkeypatch):
     """Both sums pack one unit per (cycle, slot), none on a repeat call,
     and build no label from (variable, exponent) pairs."""
