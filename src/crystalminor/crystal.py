@@ -9,15 +9,18 @@ is fixed so that the cyclic color pattern reads 1, 2, ..., r repeating as the
 shift grows.
 
 ``apply_e`` and ``apply_f`` read only color i of a monomial; A[s,i] and its
-inverse are built once per (r, s, i), in a bounded cache.  ``component`` and
-the Demazure closure are one walk: a member is a packed int and one tuple of
-r color-state ids, where a color state is one color's factors in shift order
-with their weight, phi and operator shifts, stored once per walk.  A step
-adds the packed A[s,i] or its inverse at the recorded shift to the member's
-int and moves the states of the colors i-1, i and i+1 that A[s,i] touches; a
-state is bumped and rescanned only on a move the walk has not made before.
-The states and the moves between them live as long as one walk.  Operator
-results are never cached, so every step really applies the operator.
+inverse are built once per (r, s, i), in a bounded cache, with their factors
+grouped by color.  ``component`` and the Demazure closure are one walk: a
+member is a packed int and one tuple of r color-state ids, where a color
+state is one color's factors in shift order, stored once per walk with its
+weight, phi, epsilon and its two operators, the packed A[s,i] or its inverse
+at the state's raising or lowering shift.  A step adds the operator's packed
+int to the member's int; on a new member it moves each of the colors i-1, i
+and i+1 that A[s,i] touches once, by that color's group, and a state is
+bumped and interned only on a move the walk has not made before.  Nodes read
+their weight and string data from the states.  The states and the moves
+between them live as long as one walk.  Operator results are never stored,
+so every step really applies the operator.
 
 Connected components of this action are finite crystal graphs; closing a
 suitable extremal monomial under one operator along a reduced word, letter by
@@ -35,6 +38,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
+from typing import Iterator
 
 from .defaults import DEFAULT_CAP
 from .errors import CapExceeded, ColorOutOfRange, ExponentOverflow, NotTauRenderable
@@ -76,9 +80,10 @@ def _check_color(cfg: CrystalConfig, i: int) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _a_pair(r: int, s: int, i: int) -> tuple[tuple[Monomial, int], tuple[Monomial, int]]:
-    """A[s,i] at rank r and its inverse, each with its packed int, built
-    once per (r, s, i)."""
+def _a_pair(r: int, s: int, i: int) -> tuple[tuple[Monomial, int, tuple], tuple[Monomial, int, tuple]]:
+    """A[s,i] at rank r and its inverse, each with its packed int and its
+    factors grouped by color, built once per (r, s, i).  A group is a color
+    index c - 1 and color c's factors in shift order."""
     pairs = [(VarId(s, i), 1), (VarId(s + 1, i), 1)]
     if i > 1:
         pairs.append((VarId(s + 1, i - 1), -1))
@@ -86,7 +91,13 @@ def _a_pair(r: int, s: int, i: int) -> tuple[tuple[Monomial, int], tuple[Monomia
         pairs.append((VarId(s, i + 1), -1))
     a = Monomial.of(*pairs)
     key = pack(a.factors)
-    return (a, key), (a.inverse(), -key)
+    touched = range(max(i - 1, 1), min(i + 1, r) + 1)
+
+    def grouped(m: Monomial) -> tuple:
+        return tuple([(c - 1, tuple([f for f in m.factors if f[0].i == c])) for c in touched])
+
+    inverse = a.inverse()
+    return (a, key, grouped(a)), (inverse, -key, grouped(inverse))
 
 
 def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
@@ -128,11 +139,6 @@ def _split(r: int, m: Monomial) -> list[_Pairs]:
     return [tuple([f for f in m.factors if f[0].i == c]) for c in range(1, r + 1)]
 
 
-def _node(m: Monomial, scans: tuple) -> CrystalNode:
-    weight, phi, _, _ = zip(*scans)
-    return CrystalNode(m, weight, phi, tuple([p - w for p, w in zip(phi, weight)]))
-
-
 def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
     """Weight and string data of m in all colors.
 
@@ -142,7 +148,8 @@ def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
     The crystal walk reads the operator shifts from the same per-color
     scan (``_color_scan``).
     """
-    return _node(m, tuple([_color_scan(col) for col in _split(cfg.r, m)]))
+    weight, phi, _, _ = zip(*[_color_scan(col) for col in _split(cfg.r, m)])
+    return CrystalNode(m, weight, phi, tuple([p - w for p, w in zip(phi, weight)]))
 
 
 def kashiwara_rows(cfg: CrystalConfig, m: Monomial, i: int) -> tuple[int | None, int | None]:
@@ -239,15 +246,21 @@ class _Walk:
 
     Member k is the packed int keys[k] (``index`` maps it back to k) and
     ids[k], the ids of its color states 1..r.  State j is one color's
-    factors in shift order, states[j], and their ``_color_scan``, scan[j],
-    interned by (color, factors): two colors with no factors are two
-    states.  moves maps (state id, shift, exponent) to the state that adding
-    the exponent at that shift gives.  Seed factors of color above r, which
-    no step touches, are in the packed ints and ``extra`` only.  Every state
-    belongs to some member.  No table outlives the walk.
+    factors in shift order, states[j], interned by (color, factors): two
+    colors with no factors are two states.  weight[j], phi[j] and
+    epsilon[j] are its string data, and ops[j] its raising and its lowering
+    operator, built when it is interned: None where the operator is not
+    defined, else the packed int, the shift and the grouped factors (as in
+    ``_a_pair``) of A[shift,c] or of its inverse, c the state's color.
+    moves maps (state id, shift, i, half) to the state that the group of
+    the state's color in A[shift,i] (half 0) or its inverse (half 1) makes
+    of it.  Seed factors of color above r, which no step touches, are in
+    the packed ints and ``extra`` only.  Every state belongs to some member.
+    No table outlives the walk.
     """
 
-    __slots__ = ("r", "cap", "extra", "keys", "index", "ids", "states", "scan", "interned", "moves")
+    __slots__ = ("r", "cap", "extra", "keys", "index", "ids", "states",
+                 "weight", "phi", "epsilon", "ops", "interned", "moves")
 
     def __init__(self, cfg: CrystalConfig, seed: Monomial, cap: int):
         # every member lies within cap steps of +-1 of the seed, and the cap
@@ -259,7 +272,8 @@ class _Walk:
         self.extra = [f for f in seed.factors if f[0].i > cfg.r]
         self.keys = [pack(seed.factors)]
         self.index = {self.keys[0]: 0}
-        self.states, self.scan, self.interned, self.moves = [], [], {}, {}
+        self.states, self.weight, self.phi, self.epsilon, self.ops = [], [], [], [], []
+        self.interned, self.moves = {}, {}
         self.ids = [tuple([self._state(c, col) for c, col in enumerate(_split(cfg.r, seed), 1)])]
 
     def _state(self, color: int, col: _Pairs) -> int:
@@ -267,40 +281,62 @@ class _Walk:
         if j is None:
             j = self.interned[color, col] = len(self.states)
             self.states.append(col)
-            self.scan.append(_color_scan(col))
+            weight, phi, up, down = _color_scan(col)
+            self.weight.append(weight)
+            self.phi.append(phi)
+            self.epsilon.append(phi - weight)
+            self.ops.append((self._op(up, color, 0), self._op(down, color, 1)))
         return j
 
-    def step(self, at: int, shift: int, i: int, half: int) -> int:
-        """Id of member at times A[shift,i] (half 0) or its inverse (half 1),
-        added as a member if it is new, with the states of colors i-1, i and
-        i+1 moved, each bumped and rescanned only on a move not made before;
+    def _op(self, shift: int | None, i: int, half: int) -> tuple | None:
+        if shift is None:
+            return None
+        _, packed, groups = _a_pair(self.r, shift, i)[half]
+        return packed, shift, groups
+
+    def step(self, at: int, i: int, half: int, op: tuple) -> int:
+        """Id of member at moved by op, the raising (half 0) or lowering
+        (half 1) operator of its color-i state.  A new member is added with
+        its states of colors i-1, i and i+1 each moved once by op's group of
+        that color, bumped and interned only on a move not made before;
         CapExceeded once there are more than cap."""
-        a, packed = _a_pair(self.r, shift, i)[half]
-        key = self.keys[at] + packed
+        key = self.keys[at] + op[0]
         k = self.index.get(key)
         if k is None:
             k = self.index[key] = len(self.keys)
             self.keys.append(key)
             if k >= self.cap:
                 raise CapExceeded(self.cap)
+            _, shift, groups = op
             ids = list(self.ids[at])
             moves = self.moves
-            for v, e in a.factors:
-                c = v.i - 1
-                move = (ids[c], v.s, e)
+            for c, group in groups:
+                move = (ids[c], shift, i, half)
                 j = moves.get(move)
                 if j is None:
-                    col = _bump(self.states[ids[c]], v, e)
-                    j = moves[move] = self._state(v.i, col)
+                    col = self.states[ids[c]]
+                    for v, e in group:
+                        col = _bump(col, v, e)
+                    j = moves[move] = self._state(c + 1, col)
                 ids[c] = j
             self.ids.append(tuple(ids))
         return k
 
-    def row(self, k: int) -> tuple:
-        return tuple([self.scan[j] for j in self.ids[k]])
+    def _gather(self, table: list) -> Iterator[tuple]:
+        """table's entries at each member's state ids, one tuple per member
+        in member order."""
+        return zip(*[map(table.__getitem__, col) for col in zip(*self.ids)])
 
-    def monomial(self, k: int) -> Monomial:
-        return Monomial(tuple(sorted(chain(self.extra, *[self.states[j] for j in self.ids[k]]))))
+    def monomials(self) -> list[Monomial]:
+        """Every member's monomial, in member order."""
+        extra = self.extra
+        return [Monomial(tuple(sorted(chain(extra, *cols)))) for cols in self._gather(self.states)]
+
+    def nodes(self) -> list[CrystalNode]:
+        """Every member's node, its string data gathered from the state
+        tables."""
+        return list(map(CrystalNode, self.monomials(), self._gather(self.weight),
+                        self._gather(self.phi), self._gather(self.epsilon)))
 
 
 def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> CrystalGraph:
@@ -313,16 +349,16 @@ def component(cfg: CrystalConfig, seed: Monomial, cap: int = DEFAULT_CAP) -> Cry
     Raises CapExceeded as soon as more than cap nodes exist.
     """
     walk = _Walk(cfg, seed, cap)
-    scan, step = walk.scan, walk.step
+    ops, step = walk.ops, walk.step
     edges: list[tuple[int, int, int]] = []
     for at, ids in enumerate(walk.ids):  # the list grows as members are found
         for i, j in enumerate(ids, 1):
-            _, _, up, down = scan[j]
-            for shift, half in ((down, 1), (up, 0)):  # half 1 is A[s,i]^-1: lowering
-                if shift is not None and (k := step(at, shift, i, half)) > at:
-                    edges.append((at, i, k) if half else (k, i, at))
-    nodes = [_node(walk.monomial(k), walk.row(k)) for k in range(len(walk.ids))]
-    return CrystalGraph(cfg.r, tuple(nodes), tuple(edges))
+            up, down = ops[j]
+            if down is not None and (k := step(at, i, 1, down)) > at:
+                edges.append((at, i, k))
+            if up is not None and (k := step(at, i, 0, up)) > at:
+                edges.append((k, i, at))
+    return CrystalGraph(cfg.r, tuple(walk.nodes()), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -348,24 +384,23 @@ def _demazure_walk(cfg: CrystalConfig, spec: DemazureSpec, cap: int) -> _Walk:
     for i in spec.word:
         _check_color(cfg, i)
     walk = _Walk(cfg, spec.seed, cap)
-    seed = _node(spec.seed, walk.row(0))
-    if spec.sign == "minus" and any(seed.phi):
+    if spec.sign == "minus" and any([walk.phi[j] for j in walk.ids[0]]):
         raise ValueError("minus-sign seed must have phi = 0 in every color")
-    if spec.sign == "plus" and any(seed.epsilon):
+    if spec.sign == "plus" and any([walk.epsilon[j] for j in walk.ids[0]]):
         raise ValueError("plus-sign seed must have epsilon = 0 in every color")
     # raise by A[s,i] at the raising shift, or lower by its inverse at the lowering one
-    half, field = (0, 2) if spec.sign == "minus" else (1, 3)
-    ids, scan, step = walk.ids, walk.scan, walk.step
+    half = 0 if spec.sign == "minus" else 1
+    ids, ops, step = walk.ids, walk.ops, walk.step
     for i in reversed(spec.word):
         walked: set[int] = set()
         for start in range(len(ids)):
             at = start
             while at not in walked:
                 walked.add(at)
-                shift = scan[ids[at][i - 1]][field]
-                if shift is None:
+                op = ops[ids[at][i - 1]][half]
+                if op is None:
                     break
-                at = step(at, shift, i, half)
+                at = step(at, i, half, op)
     return walk
 
 
@@ -383,7 +418,7 @@ def demazure(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> 
     is that of full walks.  Exponents have no limit.
     """
     walk = _demazure_walk(cfg, spec, cap)
-    return tuple([walk.monomial(k) for k in range(len(walk.keys))])
+    return tuple(walk.monomials())
 
 
 def demazure_polynomial(cfg: CrystalConfig, spec: DemazureSpec, cap: int = DEFAULT_CAP) -> LaurentPoly:

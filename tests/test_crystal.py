@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -634,6 +635,51 @@ def test_demazure_polynomial_bound_is_the_largest_member_exponent_property(cfg_s
     assert demazure_polynomial(cfg, spec, cap=300)._bound == top
 
 
+def _walk_behind(run, cfg, arg):
+    """The walk that run(cfg, arg, cap=300) makes, whether or not it passes
+    the cap."""
+    made = []
+
+    class Recorded(crystal._Walk):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(crystal, "_Walk", Recorded):
+        try:
+            run(cfg, arg, cap=300)
+        except CapExceeded:
+            pass
+    return made[0]
+
+
+@PROPERTY
+@given(rank_and_monomial(), demazure_specs())
+def test_every_interned_state_belongs_to_a_member_property(cfg_m, cfg_spec):
+    for walk in (_walk_behind(component, *cfg_m), _walk_behind(demazure, *cfg_spec)):
+        assert {j for ids in walk.ids for j in ids} == set(range(len(walk.states)))
+
+
+def test_component_builds_each_state_operator_once(monkeypatch):
+    cfg = CrystalConfig(4)
+    calls = []
+    real_a_pair = crystal._a_pair
+
+    def a_pair(r, s, i):
+        calls.append((s, i))
+        return real_a_pair(r, s, i)
+
+    monkeypatch.setattr(crystal, "_a_pair", a_pair)
+    g = component(cfg, _m((-1, 1, 2), (-1, 2, 1), (-1, 4, 1)))
+    states = {(i, col) for node in g.nodes for i, col in enumerate(crystal._split(cfg.r, node.monomial), 1)}
+    # at most a raising and a lowering operator built per state, while the
+    # walk takes 2 * 960 steps, one from each end of every edge
+    assert (g.edge_count(), len(states)) == (960, 147)
+    assert 0 < len(calls) <= 2 * len(states)
+
+
 def test_walk_keeps_colors_with_equal_factors_apart():
     # colors 1, 2 and 4 of the seed have no factors: three states, so a
     # move stored for one of them never moves another color
@@ -654,9 +700,10 @@ def test_exponent_past_the_limit_through_a_stored_move():
     seed = _m((0, 1, 1), (0, 2, 1), (0, 3, EXPONENT_LIMIT - 1))
     spec = DemazureSpec((2, 1), "plus", seed)
     walk = crystal._demazure_walk(cfg, spec, 100)
-    past = [k for k in range(len(walk.keys)) if (VarId(0, 3), EXPONENT_LIMIT) in walk.monomial(k).factors]
+    past = [k for k, m in enumerate(walk.monomials()) if (VarId(0, 3), EXPONENT_LIMIT) in m.factors]
     assert len(past) == 2 and walk.ids[0][2] == walk.ids[1][2]
-    assert walk.moves[walk.ids[0][2], 0, 1] == walk.ids[past[0]][2] == walk.ids[past[1]][2]
+    # the move of a color-3 state by A[0,2]^-1 (shift 0, color 2, half 1)
+    assert walk.moves[walk.ids[0][2], 0, 2, 1] == walk.ids[past[0]][2] == walk.ids[past[1]][2]
     assert demazure(cfg, spec) == _full_walk_demazure(cfg, spec, 100)
     with pytest.raises(ExponentOverflow, match=f"^exponent {EXPONENT_LIMIT} of a polynomial term"):
         demazure_polynomial(cfg, spec)
