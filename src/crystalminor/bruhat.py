@@ -11,12 +11,12 @@ answers every position question: letters, variables, (s, j) of a position.
 Substituting the position variables into a product of negative factors, one
 per letter, yields a matrix over Laurent polynomials whose initial minors
 this module extracts (``delta_L``).  No matrix product is ever formed: a
-minor starts from the d identity rows it needs and applies the word's
-factors as column operations (``apply_word``), then takes the determinant of
-the first d columns.  ``apply_word`` takes each factor as the three entries
-of its 2x2 block in the ring of the rows, so it knows no ring: the symbolic
-side passes one-term polynomials and the one polynomial, the numeric side
-integers.  ``det`` knows no ring either: the caller supplies the fold that
+minor starts from the d identity rows it needs, as wide as the columns the
+word's factors touch, and applies those factors as column operations
+(``apply_word``), then takes the determinant of the first d columns.
+``apply_word`` takes each factor as the three entries of its 2x2 block in
+the ring of the rows, so it knows no ring: the symbolic side passes
+one-term polynomials and the one polynomial, the numeric side integers.  ``det`` knows no ring either: the caller supplies the fold that
 sums signed products of entries and cofactors, ``LaurentPoly.signed_dot``
 on the symbolic side and ``rational_dot`` on the numeric side.
 
@@ -212,13 +212,6 @@ def apply_word(rows, steps):
     return out
 
 
-def _symbolic_rows(w: WordSpec, rows: Sequence[int]):
-    """Rows (1-based) of the symbolic cell matrix, by column operations."""
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    identity_rows = [[one if c == a else zero for c in range(1, w.r + 2)] for a in rows]
-    return apply_word(identity_rows, w._steps)
-
-
 def det(matrix, fold):
     """Determinant by cofactor expansion along the rows in their given
     order, memoized by the columns left as an int bitmask (bit c for
@@ -274,8 +267,13 @@ def rational_dot(triples):
 def delta_L_uncached(spec: MinorSpec) -> LaurentPoly:
     """The minor of the symbolic cell matrix marked by position k, computed
     afresh and kept nowhere: what every verify sweep calls."""
-    # only the minor's d rows are built; its columns are the first d
-    return det([row[: spec.d] for row in _symbolic_rows(spec.word, spec.rows)], LaurentPoly.signed_dot)
+    # only the minor's d rows, as wide as the columns the word's factors
+    # touch (up to its largest letter + 1); the minor's columns are the first d
+    w = spec.word
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    width = max(w.letters()) + 1
+    rows = [[one if c == a else zero for c in range(1, width + 1)] for a in spec.rows]
+    return det([row[: spec.d] for row in apply_word(rows, w._steps)], LaurentPoly.signed_dot)
 
 
 @lru_cache(maxsize=4096)

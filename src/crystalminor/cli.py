@@ -8,7 +8,8 @@ produce byte-identical output.
 
 Start-up loads only ``errors``, ``laurent``, ``bruhat`` and ``defaults``,
 which is all the parser needs; each command imports what it uses of
-``crystal``, ``paths``, ``cluster`` or ``verify`` when it starts.
+``crystal``, ``paths``, ``cluster`` or ``verify`` when it starts.  The
+``seed`` commands leave the matrix cap to ``cluster.seed_matrix``.
 """
 
 from __future__ import annotations
@@ -209,16 +210,9 @@ def _matrix_text(sm) -> str:
 
 
 def _run_seed(args) -> int:
-    """The word's seed matrix, mutated at each --k direction in turn;
-    refused before it is built when it has more than DEFAULT_CAP entries."""
+    """The word's seed matrix, mutated at each --k direction in turn."""
     from .cluster import seed_matrix
-    w = _word(args)
-    # rows -1..-r, 1..n; columns all rows but the last position of each
-    # distinct letter, and a word past its first cycle has all r letters
-    entries = (w.r + w.n) * (w.r + w.n - (w.r if w.m > 1 else w.last))
-    if entries > DEFAULT_CAP:
-        raise ValueError(f"the seed matrix has {entries} entries, more than {DEFAULT_CAP}")
-    sm = seed_matrix(w)
+    sm = seed_matrix(_word(args))
     for k in () if args.k is None else _letters(args.k, "--k"):
         sm = sm.mutate(k)
     print(sm.to_json() if args.format == "json" else _matrix_text(sm))

@@ -8,6 +8,9 @@ k+ is the next position to the right carrying the same letter in
 absolute value (n+1 if none), p := max(k,l) and q := min(k+,l+).  This
 convention is pinned by the skew-symmetrizability and mutation
 properties in the test suite rather than by printed entries.
+
+``seed_matrix`` counts its (r + n) x (r + n - distinct letters) entries
+first and refuses more than ``DEFAULT_CAP`` before it builds any.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Sequence
 
 from .bruhat import WordSpec
 from .crystal import cartan
+from .defaults import DEFAULT_CAP
 from .errors import IndexOutOfRange
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -38,10 +42,6 @@ def e_set(w: WordSpec) -> tuple[int, ...]:
     letters = w.letters()
     later = tuple([k for k in range(1, w.n + 1) if letters[k - 1] in letters[k:]])
     return tuple(range(-1, -w.r - 1, -1)) + later
-
-
-def _index_universe(w: WordSpec) -> tuple[int, ...]:
-    return tuple(range(-1, -w.r - 1, -1)) + tuple(range(1, w.n + 1))
 
 
 def _entry(signed: dict[int, int], succ: dict[int, int], k: int, l: int) -> int:
@@ -106,8 +106,13 @@ class SeedMatrix:
 
 
 def seed_matrix(w: WordSpec) -> SeedMatrix:
-    """Exchange matrix of the word, rows -1..-r,1..n, columns e_set(w)."""
-    rows = _index_universe(w)
+    """Exchange matrix of the word, rows -1..-r,1..n, columns e_set(w);
+    refused before it is built when it has more than DEFAULT_CAP entries."""
+    # the columns are all rows but the last position of each distinct letter
+    size = (w.r + w.n) * (w.r + w.n - len(set(w.letters())))
+    if size > DEFAULT_CAP:
+        raise ValueError(f"the seed matrix has {size} entries, more than {DEFAULT_CAP}")
+    rows = tuple(range(-1, -w.r - 1, -1)) + tuple(range(1, w.n + 1))
     cols = e_set(w)
     # signed letter of every index (k itself for k < 0) and its successor:
     # the next index to the right with the same letter, or n+1

@@ -9,18 +9,20 @@ is fixed so that the cyclic color pattern reads 1, 2, ..., r repeating as the
 shift grows.
 
 ``apply_e`` and ``apply_f`` read only color i of a monomial; A[s,i] and its
-inverse are built once per (r, s, i), in a bounded cache, with their factors
-grouped by color.  ``component`` and the Demazure closure are one walk: a
+inverse are built once per (r, s, i), in a bounded cache, each as one record:
+the Monomial, its packed int, its shift and its factors grouped by color.
+One color filter, ``_split``, groups those factors, splits a walk's seed and
+feeds ``node_stats``.  ``component`` and the Demazure closure are one walk: a
 member is a packed int and one tuple of r color-state ids, where a color
 state is one color's factors in shift order, stored once per walk with its
-weight, phi, epsilon and its two operators, the packed A[s,i] or its inverse
-at the state's raising or lowering shift.  A step adds the operator's packed
-int to the member's int; on a new member it moves each of the colors i-1, i
-and i+1 that A[s,i] touches once, by that color's group, and a state is
-bumped and interned only on a move the walk has not made before.  Nodes read
-their weight and string data from the states.  The states and the moves
-between them live as long as one walk.  Operator results are never stored,
-so every step really applies the operator.
+weight, phi, epsilon and its two operators, the cached records of A[s,i] or
+its inverse at the state's raising or lowering shift.  A step adds the
+operator's packed int to the member's int; on a new member it moves each of
+the colors i-1, i and i+1 that A[s,i] touches once, by that color's group,
+and a state is bumped and interned only on a move the walk has not made
+before.  Nodes read their weight and string data from the states.  The
+states and the moves between them live as long as one walk.  Operator
+results are never stored, so every step really applies the operator.
 
 Connected components of this action are finite crystal graphs; closing a
 suitable extremal monomial under one operator along a reduced word, letter by
@@ -80,10 +82,11 @@ def _check_color(cfg: CrystalConfig, i: int) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _a_pair(r: int, s: int, i: int) -> tuple[tuple[Monomial, int, tuple], tuple[Monomial, int, tuple]]:
-    """A[s,i] at rank r and its inverse, each with its packed int and its
-    factors grouped by color, built once per (r, s, i).  A group is a color
-    index c - 1 and color c's factors in shift order."""
+def _a_pair(r: int, s: int, i: int) -> tuple[tuple, tuple]:
+    """A[s,i] at rank r and its inverse, built once per (r, s, i), each as
+    the record a walk's operator reads: the Monomial, its packed int, the
+    shift s and its factors grouped by color.  A group is a color index
+    c - 1 and color c's factors in shift order."""
     pairs = [(VarId(s, i), 1), (VarId(s + 1, i), 1)]
     if i > 1:
         pairs.append((VarId(s + 1, i - 1), -1))
@@ -94,10 +97,10 @@ def _a_pair(r: int, s: int, i: int) -> tuple[tuple[Monomial, int, tuple], tuple[
     touched = range(max(i - 1, 1), min(i + 1, r) + 1)
 
     def grouped(m: Monomial) -> tuple:
-        return tuple([(c - 1, tuple([f for f in m.factors if f[0].i == c])) for c in touched])
+        return tuple([(c - 1, col) for c, col in zip(touched, _split(m, touched))])
 
     inverse = a.inverse()
-    return (a, key, grouped(a)), (inverse, -key, grouped(inverse))
+    return (a, key, s, grouped(a)), (inverse, -key, s, grouped(inverse))
 
 
 def a_monomial(cfg: CrystalConfig, s: int, i: int) -> Monomial:
@@ -120,6 +123,11 @@ class CrystalNode:
     epsilon: tuple[int, ...]
 
 
+def _split(m: Monomial, colors: range) -> list[_Pairs]:
+    """m's factors of each of the given colors, in shift order."""
+    return [tuple([f for f in m.factors if f[0].i == c]) for c in colors]
+
+
 def _color_scan(col: _Pairs) -> tuple:
     """(weight, phi, raising shift, lowering shift) of one color, read from
     its factors in shift order: the shifts are those of ``kashiwara_rows``."""
@@ -134,11 +142,6 @@ def _color_scan(col: _Pairs) -> tuple:
     return run, phi, follower.s - 1 if phi > run else None, None if lower is None else lower.s
 
 
-def _split(r: int, m: Monomial) -> list[_Pairs]:
-    """m's factors of each color 1..r, in shift order."""
-    return [tuple([f for f in m.factors if f[0].i == c]) for c in range(1, r + 1)]
-
-
 def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
     """Weight and string data of m in all colors.
 
@@ -148,7 +151,7 @@ def node_stats(cfg: CrystalConfig, m: Monomial) -> CrystalNode:
     The crystal walk reads the operator shifts from the same per-color
     scan (``_color_scan``).
     """
-    weight, phi, _, _ = zip(*[_color_scan(col) for col in _split(cfg.r, m)])
+    weight, phi, _, _ = zip(*[_color_scan(col) for col in _split(m, cfg.colors())])
     return CrystalNode(m, weight, phi, tuple([p - w for p, w in zip(phi, weight)]))
 
 
@@ -249,9 +252,9 @@ class _Walk:
     factors in shift order, states[j], interned by (color, factors): two
     colors with no factors are two states.  weight[j], phi[j] and
     epsilon[j] are its string data, and ops[j] its raising and its lowering
-    operator, built when it is interned: None where the operator is not
-    defined, else the packed int, the shift and the grouped factors (as in
-    ``_a_pair``) of A[shift,c] or of its inverse, c the state's color.
+    operator, taken when it is interned: None where the operator is not
+    defined, else ``_a_pair``'s record of A[shift,c] or of its inverse, c
+    the state's color.
     moves maps (state id, shift, i, half) to the state that the group of
     the state's color in A[shift,i] (half 0) or its inverse (half 1) makes
     of it.  Seed factors of color above r, which no step touches, are in
@@ -274,7 +277,7 @@ class _Walk:
         self.index = {self.keys[0]: 0}
         self.states, self.weight, self.phi, self.epsilon, self.ops = [], [], [], [], []
         self.interned, self.moves = {}, {}
-        self.ids = [tuple([self._state(c, col) for c, col in enumerate(_split(cfg.r, seed), 1)])]
+        self.ids = [tuple([self._state(c, col) for c, col in enumerate(_split(seed, cfg.colors()), 1)])]
 
     def _state(self, color: int, col: _Pairs) -> int:
         j = self.interned.get((color, col))
@@ -285,14 +288,9 @@ class _Walk:
             self.weight.append(weight)
             self.phi.append(phi)
             self.epsilon.append(phi - weight)
-            self.ops.append((self._op(up, color, 0), self._op(down, color, 1)))
+            self.ops.append((None if up is None else _a_pair(self.r, up, color)[0],
+                             None if down is None else _a_pair(self.r, down, color)[1]))
         return j
-
-    def _op(self, shift: int | None, i: int, half: int) -> tuple | None:
-        if shift is None:
-            return None
-        _, packed, groups = _a_pair(self.r, shift, i)[half]
-        return packed, shift, groups
 
     def step(self, at: int, i: int, half: int, op: tuple) -> int:
         """Id of member at moved by op, the raising (half 0) or lowering
@@ -300,14 +298,14 @@ class _Walk:
         its states of colors i-1, i and i+1 each moved once by op's group of
         that color, bumped and interned only on a move not made before;
         CapExceeded once there are more than cap."""
-        key = self.keys[at] + op[0]
+        key = self.keys[at] + op[1]
         k = self.index.get(key)
         if k is None:
             k = self.index[key] = len(self.keys)
             self.keys.append(key)
             if k >= self.cap:
                 raise CapExceeded(self.cap)
-            _, shift, groups = op
+            _, _, shift, groups = op
             ids = list(self.ids[at])
             moves = self.moves
             for c, group in groups:

@@ -13,12 +13,15 @@ over paths and over arrays respectively: an explicit stack of one
 iterator per level, over a prefix kept in place and never copied.
 Every edge (or row at a given depth) is an int sum of per-slot units
 (``_unit``), each slot's variable packed once and kept in a bounded cache,
-with no Monomial and no (variable, exponent) pair built.  A label is the
-int sum along the walk, and the sums pass their label counts to
-``LaurentPoly.from_packed`` unpacked.  The exporters unpack one label per
-path (the DOT export one per edge), so nothing relabels a path from its
-rows; ``label``, ``edge_label`` and ``cbar`` stay as the references, built
-from (variable, exponent) pairs and sharing only ``_slot`` with the units.
+with no Monomial and no (variable, exponent) pair built.  One builder,
+``_label_table``, grows each vertex's children with their edge labels
+packed; ``enumerate_paths`` walks it at the smallest rank the shape fits
+and ignores the labels.  A label is the int sum along the walk, and the
+sums pass their label counts to ``LaurentPoly.from_packed`` unpacked.  The
+exporters unpack one label per path (the DOT export one per edge), so
+nothing relabels a path from its rows; ``label``, ``edge_label`` and
+``cbar`` stay as the references, built from (variable, exponent) pairs and
+sharing only ``_slot`` with the units.
 The two walks share no code, so each checks the other.
 """
 
@@ -110,39 +113,11 @@ class Path:
         return self.rows[-1][0] - 1
 
 
-def _path_table(spec: PathSpec, edge) -> dict:
-    """Children of every vertex a path passes, keyed by (level, row).
-
-    Each entry lists (next row, edge(level, row, next row)) in enumeration
-    order.  A step keeps each entry or raises it by one, keeps the row
-    strictly increasing, and stays within reach of the target; from every
-    such vertex the target is reachable, so every edge lies on a path.
-    Rows are grown entry by entry, keeping only prefixes that obey these
-    rules, so a vertex costs its children rather than all 2^d steps.
-    """
-    d, m, mp = spec.d, spec.m, spec.mprime
-    table: dict = {}
-    level = [spec.source()]
-    for s in range(m):
-        left = m - s - 1
-        bounds = [(mp + i + 1 - left, mp + i + 1) for i in range(d)]
-        seen: dict = {}
-        for cur in level:
-            rows = [()]
-            for a, (lo, hi) in zip(cur, bounds):
-                rows = [row + (x,) for row in rows for x in (a, a + 1)
-                        if lo <= x <= hi and (not row or row[-1] < x)]
-            table[s, cur] = [(nxt, edge(s, cur, nxt)) for nxt in rows]
-            seen.update(dict.fromkeys(rows))
-        level = list(seen)
-    return table
-
-
 def _path_walk(spec: PathSpec, table: dict):
     """Depth first over the paths of spec, in enumeration order.
 
     Yields (levels, label) per path: levels is the walk's own list of rows
-    (copy it to keep it), label is the sum of the table's edge values along
+    (copy it to keep it), label is the sum of the table's edge labels along
     the path.  The stack holds one iterator per level, over the children of
     that level's row.
     """
@@ -187,7 +162,7 @@ def enumerate_paths(spec: PathSpec) -> tuple[Path, ...]:
     >>> len(enumerate_paths(PathSpec(3, 3, 3)))
     1
     """
-    table = _path_table(spec, lambda s, cur, nxt: 0)
+    table = _label_table(spec, spec.d + spec.m - 1)  # the smallest rank _fit accepts
     return tuple(Path(tuple(levels)) for levels, _ in _path_walk(spec, table))
 
 
@@ -271,22 +246,37 @@ def _fit(spec: PathSpec, r: int) -> None:
 
 
 def _label_table(spec: PathSpec, r: int) -> dict:
-    """The path table with every edge label packed, as the sum of its
-    kept entries' per-slot units (``_unit``) in the slot order of
-    ``_edge_pairs``; a shape too large for rank r is refused first (``_fit``).
+    """Children of every vertex a path passes, keyed by (level, row), each
+    with its edge label packed; a shape too large for rank r is refused first
+    (``_fit``).
+
+    Each entry lists (next row, label) in enumeration order.  A step keeps
+    each entry or raises it by one, keeps the row strictly increasing, and
+    stays within reach of the target; from every such vertex the target is
+    reachable, so every edge lies on a path.  Rows are grown entry by entry,
+    keeping only prefixes that obey these rules, so a vertex costs its
+    children rather than all 2^d steps.  A prefix carries its label, the sum
+    of its kept entries' per-slot units (``_unit``).
     """
     _fit(spec, r)
-    m = spec.m
-
-    def edge(s: int, cur: tuple[int, ...], nxt: tuple[int, ...]) -> int:
-        c = m - s - 1
-        x = 0
-        for a_new, a_old in zip(nxt, cur):
-            if a_new == a_old:
-                x += _unit(r, c, a_old - 1) - _unit(r, c, a_old)
-        return x
-
-    return _path_table(spec, edge)
+    d, m, mp = spec.d, spec.m, spec.mprime
+    table: dict = {}
+    level = [spec.source()]
+    for s in range(m):
+        c = m - s - 1  # the step's cycle, and the steps left after it
+        bounds = [(mp + i + 1 - c, mp + i + 1) for i in range(d)]
+        seen: dict = {}
+        for cur in level:
+            rows = [((), 0)]
+            for a, (lo, hi) in zip(cur, bounds):
+                keep = _unit(r, c, a - 1) - _unit(r, c, a)
+                rows = [(row + (x,), x_label) for row, label in rows
+                        for x, x_label in ((a, label + keep), (a + 1, label))
+                        if lo <= x <= hi and (not row or row[-1] < x)]
+            table[s, cur] = rows
+            seen.update(dict.fromkeys([row for row, _ in rows]))
+        level = list(seen)
+    return table
 
 
 def path_sum(spec: PathSpec, r: int) -> LaurentPoly:

@@ -23,6 +23,7 @@ from crystalminor.bruhat import (
     cell_matrix_value,
     delta_G,
     delta_L,
+    delta_L_uncached,
     det,
     lower_product_value,
     phi_map,
@@ -541,6 +542,26 @@ def test_delta_L_matches_dense_reference_minors():
                     spec = MinorSpec(w, k)
                     want = det(submatrix(dense, spec.rows, range(1, spec.d + 1)), LaurentPoly.signed_dot)
                     assert delta_L(spec) == want, (w, k)
+
+
+def test_minor_rows_are_as_wide_as_the_columns_the_word_touches(monkeypatch):
+    # the word's factors touch columns up to its largest letter + 1, so a
+    # one-letter word at rank 10^6 builds rows of width 2, not 10^6 + 1
+    widths = []
+
+    def recording(rows, steps):
+        widths.append({len(row) for row in rows})
+        return apply_word(rows, steps)
+
+    monkeypatch.setattr(bruhat, "apply_word", recording)
+    assert delta_L_uncached(MinorSpec(WordSpec(10**6, 1, 1), 1)) == LaurentPoly.one()
+    assert widths == [{2}]
+    for w in all_word_specs(5):
+        for k in range(1, w.n + 1):
+            widths.clear()
+            delta_L_uncached(MinorSpec(w, k))
+            # a word past its first cycle holds every letter: width r + 1
+            assert widths == [{w.r + 1 if w.m > 1 else w.last + 1}], (w, k)
 
 
 def test_apply_word_on_rationals_matches_dense_product():

@@ -21,6 +21,7 @@ from crystalminor import cli, cluster, crystal, defaults, paths, verify
 from crystalminor.bruhat import MinorSpec, RationalRows, WordSpec, delta_L
 from crystalminor.cluster import seed_matrix
 from crystalminor.crystal import DEFAULT_CAP
+from crystalminor.errors import RankTooSmall
 from crystalminor.laurent import EXPONENT_LIMIT, LaurentPoly, Monomial, VarId
 from crystalminor.paths import PathSpec, paths_dot, paths_json
 from crystalminor.verify import (
@@ -303,21 +304,32 @@ def test_seed_bmatrix_json(capsys):
 
 def test_seed_matrix_over_the_cap_is_refused_before_it_is_built(capsys, monkeypatch):
     # 401 rows and 400 columns: 487 KB of text if built
-    monkeypatch.setattr(cluster, "seed_matrix", lambda w: pytest.fail(f"built {w}"))
+    monkeypatch.setattr(cluster, "_entry", lambda *args: pytest.fail(f"built an entry {args[2:]}"))
     refused = (2, "", f"error: the seed matrix has 160400 entries, more than {DEFAULT_CAP}\n")
     assert run(capsys, ["seed", "bmatrix", "--r", "400", "--word", "1"]) == refused
     assert run(capsys, ["seed", "mutate", "--r", "400", "--word", "1", "--k", "-1"]) == refused
 
 
 def test_seed_matrix_cap_counts_the_entries_of_the_built_matrix(capsys, monkeypatch):
-    for w in all_word_specs(4):
-        sm = seed_matrix(w)
+    # every matrix is built before the cap is lowered
+    for w, sm in [(w, seed_matrix(w)) for w in all_word_specs(4)]:
         size = len(sm.rows) * len(sm.cols)
         argv = ["seed", "bmatrix", "--r", str(w.r), "--word", ",".join(map(str, w.letters()))]
-        monkeypatch.setattr(cli, "DEFAULT_CAP", size)
+        monkeypatch.setattr(cluster, "DEFAULT_CAP", size)
         assert run(capsys, argv)[0] == 0
-        monkeypatch.setattr(cli, "DEFAULT_CAP", size - 1)
+        monkeypatch.setattr(cluster, "DEFAULT_CAP", size - 1)
         assert run(capsys, argv) == (2, "", f"error: the seed matrix has {size} entries, more than {size - 1}\n")
+
+
+def test_requests_at_a_huge_rank_answer_at_once(capsys):
+    # none of these builds anything r long, so each answers in one line at once
+    r = 10**20
+    assert run(capsys, ["minor", "--r", str(r), "--word", "1", "--k", "1"]) == (0, "1\n", "")
+    code, out, err = run(capsys, ["paths", "sum", "--d", "2", "--m", "3", "--mprime", "2", "--r", str(r)])
+    assert (code, err, out.count("\n"), len(out.split(" + "))) == (0, "", 1, 6)
+    assert f"τ_{2 * r}" in out
+    refused = f"error: the seed matrix has {(r + 1) * r} entries, more than {DEFAULT_CAP}\n"
+    assert run(capsys, ["seed", "bmatrix", "--r", str(r), "--word", "1"]) == (2, "", refused)
 
 
 def test_seed_mutate_twice_restores(capsys):
@@ -479,13 +491,13 @@ def test_each_paths_request_builds_at_most_one_table(capsys, monkeypatch):
     # count_paths is a closed form, so the --cap check builds no table; the
     # walks of enum and sum build one, the array walk of closed-form none
     builds = []
-    build = paths._path_table
+    build = paths._label_table
 
     def counting(*args):
         builds.append(args)
         return build(*args)
 
-    monkeypatch.setattr(paths, "_path_table", counting)
+    monkeypatch.setattr(paths, "_label_table", counting)
     small = ["--d", "2", "--m", "3", "--mprime", "2", "--r", "4"]
     requests = [["sum", *small]] + [["enum", *small, "--format", f] for f in ("tau", "json", "dot")]
     for argv, want in [(argv, 1) for argv in requests] + [(["closed-form", *small], 0)]:
@@ -498,13 +510,25 @@ def test_paths_enum_refuses_a_rank_too_small_before_building_a_table(capsys, mon
     def refuse(*args):
         raise AssertionError("built a table before refusing the rank")
 
-    monkeypatch.setattr(paths, "_path_table", refuse)
+    refusals = []
+    real_fit = paths._fit
+
+    def fit(spec, r):
+        # the refusal must come from _fit, which runs before any row is grown
+        try:
+            real_fit(spec, r)
+        except RankTooSmall as e:
+            refusals.append(str(e))
+            raise
+
+    monkeypatch.setattr(paths, "_fit", fit)
     monkeypatch.setattr(paths, "_array_rows", refuse)
     # 80,601 paths, inside the default cap
     shape = ["--d", "400", "--m", "3", "--mprime", "1", "--r", "4"]
     assert paths.count_paths(PathSpec(400, 3, 1)) == 80601 <= DEFAULT_CAP
     assert run(capsys, ["paths", "enum", *shape]) == (
         2, "", "error: slot 3 of cycle 2 does not exist at rank 4\n")
+    assert refusals == ["slot 3 of cycle 2 does not exist at rank 4"]
 
 
 def test_paths_closed_form_refuses_what_paths_sum_refuses(capsys):

@@ -63,6 +63,14 @@ def test_seed_matrix_rank_two_golden():
     assert m.entry(3, 1) == -1
 
 
+def test_seed_matrix_over_the_cap_is_refused_before_an_entry_is_built(monkeypatch):
+    # 401 rows and 400 columns
+    monkeypatch.setattr(cluster, "_entry", lambda *args: pytest.fail(f"built an entry {args[2:]}"))
+    with pytest.raises(ValueError) as refused:
+        seed_matrix(WordSpec(400, 1, 1))
+    assert str(refused.value) == "the seed matrix has 160400 entries, more than 100000"
+
+
 def test_seed_matrix_shape_validation():
     with pytest.raises(ValueError):
         SeedMatrix((1, 2), (3,), ((0,), (0,)))  # col label not a row label

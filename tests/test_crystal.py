@@ -487,7 +487,7 @@ def test_node_stats_match_per_color_reference_property(cfg_m):
 def test_node_stats_shifts_match_kashiwara_rows_property(cfg_m):
     cfg, m = cfg_m
     # the walk's shifts: one _color_scan per color of _split
-    cols = crystal._split(cfg.r, m)
+    cols = crystal._split(m, cfg.colors())
     assert len(cols) == cfg.r
     for i in cfg.colors():
         _, _, up, down = crystal._color_scan(cols[i - 1])
@@ -673,7 +673,7 @@ def test_component_builds_each_state_operator_once(monkeypatch):
 
     monkeypatch.setattr(crystal, "_a_pair", a_pair)
     g = component(cfg, _m((-1, 1, 2), (-1, 2, 1), (-1, 4, 1)))
-    states = {(i, col) for node in g.nodes for i, col in enumerate(crystal._split(cfg.r, node.monomial), 1)}
+    states = {(i, col) for node in g.nodes for i, col in enumerate(crystal._split(node.monomial, cfg.colors()), 1)}
     # at most a raising and a lowering operator built per state, while the
     # walk takes 2 * 960 steps, one from each end of every edge
     assert (g.edge_count(), len(states)) == (960, 147)

@@ -20,6 +20,7 @@ from crystalminor.paths import (
     Path,
     PathSpec,
     PathStats,
+    _fit,
     _unit,
     cbar,
     closed_form_sum,
@@ -526,7 +527,7 @@ def test_count_paths_builds_no_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("count_paths built a path table")
 
-    monkeypatch.setattr("crystalminor.paths._path_table", refuse)
+    monkeypatch.setattr("crystalminor.paths._label_table", refuse)
     # an 8 x 12 x 12 box: counting it over its path table takes over a minute
     assert count_paths(PathSpec(8, 24, 12)) == lgv_count(PathSpec(8, 24, 12))
 
@@ -602,7 +603,17 @@ def test_a_rank_too_small_is_refused_before_anything_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a table before refusing the rank")
 
-    monkeypatch.setattr("crystalminor.paths._path_table", refuse)
+    refusals = []
+
+    def fit(spec, r):
+        # the refusal must come from _fit, which runs before any row is grown
+        try:
+            _fit(spec, r)
+        except RankTooSmall as e:
+            refusals.append(str(e))
+            raise
+
+    monkeypatch.setattr("crystalminor.paths._fit", fit)
     monkeypatch.setattr("crystalminor.paths._array_rows", refuse)
     cases = [
         (path_sum, PathSpec(20000, 1, 1), 2, "slot 4 of cycle 0 does not exist at rank 2"),
@@ -611,7 +622,9 @@ def test_a_rank_too_small_is_refused_before_anything_is_built(monkeypatch):
         (closed_form_sum, PathSpec(3, 4, 2), 3, "slot 1 of cycle 3 does not exist at rank 3"),
     ]
     for compute, spec, r, message in cases:
+        refusals.clear()
         assert outcome(lambda: compute(spec, r)) == ("RankTooSmall", message), (compute, spec)
+        assert refusals == [message], (compute, spec)
 
 
 def test_sums_pack_each_slot_once_and_build_no_pairs(monkeypatch):
